@@ -50,6 +50,33 @@ def amp_spec(tmp_path_factory):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def sine_function_spec(tmp_path_factory):
+    # sin(2 pi x) on (0, 1), cut at its extrema; density singular at +-1
+    w = 2.0 * math.pi
+    cuts = [0.0, 0.25, 0.75, 1.0]
+    path = tmp_path_factory.mktemp("specs") / "sine_wave.json"
+    path.write_text(json.dumps({
+        "domain": [0.0, 1.0],
+        "pieces": [
+            {"interval": [lo, hi], "kind": "sin",
+             "params": {"amplitude": 1.0, "frequency": w, "phase": 0.0}}
+            for lo, hi in zip(cuts[:-1], cuts[1:])],
+    }))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def square_spec(tmp_path_factory):
+    path = tmp_path_factory.mktemp("specs") / "square.json"
+    path.write_text(json.dumps({
+        "domain": [0.0, 1.0],
+        "pieces": [{"interval": [0.0, 1.0], "kind": "power",
+                    "params": {"exponent": 2.0}}],
+    }))
+    return str(path)
+
+
 def test_help_exits_zero():
     r = run_cli("--help")
     assert r.returncode == 0
@@ -220,3 +247,27 @@ def test_exit_2_on_unknown_key(tmp_path):
 def test_exit_2_on_sequence_where_function_expected(sin_spec):
     r = run_cli("density", "--input", sin_spec)
     assert r.returncode == 2
+
+
+def test_measure_json_is_strict(sine_function_spec):
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    r = run_cli("measure", "--input", sine_function_spec, "--format", "json",
+                "--grid", "5")
+    assert r.returncode == 0
+    payload = json.loads(r.stdout, parse_constant=reject)
+    grid = payload["result"]["density_grid"]
+    assert grid[0] == [-1.0, "inf"]
+    assert grid[-1] == [1.0, "inf"]
+
+
+def test_power_piece_from_zero(square_spec):
+    # x^2 on (0, 1): density 1/(2 sqrt(y)), singular at the grid point y = 0
+    r = run_cli("density", "--input", square_spec, "--grid", "5")
+    assert r.returncode == 0
+    rows = [line.split(",") for line in r.stdout.strip().splitlines()[1:]]
+    assert float(rows[0][1]) == math.inf
+    assert float(rows[1][1]) == pytest.approx(1.0, rel=1e-12)
+    r = run_cli("verify", "--input", square_spec, "--samples", "200000")
+    assert r.returncode == 0

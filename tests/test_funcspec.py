@@ -8,6 +8,7 @@ from oscym.domain import evaluate
 from oscym.errors import SpecError
 from oscym.exprparse import parse_expression as compile_expression
 from oscym.funcspec import SequenceSpec, build_function, build_sequence, parse_spec
+from oscym.measures import young_density
 
 
 def make_spec(pieces, domain=(0.0, 1.0), range_k=None):
@@ -58,6 +59,23 @@ def test_parse_expr_piece():
     )
     f = parse_spec(spec)
     assert evaluate(f, 0.5) == pytest.approx(1.25)
+
+
+def test_power_piece_singular_slope_at_zero():
+    # x^2 on (0, 1) has density 1/(2 sqrt(y)): singular at y = 0, finite inside
+    f = parse_spec(make_spec(
+        [{"interval": [0.0, 1.0], "kind": "power", "params": {"exponent": 2.0}}]))
+    assert young_density(f, 0.0) == math.inf
+    assert young_density(f, 0.25) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_power_piece_negative_exponent_from_zero_rejected():
+    # x^-1 on (0, 1) would take the value inf at the left end
+    spec = make_spec(
+        [{"interval": [0.0, 1.0], "kind": "power", "params": {"exponent": -1.0}}]
+    )
+    with pytest.raises(SpecError, match="exponent"):
+        parse_spec(spec)
 
 
 def test_empty_interval_rejected():

@@ -46,6 +46,22 @@ def test_young_density_sine_matches_arcsine_law():
         assert young_density(f, float(y)) == pytest.approx(arcsine(y), rel=1e-12)
 
 
+def test_young_density_counts_a_boundary_value_once():
+    # images are half-open, [lo, hi): y = 0 ends the image of the last sine
+    # branch and starts that of the first, so it counts once (arcsine 1/pi)
+    assert young_density(sine_wave(1), 0.0) == pytest.approx(1.0 / math.pi, rel=1e-12)
+    from oscym.domain import Domain1D, MOscillatingFunction
+    from oscym.families import affine_piece
+
+    split_identity = MOscillatingFunction(
+        domain=Domain1D(0.0, 2.0),
+        pieces=(affine_piece(0.0, 1.0, 1.0, 0.0), affine_piece(1.0, 2.0, 1.0, 0.0)),
+    )
+    assert young_density(split_identity, 1.0) == 0.5
+    # the top of the range closes the images that reach it
+    assert young_density(tent_map(), 1.0) == 1.0
+
+
 def test_young_density_tent_is_uniform():
     assert young_density(tent_map(), 0.3) == pytest.approx(1.0)
 
