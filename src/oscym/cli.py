@@ -6,6 +6,8 @@ error.  Output is CSV or a single JSON object {"command", "config",
 "result"}, written atomically (temp file + rename) when --out is given.
 Numbers are formatted with 17 significant digits so CSV round-trips
 64-bit floats exactly; the YM_SEED environment variable overrides --seed.
+JSON output is strict: a non-finite number, such as a singular density
+value, is written as one of the strings "inf", "-inf" and "nan".
 """
 from __future__ import annotations
 
@@ -59,7 +61,8 @@ def emit(args, command: str, result: dict, csv_rows=None, csv_header=None):
             if k not in ("func",) and v is not None
         }
         payload = {"command": command, "config": config, "result": result}
-        write_output(json.dumps(payload, indent=2, default=_jsonable) + "\n", args.out)
+        write_output(json.dumps(_jsonable(payload), indent=2, allow_nan=False) + "\n",
+                     args.out)
     else:
         lines = []
         if csv_header:
@@ -73,12 +76,18 @@ def emit(args, command: str, result: dict, csv_rows=None, csv_header=None):
 
 
 def _jsonable(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
+    """Plain JSON value of obj; non-finite floats become "inf", "-inf" or
+    "nan" (json.dumps passes floats straight through, never to `default`)."""
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_jsonable(v) for v in obj]
     if isinstance(obj, float) and not math.isfinite(obj):
         return repr(obj)
+    if obj is None or isinstance(obj, (bool, int, float, str)):
+        return obj
     return str(obj)
 
 

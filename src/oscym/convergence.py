@@ -8,7 +8,7 @@ surrogate - evidence at the tested resolution, not a proof.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -17,12 +17,10 @@ from . import quadrature
 from .domain import Domain1D, MOscillatingFunction
 from .errors import PreconditionError
 from .measures import (
-    Atom,
     DensityFunction,
     ScalarMeasureRCA,
-    integrate_density,
     total_slope,
-    young_density,
+    young_density_function,
     young_measure,
 )
 
@@ -96,28 +94,14 @@ class NonhomogeneousDensityFamily:
     range_K: tuple[float, float]
 
 
-def _leaf_masses_from_density(
-    u: DensityFunction, family: BorelTestFamily, quad_tol: float
+def _leaf_masses(
+    set_masses: Callable[..., np.ndarray], family: BorelTestFamily, quad_tol: float
 ) -> np.ndarray:
+    """Masses of the 2^depth finest dyadic sets, from one call of
+    `set_masses(edges, quad_tol=...)` over their edges."""
     lo, hi = family.range_K
-    n = 2 ** family.depth
-    edges = np.linspace(lo, hi, n + 1)
-    return np.array([
-        integrate_density(u, (float(a), float(b)), quad_tol=quad_tol)
-        for a, b in zip(edges[:-1], edges[1:])
-    ])
-
-
-def _leaf_masses_from_measure(
-    m: ScalarMeasureRCA, family: BorelTestFamily, quad_tol: float
-) -> np.ndarray:
-    lo, hi = family.range_K
-    n = 2 ** family.depth
-    edges = np.linspace(lo, hi, n + 1)
-    return np.array([
-        m.set_mass(float(a), float(b), closed_right=(i == n - 1), quad_tol=quad_tol)
-        for i, (a, b) in enumerate(zip(edges[:-1], edges[1:]))
-    ])
+    edges = np.linspace(lo, hi, 2 ** family.depth + 1)
+    return set_masses(edges, quad_tol=quad_tol)
 
 
 def _tail_indices(ns: Sequence[int]) -> list[int]:
@@ -128,30 +112,43 @@ def _tail_indices(ns: Sequence[int]) -> list[int]:
 
 
 def _setwise_verdict(
-    leaf_by_n: dict[int, np.ndarray],
+    tail_leaves: Sequence[np.ndarray],
     family: BorelTestFamily,
-    ns: Sequence[int],
+    tail_window: tuple[int, int],
     tol: float,
 ) -> ConvergenceVerdict:
-    tail = _tail_indices(ns)
-    n_last = ns[-1]
+    """Per-set records from leaf masses: a set's residual is the spread of
+    its mass over `tail_leaves`, its limit the mass in the last of them."""
     records = []
-    worst = 0.0
     for s in family.sets:
         span = 2 ** (family.depth - s.level)
         sl = slice(s.index * span, (s.index + 1) * span)
-        vals_tail = [float(leaf_by_n[n][sl].sum()) for n in tail]
-        residual = max(vals_tail) - min(vals_tail)
-        limit = float(leaf_by_n[n_last][sl].sum())
-        records.append(SetRecord(s.level, s.index, s.lo, s.hi, limit, residual))
-        worst = max(worst, residual)
+        vals = [float(leaf[sl].sum()) for leaf in tail_leaves]
+        records.append(SetRecord(s.level, s.index, s.lo, s.hi, vals[-1],
+                                 max(vals) - min(vals)))
+    worst = max(r.residual for r in records)
     return ConvergenceVerdict(
         converged=worst <= tol,
         per_set=tuple(records),
         worst_residual=worst,
-        tail_window=(ns[0], ns[-1]),
+        tail_window=tail_window,
         tol=tol,
     )
+
+
+def _window_verdict(
+    set_masses_at: Callable[[int], Callable[..., np.ndarray]],
+    family: BorelTestFamily,
+    n_min: int,
+    n_max: int,
+    tol: float,
+    quad_tol: float,
+) -> ConvergenceVerdict:
+    """Cauchy verdict over the window [n_min, n_max]; only the tail's set
+    masses enter it, so only they are computed."""
+    tail = _tail_indices(range(n_min, n_max + 1))
+    leaves = [_leaf_masses(set_masses_at(n), family, quad_tol) for n in tail]
+    return _setwise_verdict(leaves, family, (n_min, n_max), tol)
 
 
 def dieudonne_check(
@@ -164,7 +161,7 @@ def dieudonne_check(
 ) -> ConvergenceVerdict:
     """Set-wise convergence check for a density sequence.
 
-    For every test set A the integrals I_n(A) are computed over the window;
+    For every test set A the integrals I_n(A) are taken over the window;
     the Cauchy residual is the spread of I_n(A) over the window's final
     quarter, and the limit estimate is I_{n_max}(A).
     """
@@ -173,10 +170,8 @@ def dieudonne_check(
             f"need n_min < n_max <= max_index, got [{n_min}, {n_max}] "
             f"with max_index {seq.max_index}"
         )
-    ns = list(range(n_min, n_max + 1))
-    leaf = {n: _leaf_masses_from_density(seq.generator(n), family, quad_tol)
-            for n in ns}
-    return _setwise_verdict(leaf, family, ns, tol)
+    return _window_verdict(lambda n: seq.generator(n).masses,
+                           family, n_min, n_max, tol, quad_tol)
 
 
 def dieudonne_check_measures(
@@ -191,10 +186,8 @@ def dieudonne_check_measures(
     """Measure-level counterpart: set masses replace density integrals."""
     if max_index is not None and not n_min < n_max <= max_index:
         raise PreconditionError("window exceeds available indices")
-    ns = list(range(n_min, n_max + 1))
-    leaf = {n: _leaf_masses_from_measure(measures(n), family, quad_tol)
-            for n in ns}
-    return _setwise_verdict(leaf, family, ns, tol)
+    return _window_verdict(lambda n: measures(n).set_masses,
+                           family, n_min, n_max, tol, quad_tol)
 
 
 def weak_limit_estimate(
@@ -214,14 +207,7 @@ def weak_limit_estimate(
         )
     u = seq.generator(n_ref)
     if u.grid is None:
-        ys, gs = u.tabulate(grid_size)
-        u = DensityFunction(
-            support=u.support,
-            evaluator=u.evaluator,
-            singular_points=u.singular_points,
-            breakpoints=u.breakpoints,
-            grid=(ys, gs),
-        )
+        u = replace(u, grid=u.tabulate(grid_size))
     return u
 
 
@@ -255,20 +241,9 @@ def density_sequence_from_functions(
             min(f.range_K[0] for f in fs),
             max(f.range_K[1] for f in fs),
         )
-    from .domain import singular_points_of
 
     def gen(n: int) -> DensityFunction:
-        f = fs[n - 1]
-        images = [p.image for p in f.pieces if p.kind == "diffeomorphic"]
-        support = (min(im[0] for im in images), max(im[1] for im in images))
-        breaks = tuple(sorted({v for im in images for v in im
-                               if support[0] < v < support[1]}))
-        return DensityFunction(
-            support=support,
-            evaluator=lambda y, _f=f: young_density(_f, y),
-            singular_points=tuple(singular_points_of(f)),
-            breakpoints=breaks,
-        )
+        return young_density_function(fs[n - 1])
 
     return DensitySequence(generator=gen, range_K=tuple(range_K),
                            max_index=len(fs))
@@ -301,15 +276,10 @@ def converge_young(
     verdict = dieudonne_check(seq, family, n_min, n_max, tol, quad_tol=quad_tol)
     if not verdict.converged:
         return verdict, None
-    limit_density = weak_limit_estimate(seq, n_max, verdict)
-    atoms = young_measure(fs[n_max - 1]).atoms
-    measure = ScalarMeasureRCA(
-        range_K=family.range_K,
-        density=limit_density,
-        atoms=atoms,
-        is_young=True,
-    )
-    return verdict, measure
+    # the limit representative is the last tail element, as in
+    # weak_limit_estimate, with the atoms of its function
+    limit = young_measure(fs[n_max - 1])
+    return verdict, replace(limit, range_K=family.range_K)
 
 
 def weak_continuity_check(
@@ -327,24 +297,9 @@ def weak_continuity_check(
     for x in list(xs) + [x0]:
         if not fam.domain.contains(x):
             raise PreconditionError(f"x={x} outside the family domain")
-    target = _leaf_masses_from_density(fam.evaluator(x0), family, quad_tol)
-    last = _leaf_masses_from_density(fam.evaluator(xs[-1]), family, quad_tol)
-    records = []
-    worst = 0.0
-    for s in family.sets:
-        span = 2 ** (family.depth - s.level)
-        sl = slice(s.index * span, (s.index + 1) * span)
-        residual = abs(float(last[sl].sum()) - float(target[sl].sum()))
-        records.append(SetRecord(s.level, s.index, s.lo, s.hi,
-                                 float(target[sl].sum()), residual))
-        worst = max(worst, residual)
-    return ConvergenceVerdict(
-        converged=worst <= tol,
-        per_set=tuple(records),
-        worst_residual=worst,
-        tail_window=(0, len(list(xs)) - 1),
-        tol=tol,
-    )
+    leaves = [_leaf_masses(fam.evaluator(x).masses, family, quad_tol)
+              for x in (xs[-1], x0)]
+    return _setwise_verdict(leaves, family, (0, len(xs) - 1), tol)
 
 
 def homogeneity_check(

@@ -10,6 +10,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -97,19 +98,16 @@ class Piece:
     def length(self) -> float:
         return self.sub_upper - self.sub_lower
 
-    @property
+    @cached_property
     def image(self) -> tuple[float, float]:
-        """Closed image [min, max] of the piece (endpoints of a monotone map)."""
+        """Closed image [min, max] of the piece (endpoints of a monotone map),
+        computed once: every inversion and density scan reads it."""
         if self.kind == CONSTANT:
             c = float(self.constant_value)
             return (c, c)
         ya = float(self.forward(self.sub_lower))
         yb = float(self.forward(self.sub_upper))
         return (min(ya, yb), max(ya, yb))
-
-    def contains_value(self, y: float, slack: float = 0.0) -> bool:
-        lo, hi = self.image
-        return lo - slack <= y <= hi + slack
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ Sequence schema:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -56,6 +57,16 @@ def _interval(raw, context: str) -> tuple[float, float]:
     return lo, hi
 
 
+def _power_inverse_slope(y, p: float) -> float:
+    """Derivative of y -> y^(1/p); +inf at y = 0 when 1/p < 1, where the
+    forward slope vanishes (a singular slope, as at the extrema of sin)."""
+    e = 1.0 / p - 1.0
+    y = max(float(y), 0.0)
+    if y == 0.0 and e < 0:
+        return math.inf
+    return y ** e / p
+
+
 def _build_piece(raw: dict, index: int) -> Piece:
     ctx = f"piece {index}"
     _require_keys(raw, {"interval", "kind", "params"}, ctx)
@@ -80,11 +91,14 @@ def _build_piece(raw: dict, index: int) -> Piece:
             raise SpecError(f"power piece needs a nonzero exponent in {ctx}")
         if lo < 0:
             raise SpecError(f"power piece needs a nonnegative interval in {ctx}")
+        if p < 0 and lo == 0:
+            raise SpecError(
+                f"power piece with a negative exponent is infinite at 0 in {ctx}")
         return Piece(
             sub_lower=lo, sub_upper=hi,
             forward=lambda x, _p=p: np.asarray(x, dtype=float) ** _p,
             inverse=lambda y, _p=p: float(y) ** (1.0 / _p),
-            inverse_derivative=lambda y, _p=p: (1.0 / _p) * float(y) ** (1.0 / _p - 1.0),
+            inverse_derivative=lambda y, _p=p: _power_inverse_slope(y, _p),
         )
     if kind == "constant":
         _require_keys(params, {"value"}, ctx)

@@ -1,14 +1,19 @@
 """Young measures of oscillating functions: densities, atoms, integration.
 
-The density of the measure pushed forward from the normalized Lebesgue
-measure is the sum, over pieces whose image contains y, of the absolute
-inverse slopes, divided by the domain measure.  Constant pieces carry no
-density; they appear as atoms weighted by their share of the domain.
+The Young measure of f gives a set A the mass |f^-1(A)|/M, the length of
+its preimage over the domain measure.  Its density part is exact twice
+over: pointwise, as the sum over the pieces whose image holds y of the
+absolute inverse slopes, divided by M; and as a distribution function, the
+summed preimage lengths |inv(y) - inv(lo)| over M, from which every set
+mass is a difference.  Adaptive quadrature serves only densities that have
+no function behind them (user-supplied, grid or family densities) and the
+integrals of test functions.  Constant pieces carry no density; they
+appear as atoms weighted by their share of the domain.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -19,6 +24,7 @@ from .domain import (
     DIFFEOMORPHIC,
     MOscillatingFunction,
     inverse_slope,
+    invert_piece,
     singular_points_of,
     validate,
 )
@@ -42,7 +48,10 @@ class DensityFunction:
     listed singular points; quadrature splits there and never evaluates the
     singular points themselves.  `breakpoints` mark mere kinks, passed to
     the integrator for accuracy.  `grid` optionally carries a tabulation
-    (ys, values) for export or when only sampled data exists.
+    (ys, values) for export or when only sampled data exists.  `cdf`, when
+    set, is the exact distribution function y -> integral of the density
+    below y, taking and returning arrays; set masses are then its
+    differences and no quadrature runs.
     """
 
     support: tuple[float, float]
@@ -50,6 +59,7 @@ class DensityFunction:
     singular_points: tuple[float, ...] = ()
     breakpoints: tuple[float, ...] = ()
     grid: Optional[tuple[np.ndarray, np.ndarray]] = None
+    cdf: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     @classmethod
     def from_grid(cls, ys: np.ndarray, values: np.ndarray) -> "DensityFunction":
@@ -75,6 +85,18 @@ class DensityFunction:
         ys = np.linspace(self.support[0], self.support[1], grid_size)
         return ys, np.array([self.evaluator(y) for y in ys])
 
+    def masses(self, edges, quad_tol: float = quadrature.QUAD_TOL) -> np.ndarray:
+        """Integrals of the density over the consecutive intervals of the
+        nondecreasing `edges`, each clipped to the support."""
+        edges = np.clip(np.asarray(edges, dtype=float), *self.support)
+        if self.cdf is not None:
+            return np.diff(self.cdf(edges))
+        pts = [*self.singular_points, *self.breakpoints]
+        return np.array([
+            quadrature.integrate(self.evaluator, a, b, points=pts, tol=quad_tol)
+            for a, b in zip(edges[:-1], edges[1:])
+        ])
+
 
 @dataclass(frozen=True)
 class ScalarMeasureRCA:
@@ -96,6 +118,22 @@ class ScalarMeasureRCA:
                 total += a.weight
         return total
 
+    def set_masses(self, edges, quad_tol: float = quadrature.QUAD_TOL) -> np.ndarray:
+        """Measures of the consecutive intervals [e_i, e_i+1) of the
+        increasing `edges`, the last one closed on the right."""
+        edges = np.asarray(edges, dtype=float)
+        if self.density is not None:
+            masses = self.density.masses(edges, quad_tol=quad_tol)
+        else:
+            masses = np.zeros(len(edges) - 1)
+        for a in self.atoms:
+            i = int(np.searchsorted(edges, a.location, side="right")) - 1
+            if a.location == edges[-1]:
+                i -= 1
+            if 0 <= i < len(masses):
+                masses[i] += a.weight
+        return masses
+
 
 def merge_atoms(atoms: Sequence[tuple[float, float]], snap: float = 1e-12) -> tuple[Atom, ...]:
     """Sum weights of atoms whose locations coincide within snap."""
@@ -109,16 +147,23 @@ def merge_atoms(atoms: Sequence[tuple[float, float]], snap: float = 1e-12) -> tu
 
 
 def _slope_sum(f: MOscillatingFunction, y: float) -> float:
-    """Sum of absolute inverse slopes over pieces whose closed image holds y.
+    """Sum of absolute inverse slopes over pieces whose image holds y.
 
-    Returns +inf when any contributing slope is singular.  Values exactly on
-    a piece-image boundary pick up every touching piece; this affects only a
-    null set of y.
+    Images count as half-open, [lo, hi), except that an image reaching the
+    top of range_K is closed there: the convention of `set_mass`, so a value
+    on the boundary between two touching images counts once.  A value
+    within rounding slack of an image end counts as on it.  Returns +inf
+    when any contributing slope is singular.
     """
-    slack = 1e-12 * max(1.0, abs(f.range_K[0]), abs(f.range_K[1]))
+    top = f.range_K[1]
+    slack = 1e-12 * max(1.0, abs(f.range_K[0]), abs(top))
     total = 0.0
     for p in f.pieces:
-        if p.kind != DIFFEOMORPHIC or not p.contains_value(y, slack):
+        if p.kind != DIFFEOMORPHIC:
+            continue
+        lo, hi = p.image
+        on_top = hi >= top - slack and abs(y - hi) <= slack
+        if not (lo - slack <= y < hi - slack or on_top):
             continue
         try:
             total += inverse_slope(p, y)
@@ -138,6 +183,42 @@ def total_slope(f: MOscillatingFunction, y: float) -> float:
     return _slope_sum(f, y)
 
 
+def young_density_function(f: MOscillatingFunction) -> Optional[DensityFunction]:
+    """Density part of the Young measure of f, with its exact distribution
+    function; None when f has no monotone piece.
+
+    F(y) = sum over the monotone pieces of |inv(clip(y)) - inv(lo)| / M,
+    with clip(y) clamped to the piece image [lo, hi]: the preimage length
+    of [lo, y] under each piece.
+    """
+    diffeo = [p for p in f.pieces if p.kind == DIFFEOMORPHIC]
+    if not diffeo:
+        return None
+    images = [p.image for p in diffeo]
+    support = (min(lo for lo, _ in images), max(hi for _, hi in images))
+    breakpoints = tuple(
+        sorted({v for im in images for v in im if support[0] < v < support[1]})
+    )
+    starts = [invert_piece(p, lo) for p, (lo, _) in zip(diffeo, images)]
+    M = f.measure_M
+
+    def cdf(ys):
+        ys = np.asarray(ys, dtype=float)
+        total = np.zeros(ys.shape)
+        for p, (lo, hi), x0 in zip(diffeo, images, starts):
+            xs = np.array([invert_piece(p, y) for y in np.clip(ys, lo, hi)])
+            total += np.abs(xs - x0)
+        return total / M
+
+    return DensityFunction(
+        support=support,
+        evaluator=lambda y: young_density(f, y),
+        singular_points=tuple(singular_points_of(f)),
+        breakpoints=breakpoints,
+        cdf=cdf,
+    )
+
+
 def young_measure(
     f: MOscillatingFunction,
     grid_size: int = GRID_SIZE,
@@ -152,35 +233,14 @@ def young_measure(
                 + "; ".join(v.message for v in report.violations)
             )
     M = f.measure_M
-    atom_list = [
+    atoms = merge_atoms([
         (float(p.constant_value), p.length / M)
         for p in f.pieces
         if p.kind == CONSTANT
-    ]
-    atoms = merge_atoms(atom_list)
-
-    diffeo = [p for p in f.pieces if p.kind == DIFFEOMORPHIC]
-    density = None
-    if diffeo:
-        images = [p.image for p in diffeo]
-        support = (min(im[0] for im in images), max(im[1] for im in images))
-        singular = tuple(singular_points_of(f))
-        breakpoints = tuple(
-            sorted({v for im in images for v in im if support[0] < v < support[1]})
-        )
-
-        def ev(y, _f=f):
-            return young_density(_f, y)
-
-        ys = np.linspace(support[0], support[1], grid_size)
-        gs = np.array([ev(y) for y in ys])
-        density = DensityFunction(
-            support=support,
-            evaluator=ev,
-            singular_points=singular,
-            breakpoints=breakpoints,
-            grid=(ys, gs),
-        )
+    ])
+    density = young_density_function(f)
+    if density is not None:
+        density = replace(density, grid=density.tabulate(grid_size))
     return ScalarMeasureRCA(range_K=f.range_K, density=density, atoms=atoms,
                             is_young=True)
 
@@ -191,12 +251,9 @@ def integrate_density(
     quad_tol: float = quadrature.QUAD_TOL,
 ) -> float:
     """Integral of g over the interval A, clipped to the support."""
-    lo = max(A[0], g.support[0])
-    hi = min(A[1], g.support[1])
-    if hi <= lo:
+    if A[1] <= A[0]:
         return 0.0
-    pts = list(g.singular_points) + list(g.breakpoints)
-    return quadrature.integrate(g.evaluator, lo, hi, points=pts, tol=quad_tol)
+    return float(g.masses(A, quad_tol=quad_tol)[0])
 
 
 def integrate_test(
@@ -221,7 +278,10 @@ def integrate_test(
 def tv_norm(m: ScalarMeasureRCA, quad_tol: float = quadrature.QUAD_TOL) -> float:
     """Total variation: integral of |density| plus the absolute atom weights."""
     total = sum(abs(a.weight) for a in m.atoms)
-    if m.density is not None:
+    if m.density is not None and m.density.cdf is not None:
+        # F is nondecreasing: |density| integrates to F(hi) - F(lo)
+        total += integrate_density(m.density, m.density.support)
+    elif m.density is not None:
         g = m.density
         pts = list(g.singular_points) + list(g.breakpoints)
         total += quadrature.integrate(

@@ -3,13 +3,16 @@
 Thin wrapper around scipy's QUADPACK routines: the interval is split at
 every supplied interior point, so integrable singularities sit at
 subinterval endpoints where the Gauss-Kronrod nodes never land.
+
+Set masses of Young measures never come here: they are exact preimage
+lengths (see `measures`).  QUADPACK serves generic densities, test-function
+integrals and the Bolza functional, so scipy is imported on the first call
+rather than with the package.
 """
 from __future__ import annotations
 
 import warnings
 from typing import Callable, Iterable
-
-from scipy import integrate as _si
 
 from .errors import QuadratureError
 
@@ -31,6 +34,8 @@ def integrate(
     """
     if b <= a:
         return 0.0
+    from scipy import integrate as _si
+
     cuts = sorted({float(p) for p in points if a < p < b})
     edges = [a, *cuts, b]
     total = 0.0

@@ -15,7 +15,7 @@ import numpy as np
 from . import quadrature
 from .domain import MOscillatingFunction, evaluate_many
 from .errors import PreconditionError
-from .measures import ScalarMeasureRCA, integrate_density
+from .measures import ScalarMeasureRCA
 
 ATOM_SNAP = 1e-9
 # minimum multiplicity before an exactly repeated value counts as an atom;
@@ -131,19 +131,16 @@ def oracle_report(
     """Per-bin and per-atom comparison of a model measure against its
     empirical histogram, with binomial standard-error thresholds."""
     n = h.sample_count
+    if m.density is not None:
+        models = m.density.masses(h.edges, quad_tol=quad_tol)
+    else:
+        models = np.zeros(len(h.masses))
     bins = []
-    for lo, hi in zip(h.edges[:-1], h.edges[1:]):
-        model = 0.0
-        if m.density is not None:
-            model = integrate_density(m.density, (float(lo), float(hi)),
-                                      quad_tol=quad_tol)
+    for lo, hi, model, empirical in zip(h.edges[:-1], h.edges[1:], models, h.masses):
         p = min(max(model, 0.0), 1.0)
         thresh = n_sigma * float(np.sqrt(p * (1.0 - p) / n))
-        bins.append(BinComparison(float(lo), float(hi), model,
-                                  0.0, thresh))
-    masses = list(h.masses)
-    for i, b in enumerate(bins):
-        bins[i] = b._replace(empirical_mass=float(masses[i]))
+        bins.append(BinComparison(float(lo), float(hi), float(model),
+                                  float(empirical), thresh))
 
     atoms = []
     matched_model = set()

@@ -3,15 +3,20 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oscym.measures import DensityFunction
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
 
 def run_cli(*argv, env_extra=None):
-    env = dict(os.environ)
+    # the child imports oscym from this checkout, as the tests do
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(

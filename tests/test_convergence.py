@@ -198,9 +198,9 @@ def test_monotone_bound_property():
     fs = [amplitude_tent(n) for n in range(1, 17)]
     seq = density_sequence_from_functions(fs, range_K=(0.0, 2.0))
     fam = BorelTestFamily((0.0, 2.0), 3)
-    from oscym.convergence import _leaf_masses_from_density
+    from oscym.convergence import _leaf_masses
 
-    leaves = [_leaf_masses_from_density(seq.generator(n), fam, 1e-9)
+    leaves = [_leaf_masses(seq.generator(n).masses, fam, 1e-9)
               for n in (2, 4, 8, 16)]
     # leaves 0..3 cover [0, 1], which lies inside every support in the family
     for earlier, later in zip(leaves[:-1], leaves[1:]):
