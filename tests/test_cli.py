@@ -276,3 +276,63 @@ def test_power_piece_from_zero(square_spec):
     assert float(rows[1][1]) == pytest.approx(1.0, rel=1e-12)
     r = run_cli("verify", "--input", square_spec, "--samples", "200000")
     assert r.returncode == 0
+
+
+OPTIONS = {
+    "validate": set(),
+    "density": {"--grid"},
+    "slope": {"--grid"},
+    "measure": {"--grid"},
+    "verify": {"--seed", "--samples", "--bins"},
+    "converge": {"--tol", "--window", "--depth"},
+    "weak-cont": {"--tol", "--quad-tol", "--family", "--x0", "--n-start",
+                  "--n-stop", "--depth"},
+    "homog": {"--tol", "--quad-tol", "--family", "--x-samples"},
+    "bolza": {"--quad-tol", "--n-list", "--gradient-ym", "--n"},
+}
+SPEC_FREE = {"weak-cont", "homog", "bolza"}
+
+
+def test_each_subcommand_declares_only_the_options_it_reads():
+    import argparse
+
+    from oscym.cli import build_parser
+
+    (sub,) = [a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    declared = {
+        name: {s for a in p._actions if not isinstance(a, argparse._HelpAction)
+               for s in a.option_strings}
+        for name, p in sub.choices.items()
+    }
+    expected = {
+        name: opts | {"--out", "--format"} | (set() if name in SPEC_FREE else {"--input"})
+        for name, opts in OPTIONS.items()
+    }
+    assert declared == expected
+    assert sum(len(v) for v in declared.values()) == 48
+
+
+def test_unread_option_is_rejected(amp_spec):
+    from oscym.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["converge", "--input", amp_spec, "--seed", "1"])
+    assert exc.value.code == 2
+
+
+def test_homog_passes_quad_tol(monkeypatch, tmp_path):
+    from oscym import cli, convergence
+
+    seen = {}
+
+    def fake(fam, x_samples=5, tol=1e-6, quad_tol=None):
+        seen["quad_tol"] = quad_tol
+        return True
+
+    monkeypatch.setattr(convergence, "homogeneity_check", fake)
+    out = tmp_path / "homog.csv"
+    rc = cli.main(["homog", "--family", "uniform", "--quad-tol", "1e-7",
+                   "--out", str(out)])
+    assert rc == 0
+    assert seen["quad_tol"] == 1e-7

@@ -155,6 +155,16 @@ def test_monotone_slope_check_alternating_fails():
     assert not monotone_slope_check(fs, [0.5], tol=1e-9)
 
 
+def test_monotone_slope_check_direction_over_all_points():
+    # y = -0.5 lies outside every image: its slopes are all 0, a flat trend
+    # that must not fix the direction for the points that do rise
+    y_grid = [-0.5, 0.25, 0.5]
+    rising = [tent_map(a) for a in (1.0, 1.5, 2.0)]
+    assert monotone_slope_check(rising, y_grid, tol=1e-9)
+    mixed = [tent_map(a) for a in (1.0, 1.5, 1.2)]
+    assert not monotone_slope_check(mixed, y_grid, tol=1e-9)
+
+
 def test_converge_young_amplitude_tent():
     fs = [amplitude_tent(n) for n in range(1, 65)]
     fam = BorelTestFamily((0.0, 2.0), 6)

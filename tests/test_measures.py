@@ -126,6 +126,18 @@ def test_young_measure_constant_function_is_dirac():
     assert tv_norm(m) == pytest.approx(1.0)
 
 
+def test_young_measure_evaluates_no_density_point(monkeypatch):
+    from oscym import measures
+
+    calls = []
+    slope_sum = measures._slope_sum
+    monkeypatch.setattr(measures, "_slope_sum",
+                        lambda f, y: calls.append(y) or slope_sum(f, y))
+    m = young_measure(sine_wave(2))
+    assert calls == []
+    assert m.set_mass(-1.0, 1.0, closed_right=True) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_young_measure_requires_valid_function():
     from oscym.domain import Domain1D, MOscillatingFunction
     from oscym.families import affine_piece
