@@ -2,12 +2,14 @@
 
 Exit codes: 0 success, 1 negative verdict (invalid function, oracle
 disagreement, non-convergence, non-homogeneity), 2 input error, 3 numeric
-error.  Output is CSV or a single JSON object {"command", "config",
-"result"}, written atomically (temp file + rename) when --out is given.
-Numbers are formatted with 17 significant digits so CSV round-trips
-64-bit floats exactly; the YM_SEED environment variable overrides --seed.
-JSON output is strict: a non-finite number, such as a singular density
-value, is written as one of the strings "inf", "-inf" and "nan".
+error.  Each subcommand takes only the options it reads.  Output is CSV
+or a single JSON object {"command", "config", "result"}, whose `config`
+lists the options the command read; it is written atomically (temp file +
+rename) when --out is given.  Numbers are formatted with 17 significant
+digits so CSV round-trips 64-bit floats exactly; the YM_SEED environment
+variable overrides the --seed of `verify`.  JSON output is strict: a
+non-finite number, such as a singular density value, is written as one of
+the strings "inf", "-inf" and "nan".
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ from .convergence import BorelTestFamily, NonhomogeneousDensityFamily
 from .domain import Domain1D, validate
 from .errors import OscymError, PreconditionError, QuadratureError, SingularSlopeError, SpecError
 from .funcspec import SequenceSpec, parse_spec
-from .measures import DensityFunction, ScalarMeasureRCA
+from .measures import DensityFunction
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -148,9 +150,9 @@ def cmd_slope(args) -> int:
 
 def cmd_measure(args) -> int:
     f = load_function(args.input)
-    m = measures.young_measure(f, grid_size=args.grid)
-    if m.density is not None and m.density.grid is not None:
-        ys, gs = m.density.grid
+    m = measures.young_measure(f)
+    if m.density is not None:
+        ys, gs = m.density.tabulate(args.grid)
         density_grid = [[float(y), float(g)] for y, g in zip(ys, gs)]
     else:
         density_grid = []
@@ -167,7 +169,7 @@ def cmd_measure(args) -> int:
 
 def cmd_verify(args) -> int:
     f = load_function(args.input)
-    m = measures.young_measure(f, grid_size=args.grid)
+    m = measures.young_measure(f)
     h = sampling.pushforward_empirical(f, args.samples, args.seed, args.bins)
     rep = sampling.oracle_report(m, h)
     rows = [(b.lo, b.hi, b.model_mass, b.empirical_mass, b.threshold)
@@ -209,7 +211,7 @@ def cmd_converge(args) -> int:
     hi = max(f.range_K[1] for f in fs)
     fam = BorelTestFamily((lo, hi), args.depth)
     verdict, limit = convergence.converge_young(
-        fs, fam, tol=args.tol, n_min=n_min, n_max=n_max, quad_tol=args.quad_tol)
+        fs, fam, tol=args.tol, n_min=n_min, n_max=n_max)
     extra = None
     if limit is not None:
         extra = {"limit_atoms": [[a.location, a.weight] for a in limit.atoms]}
@@ -246,7 +248,8 @@ def cmd_weak_cont(args) -> int:
 
 def cmd_homog(args) -> int:
     fam = _builtin_family(args.family)
-    homogeneous = convergence.homogeneity_check(fam, args.x_samples, args.tol)
+    homogeneous = convergence.homogeneity_check(
+        fam, args.x_samples, args.tol, quad_tol=args.quad_tol)
     emit(args, "homog", {"homogeneous": homogeneous},
          csv_rows=[(args.family, homogeneous)], csv_header=("family", "homogeneous"))
     return EXIT_OK if homogeneous else EXIT_NEGATIVE
@@ -297,9 +300,14 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--input", required=True, help="spec file (JSON)")
         p.add_argument("--out", default=None, help="output path (atomic write)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--grid", type=int, default=1024)
+
+    def grid(p):
+        p.add_argument("--grid", type=int, default=measures.GRID_SIZE)
+
+    def tol(p):
         p.add_argument("--tol", type=float, default=1e-2)
+
+    def quad_tol(p):
         p.add_argument("--quad-tol", dest="quad_tol", type=float, default=1e-9)
 
     p = sub.add_parser("validate", help="check the structural invariants")
@@ -308,30 +316,37 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("density", help="tabulate the Young-measure density")
     common(p)
+    grid(p)
     p.set_defaults(func=cmd_density)
 
     p = sub.add_parser("slope", help="tabulate the total slope")
     common(p)
+    grid(p)
     p.set_defaults(func=cmd_slope)
 
     p = sub.add_parser("measure", help="export the Young measure")
     common(p)
+    grid(p)
     p.set_defaults(func=cmd_measure)
 
     p = sub.add_parser("verify", help="compare against the Monte-Carlo oracle")
     common(p)
+    p.add_argument("--seed", type=int, default=42)
     p.add_argument("--samples", type=int, default=1_000_000)
     p.add_argument("--bins", type=int, default=16)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("converge", help="monotone-slope convergence check")
     common(p)
+    tol(p)
     p.add_argument("--window", type=_window, default=(8, 64))
     p.add_argument("--depth", type=int, default=6)
     p.set_defaults(func=cmd_converge)
 
     p = sub.add_parser("weak-cont", help="weak continuity of x -> h_x")
     common(p, input_file=False)
+    tol(p)
+    quad_tol(p)
     p.add_argument("--family", default="triangular")
     p.add_argument("--x0", type=float, default=0.5)
     p.add_argument("--n-start", type=int, default=3)
@@ -341,12 +356,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("homog", help="homogeneity of a density family")
     common(p, input_file=False)
+    tol(p)
+    quad_tol(p)
     p.add_argument("--family", default="triangular")
     p.add_argument("--x-samples", type=int, default=5)
     p.set_defaults(func=cmd_homog)
 
     p = sub.add_parser("bolza", help="Bolza functional on the sawtooth sequence")
     common(p, input_file=False)
+    quad_tol(p)
     p.add_argument("--n-list", default="1,2,4,8,16")
     p.add_argument("--gradient-ym", action="store_true")
     p.add_argument("--n", type=int, default=4)

@@ -7,7 +7,6 @@ surrogate - evidence at the tested resolution, not a proof.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -194,21 +193,17 @@ def weak_limit_estimate(
     seq: DensitySequence,
     n_ref: int,
     verdict: ConvergenceVerdict,
-    grid_size: int = 1024,
 ) -> DensityFunction:
-    """Limit representative: the last tail element of the sequence.
+    """Limit representative: the last tail element of the sequence, u_{n_ref}.
 
     The verdict is the convergence evidence; the representative keeps the
-    exact evaluator of u_{n_ref} and attaches a grid tabulation for export.
+    exact evaluator of u_{n_ref}.
     """
     if not verdict.converged or verdict.tail_window[1] != n_ref:
         raise PreconditionError(
             "weak_limit_estimate requires a passing verdict ending at n_ref"
         )
-    u = seq.generator(n_ref)
-    if u.grid is None:
-        u = replace(u, grid=u.tabulate(grid_size))
-    return u
+    return seq.generator(n_ref)
 
 
 def monotone_slope_check(
@@ -216,19 +211,12 @@ def monotone_slope_check(
     y_grid: Sequence[float],
     tol: float = 1e-9,
 ) -> bool:
-    """True iff the total slopes form one common monotone direction in n
-    across every grid point.  The direction is detected from the first grid
-    point and then enforced globally; constants count as monotone."""
-    if len(fs) < 2:
-        return True
+    """True iff the total slopes are monotone in n in one common direction
+    at every grid point: all steps are >= -tol, or all are <= tol.  Steps
+    within tol, as at a point outside every image, fit either direction."""
     slopes = np.array([[total_slope(f, y) for y in y_grid] for f in fs])
-    first = slopes[:, 0]
-    trend = first[-1] - first[0]
-    nondecreasing = trend >= 0
     diffs = np.diff(slopes, axis=0)
-    if nondecreasing:
-        return bool((diffs >= -tol).all())
-    return bool((diffs <= tol).all())
+    return bool((diffs >= -tol).all() or (diffs <= tol).all())
 
 
 def density_sequence_from_functions(
@@ -257,10 +245,10 @@ def converge_young(
     n_max: int = DEFAULT_WINDOW[1],
     y_grid: Optional[Sequence[float]] = None,
     slope_tol: float = 1e-9,
-    quad_tol: float = quadrature.QUAD_TOL,
 ) -> tuple[ConvergenceVerdict, Optional[ScalarMeasureRCA]]:
     """Monotone-total-slope convergence: check monotonicity, run the
     set-wise test on the Young densities, and return the limit measure.
+    Young set masses are exact, so no quadrature tolerance applies.
 
     A failing monotonicity hypothesis is a precondition error; a failing
     set-wise test returns the verdict without a measure.
@@ -273,7 +261,7 @@ def converge_young(
         raise PreconditionError("total slopes do not form a monotone sequence")
     seq = density_sequence_from_functions(fs, range_K=family.range_K)
     n_max = min(n_max, seq.max_index)
-    verdict = dieudonne_check(seq, family, n_min, n_max, tol, quad_tol=quad_tol)
+    verdict = dieudonne_check(seq, family, n_min, n_max, tol)
     if not verdict.converged:
         return verdict, None
     # the limit representative is the last tail element, as in

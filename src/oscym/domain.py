@@ -7,11 +7,10 @@ boundary points belong to the left-adjacent piece by convention.
 """
 from __future__ import annotations
 
-import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -158,26 +157,18 @@ class MOscillatingFunction:
     def measure_M(self) -> float:
         return self.domain.measure_M
 
-    def piece_at(self, x: float) -> tuple[int, Piece]:
-        """Piece owning x.  Boundary and gap points go to the left piece."""
-        lowers = [p.sub_lower for p in self.pieces]
-        i = bisect.bisect_right(lowers, x) - 1
-        i = max(i, 0)
-        return i, self.pieces[i]
-
 
 def evaluate(f: MOscillatingFunction, x: float) -> float:
     """Evaluate f at an interior point; boundary points take the value of the
     left-adjacent piece extended by continuity."""
     if not f.domain.contains(x):
         raise DomainError(f"x={x} outside domain ({f.domain.lower}, {f.domain.upper})")
-    _, p = f.piece_at(x)
-    xc = min(max(x, p.sub_lower), p.sub_upper)
-    return float(p.forward(xc))
+    return float(evaluate_many(f, np.array([x]))[0])
 
 
 def evaluate_many(f: MOscillatingFunction, xs: np.ndarray) -> np.ndarray:
-    """Vectorized evaluate over an array of interior points."""
+    """Vectorized evaluate over an array of interior points.  Boundary and
+    gap points go to the piece on their left, clipped into its interval."""
     xs = np.asarray(xs, dtype=float)
     lowers = np.array([p.sub_lower for p in f.pieces])
     idx = np.searchsorted(lowers, xs, side="right") - 1
@@ -377,28 +368,3 @@ def validate(
                 )
 
     return ValidationReport(valid=not violations, violations=tuple(violations))
-
-
-def singular_points_of(f: MOscillatingFunction) -> list[float]:
-    """Candidate density singularities: images of piece endpoints where the
-    forward derivative (nearly) vanishes."""
-    found: list[float] = []
-    for p in f.pieces:
-        if p.kind != DIFFEOMORPHIC:
-            continue
-        h = H_FD_SCALE * p.length
-        for x in (p.sub_lower + h, p.sub_upper - h):
-            try:
-                d = forward_derivative(p, x)
-            except Exception:
-                continue
-            # extrapolate toward the endpoint: treat a tiny rim derivative
-            # as a singular image value
-            if abs(d) < 1e-4:
-                xe = p.sub_lower if x < 0.5 * (p.sub_lower + p.sub_upper) else p.sub_upper
-                found.append(float(p.forward(xe)))
-    out: list[float] = []
-    for y in sorted(found):
-        if not out or abs(y - out[-1]) > 1e-9:
-            out.append(y)
-    return out

@@ -8,12 +8,14 @@ summed preimage lengths |inv(y) - inv(lo)| over M, from which every set
 mass is a difference.  Adaptive quadrature serves only densities that have
 no function behind them (user-supplied, grid or family densities) and the
 integrals of test functions.  Constant pieces carry no density; they
-appear as atoms weighted by their share of the domain.
+appear as atoms weighted by their share of the domain.  Nothing is
+tabulated up front: a density is sampled only when output asks for it
+(`DensityFunction.tabulate`).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -25,7 +27,6 @@ from .domain import (
     MOscillatingFunction,
     inverse_slope,
     invert_piece,
-    singular_points_of,
     validate,
 )
 from .errors import ConstructionError, SingularSlopeError
@@ -47,18 +48,18 @@ class DensityFunction:
     `evaluator` must accept a scalar and may return +inf exactly at the
     listed singular points; quadrature splits there and never evaluates the
     singular points themselves.  `breakpoints` mark mere kinks, passed to
-    the integrator for accuracy.  `grid` optionally carries a tabulation
-    (ys, values) for export or when only sampled data exists.  `cdf`, when
-    set, is the exact distribution function y -> integral of the density
-    below y, taking and returning arrays; set masses are then its
-    differences and no quadrature runs.
+    the integrator for accuracy.  `cdf`, when set, is the exact
+    distribution function y -> integral of the density below y, taking and
+    returning arrays; set masses are then its differences and no quadrature
+    runs.  A Young density lists no singular points: its infinite values
+    sit at piece-image endpoints, which are its breakpoints or the ends of
+    its support.
     """
 
     support: tuple[float, float]
     evaluator: Callable[[float], float]
     singular_points: tuple[float, ...] = ()
     breakpoints: tuple[float, ...] = ()
-    grid: Optional[tuple[np.ndarray, np.ndarray]] = None
     cdf: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     @classmethod
@@ -75,7 +76,6 @@ class DensityFunction:
             support=(float(ys[0]), float(ys[-1])),
             evaluator=ev,
             singular_points=tuple(ys[~finite]),
-            grid=(ys, values),
         )
 
     def __call__(self, y: float) -> float:
@@ -213,36 +213,27 @@ def young_density_function(f: MOscillatingFunction) -> Optional[DensityFunction]
     return DensityFunction(
         support=support,
         evaluator=lambda y: young_density(f, y),
-        singular_points=tuple(singular_points_of(f)),
         breakpoints=breakpoints,
         cdf=cdf,
     )
 
 
-def young_measure(
-    f: MOscillatingFunction,
-    grid_size: int = GRID_SIZE,
-    validate_first: bool = True,
-) -> ScalarMeasureRCA:
+def young_measure(f: MOscillatingFunction) -> ScalarMeasureRCA:
     """Build the Young measure of a validated oscillating function."""
-    if validate_first:
-        report = validate(f)
-        if not report.valid:
-            raise ConstructionError(
-                "function failed validation: "
-                + "; ".join(v.message for v in report.violations)
-            )
+    report = validate(f)
+    if not report.valid:
+        raise ConstructionError(
+            "function failed validation: "
+            + "; ".join(v.message for v in report.violations)
+        )
     M = f.measure_M
     atoms = merge_atoms([
         (float(p.constant_value), p.length / M)
         for p in f.pieces
         if p.kind == CONSTANT
     ])
-    density = young_density_function(f)
-    if density is not None:
-        density = replace(density, grid=density.tabulate(grid_size))
-    return ScalarMeasureRCA(range_K=f.range_K, density=density, atoms=atoms,
-                            is_young=True)
+    return ScalarMeasureRCA(range_K=f.range_K, density=young_density_function(f),
+                            atoms=atoms, is_young=True)
 
 
 def integrate_density(
