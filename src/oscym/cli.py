@@ -125,14 +125,15 @@ def cmd_validate(args) -> int:
 
 
 def _density_rows(f, grid, values_fn):
-    lo, hi = f.range_K
-    ys = np.linspace(lo, hi, grid)
-    return [(float(y), values_fn(float(y))) for y in ys]
+    """(y, value) rows over `grid` points of range_K, from one array call
+    of values_fn(f, ys)."""
+    ys = np.linspace(*f.range_K, grid)
+    return list(zip(ys.tolist(), values_fn(f, ys).tolist()))
 
 
 def cmd_density(args) -> int:
     f = load_function(args.input)
-    rows = _density_rows(f, args.grid, lambda y: measures.young_density(f, y))
+    rows = _density_rows(f, args.grid, measures.young_density)
     emit(args, "density",
          {"grid": [[y, g] for y, g in rows]},
          csv_rows=rows, csv_header=("y", "g"))
@@ -141,7 +142,7 @@ def cmd_density(args) -> int:
 
 def cmd_slope(args) -> int:
     f = load_function(args.input)
-    rows = _density_rows(f, args.grid, lambda y: measures.total_slope(f, y))
+    rows = _density_rows(f, args.grid, measures.total_slope)
     emit(args, "slope",
          {"grid": [[y, jt] for y, jt in rows]},
          csv_rows=rows, csv_header=("y", "Jt"))
@@ -152,8 +153,9 @@ def cmd_measure(args) -> int:
     f = load_function(args.input)
     m = measures.young_measure(f)
     if m.density is not None:
-        ys, gs = m.density.tabulate(args.grid)
-        density_grid = [[float(y), float(g)] for y, g in zip(ys, gs)]
+        ys = np.linspace(*m.density.support, args.grid)
+        gs = measures.young_density(f, ys)
+        density_grid = [[y, g] for y, g in zip(ys.tolist(), gs.tolist())]
     else:
         density_grid = []
     result = {

@@ -118,11 +118,16 @@ def _setwise_verdict(
 ) -> ConvergenceVerdict:
     """Per-set records from leaf masses: a set's residual is the spread of
     its mass over `tail_leaves`, its limit the mass in the last of them."""
+    # per level, the masses of its sets in each leaf vector: sums of
+    # consecutive blocks of 2^(depth - level) leaves
+    by_level = [
+        np.array([leaf.reshape(-1, 2 ** (family.depth - level)).sum(axis=1)
+                  for leaf in tail_leaves]).T.tolist()
+        for level in range(family.depth + 1)
+    ]
     records = []
     for s in family.sets:
-        span = 2 ** (family.depth - s.level)
-        sl = slice(s.index * span, (s.index + 1) * span)
-        vals = [float(leaf[sl].sum()) for leaf in tail_leaves]
+        vals = by_level[s.level][s.index]
         records.append(SetRecord(s.level, s.index, s.lo, s.hi, vals[-1],
                                  max(vals) - min(vals)))
     worst = max(r.residual for r in records)
@@ -214,7 +219,8 @@ def monotone_slope_check(
     """True iff the total slopes are monotone in n in one common direction
     at every grid point: all steps are >= -tol, or all are <= tol.  Steps
     within tol, as at a point outside every image, fit either direction."""
-    slopes = np.array([[total_slope(f, y) for y in y_grid] for f in fs])
+    ys = np.asarray(y_grid, dtype=float)
+    slopes = np.array([total_slope(f, ys) for f in fs])
     diffs = np.diff(slopes, axis=0)
     return bool((diffs >= -tol).all() or (diffs <= tol).all())
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -126,6 +126,23 @@ class ValidationReport:
         return {v.code for v in self.violations}
 
 
+class PieceTable(NamedTuple):
+    """A function's pieces frozen into arrays, for evaluation on arrays.
+
+    `sub_lower` holds the left endpoint of every piece; `lo`, `hi` and
+    `inv_slope` are parallel to `monotone`, the diffeomorphic pieces.
+    `inv_slope` is |1/slope| for an affine piece (inf where it exceeds
+    1/DERIVATIVE_FLOOR, where `inverse_slope` raises SingularSlopeError)
+    and nan for a piece whose inverse slope varies.
+    """
+
+    sub_lower: np.ndarray
+    monotone: tuple[Piece, ...]
+    lo: np.ndarray
+    hi: np.ndarray
+    inv_slope: np.ndarray
+
+
 @dataclass(frozen=True)
 class MOscillatingFunction:
     """Sum of monotone/constant branches over a partition of the domain.
@@ -157,6 +174,25 @@ class MOscillatingFunction:
     def measure_M(self) -> float:
         return self.domain.measure_M
 
+    @cached_property
+    def piece_table(self) -> PieceTable:
+        """The pieces as arrays, built once: `evaluate_many`, total slopes
+        and distribution functions read it."""
+        monotone = tuple(p for p in self.pieces if p.kind == DIFFEOMORPHIC)
+        images = np.array([p.image for p in monotone]).reshape(-1, 2)
+        slopes = np.array([math.nan if p.affine_slope is None else p.affine_slope
+                           for p in monotone])
+        with np.errstate(divide="ignore"):
+            inv_slope = np.abs(1.0 / slopes)
+        inv_slope[inv_slope > 1.0 / DERIVATIVE_FLOOR] = math.inf
+        return PieceTable(
+            sub_lower=np.array([p.sub_lower for p in self.pieces]),
+            monotone=monotone,
+            lo=images[:, 0],
+            hi=images[:, 1],
+            inv_slope=inv_slope,
+        )
+
 
 def evaluate(f: MOscillatingFunction, x: float) -> float:
     """Evaluate f at an interior point; boundary points take the value of the
@@ -170,8 +206,7 @@ def evaluate_many(f: MOscillatingFunction, xs: np.ndarray) -> np.ndarray:
     """Vectorized evaluate over an array of interior points.  Boundary and
     gap points go to the piece on their left, clipped into its interval."""
     xs = np.asarray(xs, dtype=float)
-    lowers = np.array([p.sub_lower for p in f.pieces])
-    idx = np.searchsorted(lowers, xs, side="right") - 1
+    idx = np.searchsorted(f.piece_table.sub_lower, xs, side="right") - 1
     idx = np.clip(idx, 0, len(f.pieces) - 1)
     out = np.empty_like(xs)
     for i, p in enumerate(f.pieces):

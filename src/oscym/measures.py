@@ -9,13 +9,16 @@ mass is a difference.  Adaptive quadrature serves only densities that have
 no function behind them (user-supplied, grid or family densities) and the
 integrals of test functions.  Constant pieces carry no density; they
 appear as atoms weighted by their share of the domain.  Nothing is
-tabulated up front: a density is sampled only when output asks for it
-(`DensityFunction.tabulate`).
+tabulated up front: a density is sampled only when output asks for it.
+`young_density` and `total_slope` take a scalar or an array of y and
+evaluate a whole array at once, from the function's piece table.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -23,7 +26,6 @@ import numpy as np
 from . import quadrature
 from .domain import (
     CONSTANT,
-    DIFFEOMORPHIC,
     MOscillatingFunction,
     inverse_slope,
     invert_piece,
@@ -81,10 +83,6 @@ class DensityFunction:
     def __call__(self, y: float) -> float:
         return float(self.evaluator(y))
 
-    def tabulate(self, grid_size: int = GRID_SIZE) -> tuple[np.ndarray, np.ndarray]:
-        ys = np.linspace(self.support[0], self.support[1], grid_size)
-        return ys, np.array([self.evaluator(y) for y in ys])
-
     def masses(self, edges, quad_tol: float = quadrature.QUAD_TOL) -> np.ndarray:
         """Integrals of the density over the consecutive intervals of the
         nondecreasing `edges`, each clipped to the support."""
@@ -105,7 +103,6 @@ class ScalarMeasureRCA:
     range_K: tuple[float, float]
     density: Optional[DensityFunction] = None
     atoms: tuple[Atom, ...] = ()
-    is_young: bool = False
 
     def set_mass(self, lo: float, hi: float, closed_right: bool = False,
                  quad_tol: float = quadrature.QUAD_TOL) -> float:
@@ -146,40 +143,57 @@ def merge_atoms(atoms: Sequence[tuple[float, float]], snap: float = 1e-12) -> tu
     return tuple(merged)
 
 
-def _slope_sum(f: MOscillatingFunction, y: float) -> float:
-    """Sum of absolute inverse slopes over pieces whose image holds y.
+def _slope_sum(f: MOscillatingFunction, y):
+    """Sum of absolute inverse slopes over pieces whose image holds y, at a
+    scalar y (returning a float) or at each value of an array.
 
     Images count as half-open, [lo, hi), except that an image reaching the
     top of range_K is closed there: the convention of `set_mass`, so a value
     on the boundary between two touching images counts once.  A value
-    within rounding slack of an image end counts as on it.  Returns +inf
-    when any contributing slope is singular.
+    within rounding slack of an image end counts as on it.  The sum is +inf
+    where any contributing slope is singular.  Affine pieces read their
+    slope from the piece table; other pieces call `inverse_slope` at each
+    value they hold.  Pieces are added in order, one row at a time.
     """
+    t = f.piece_table
+    ys = np.asarray(y, dtype=float)
+    row = ys.reshape(1, -1)
     top = f.range_K[1]
     slack = 1e-12 * max(1.0, abs(f.range_K[0]), abs(top))
-    total = 0.0
-    for p in f.pieces:
-        if p.kind != DIFFEOMORPHIC:
-            continue
-        lo, hi = p.image
-        on_top = hi >= top - slack and abs(y - hi) <= slack
-        if not (lo - slack <= y < hi - slack or on_top):
-            continue
+    hit = (t.lo[:, None] - slack <= row) & (row < t.hi[:, None] - slack)
+    # an image reaching the top is closed there; only values within a few
+    # slacks of the top can sit on such an image end
+    near = np.flatnonzero(row[0] >= top - 4 * slack)
+    if near.size:
+        tops = np.flatnonzero(t.hi >= top - slack)
+        hit[np.ix_(tops, near)] |= np.abs(row[0, near] - t.hi[tops, None]) <= slack
+    terms = np.where(hit, t.inv_slope[:, None], 0.0)
+    values = row[0].tolist()
+    varying = np.flatnonzero(np.isnan(t.inv_slope))
+    for k, j in zip(*np.nonzero(hit[varying])):
+        i = varying[k]
         try:
-            total += inverse_slope(p, y)
+            terms[i, j] = inverse_slope(t.monotone[i], values[j])
         except SingularSlopeError:
-            return math.inf
-    return total
+            terms[i, j] = math.inf
+    if terms.shape[1] == 1:
+        # piece after piece, as a sum along axis 0 adds two or more
+        # columns; it would add a lone column pairwise
+        total = np.array([reduce(operator.add, terms[:, 0].tolist(), 0.0)])
+    else:
+        total = terms.sum(axis=0)
+    return float(total[0]) if ys.ndim == 0 else total.reshape(ys.shape)
 
 
-def young_density(f: MOscillatingFunction, y: float) -> float:
-    """Density of the Young measure of f at y (zero off the piece images)."""
+def young_density(f: MOscillatingFunction, y):
+    """Density of the Young measure of f at y, a scalar or an array (zero
+    off the piece images)."""
     return _slope_sum(f, y) / f.measure_M
 
 
-def total_slope(f: MOscillatingFunction, y: float) -> float:
-    """Sum of absolute inverse-slope contributions at y; equals the Young
-    density scaled by the domain measure."""
+def total_slope(f: MOscillatingFunction, y):
+    """Sum of absolute inverse-slope contributions at y, a scalar or an
+    array; equals the Young density scaled by the domain measure."""
     return _slope_sum(f, y)
 
 
@@ -191,22 +205,26 @@ def young_density_function(f: MOscillatingFunction) -> Optional[DensityFunction]
     with clip(y) clamped to the piece image [lo, hi]: the preimage length
     of [lo, y] under each piece.
     """
-    diffeo = [p for p in f.pieces if p.kind == DIFFEOMORPHIC]
-    if not diffeo:
+    t = f.piece_table
+    if not t.monotone:
         return None
-    images = [p.image for p in diffeo]
+    images = [p.image for p in t.monotone]
     support = (min(lo for lo, _ in images), max(hi for _, hi in images))
     breakpoints = tuple(
         sorted({v for im in images for v in im if support[0] < v < support[1]})
     )
-    starts = [invert_piece(p, lo) for p, (lo, _) in zip(diffeo, images)]
+    starts = [invert_piece(p, lo) for p, (lo, _) in zip(t.monotone, images)]
     M = f.measure_M
 
     def cdf(ys):
         ys = np.asarray(ys, dtype=float)
         total = np.zeros(ys.shape)
-        for p, (lo, hi), x0 in zip(diffeo, images, starts):
-            xs = np.array([invert_piece(p, y) for y in np.clip(ys, lo, hi)])
+        for p, (lo, hi), x0 in zip(t.monotone, images, starts):
+            clipped = np.clip(ys, lo, hi)
+            if p.affine_slope is not None and p.inverse is not None:
+                xs = p.inverse(clipped)  # affine: one call inverts the array
+            else:
+                xs = np.array([invert_piece(p, y) for y in clipped])
             total += np.abs(xs - x0)
         return total / M
 
@@ -233,7 +251,7 @@ def young_measure(f: MOscillatingFunction) -> ScalarMeasureRCA:
         if p.kind == CONSTANT
     ])
     return ScalarMeasureRCA(range_K=f.range_K, density=young_density_function(f),
-                            atoms=atoms, is_young=True)
+                            atoms=atoms)
 
 
 def integrate_density(

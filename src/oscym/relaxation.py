@@ -9,18 +9,12 @@ for every index.
 """
 from __future__ import annotations
 
-import math
 from typing import Callable, Union
 
 from . import quadrature
-from .domain import CONSTANT, Domain1D, MOscillatingFunction, Piece, forward_derivative
+from .domain import Domain1D, MOscillatingFunction, forward_derivative
 from .errors import UnsupportedError
-from .measures import (
-    Atom,
-    ScalarMeasureRCA,
-    integrate_test,
-    merge_atoms,
-)
+from .measures import ScalarMeasureRCA, integrate_test, merge_atoms
 from .families import affine_piece
 
 
@@ -80,7 +74,6 @@ def gradient_young_measure(u: MOscillatingFunction) -> ScalarMeasureRCA:
         range_K=(min(locs), max(locs)),
         density=None,
         atoms=atoms,
-        is_young=True,
     )
 
 

@@ -8,7 +8,7 @@ constant pieces - are split out as point masses before binning.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 

@@ -11,7 +11,8 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from oscym import cli, convergence, measures
-from oscym.domain import Domain1D, MOscillatingFunction
+from oscym.domain import DIFFEOMORPHIC, Domain1D, MOscillatingFunction, inverse_slope
+from oscym.errors import SingularSlopeError
 from oscym.families import affine_piece, roubicek
 from oscym.funcspec import build_function
 from oscym.measures import total_slope, young_density
@@ -48,6 +49,25 @@ def y_grid(f, interior):
     return np.array(ends + near + [hi] + inside + outside)
 
 
+def loop_slope_sum(f, y):
+    """The pointwise loop the array path replaced, kept as its reference."""
+    top = f.range_K[1]
+    slack = 1e-12 * max(1.0, abs(f.range_K[0]), abs(top))
+    total = 0.0
+    for p in f.pieces:
+        if p.kind != DIFFEOMORPHIC:
+            continue
+        lo, hi = p.image
+        on_top = hi >= top - slack and abs(y - hi) <= slack
+        if not (lo - slack <= y < hi - slack or on_top):
+            continue
+        try:
+            total += inverse_slope(p, y)
+        except SingularSlopeError:
+            return math.inf
+    return total
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(spec=st.one_of(affine_or_sine_specs(), power_specs()),
        interior=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
@@ -56,6 +76,7 @@ def test_array_path_equals_scalar_path(spec, interior):
     ys = y_grid(f, interior)
     slopes = total_slope(f, ys)
     assert np.array_equal(slopes, [total_slope(f, float(y)) for y in ys])
+    assert np.array_equal(slopes, [loop_slope_sum(f, float(y)) for y in ys])
     assert np.array_equal(young_density(f, ys),
                           [young_density(f, float(y)) for y in ys])
 
@@ -70,17 +91,11 @@ def test_scalar_in_scalar_out():
 def test_many_pieces_add_in_piece_order():
     # 65 pieces: numpy's pairwise summation of one column would reorder them
     f = roubicek(3)
-    ys = np.linspace(0.0, 1.0, 257)
-    want = []
-    for y in ys:
-        total = 0.0
-        for p in f.pieces:
-            lo, hi = p.image
-            if lo <= y < hi or (hi == 1.0 and y == 1.0):
-                total += abs(1.0 / p.affine_slope)
-        want.append(total)
+    ys = np.concatenate([np.linspace(0.0, 1.0, 257), y_grid(f, [])])
+    want = [loop_slope_sum(f, float(y)) for y in ys]
     assert np.array_equal(total_slope(f, ys), want)
     assert [total_slope(f, float(y)) for y in ys] == want
+    assert [total_slope(f, np.array([y]))[0] for y in ys] == want
 
 
 def test_flat_affine_piece_is_singular_on_both_paths():
