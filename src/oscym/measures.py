@@ -208,18 +208,16 @@ def young_density_function(f: MOscillatingFunction) -> Optional[DensityFunction]
     t = f.piece_table
     if not t.monotone:
         return None
-    images = [p.image for p in t.monotone]
-    support = (min(lo for lo, _ in images), max(hi for _, hi in images))
-    breakpoints = tuple(
-        sorted({v for im in images for v in im if support[0] < v < support[1]})
-    )
-    starts = [invert_piece(p, lo) for p, (lo, _) in zip(t.monotone, images)]
+    los, his = t.lo.tolist(), t.hi.tolist()
+    support = (min(los), max(his))
+    breakpoints = tuple(sorted({v for v in los + his if support[0] < v < support[1]}))
+    starts = [invert_piece(p, lo) for p, lo in zip(t.monotone, los)]
     M = f.measure_M
 
     def cdf(ys):
         ys = np.asarray(ys, dtype=float)
         total = np.zeros(ys.shape)
-        for p, (lo, hi), x0 in zip(t.monotone, images, starts):
+        for p, lo, hi, x0 in zip(t.monotone, los, his, starts):
             clipped = np.clip(ys, lo, hi)
             if p.affine_slope is not None and p.inverse is not None:
                 xs = p.inverse(clipped)  # affine: one call inverts the array
