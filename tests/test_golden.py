@@ -12,6 +12,7 @@ from oscym import cli
 
 DATA = Path(__file__).resolve().parent / "data"
 README_WINDOW = ("--window", "8,64", "--depth", "6")
+ORACLE = ("--seed", "7", "--samples", "200000")
 
 CASES = {
     "converge_roubicek8": ("converge", "roubicek8.json", *README_WINDOW),
@@ -19,6 +20,8 @@ CASES = {
     **{f"{command}_{spec}": (command, f"{spec}.json", "--grid", "101")
        for command in ("density", "slope", "measure")
        for spec in ("tent", "sine", "power")},
+    **{f"verify_{spec}": ("verify", f"{spec}.json", *ORACLE)
+       for spec in ("tent", "sine", "power", "atoms")},
 }
 
 
