@@ -112,12 +112,37 @@ def test_evaluate_boundary_goes_to_left_piece():
     assert evaluate(tent_map(), 0.5) == pytest.approx(1.0)
 
 
+def test_evaluate_boundary_of_a_jump_goes_to_left_piece():
+    f = MOscillatingFunction(
+        domain=Domain1D(0.0, 1.0),
+        pieces=(affine_piece(0.0, 0.5, 1.0, 0.0), constant_piece(0.5, 1.0, 5.0)),
+    )
+    assert evaluate(f, 0.5) == 0.5
+    assert evaluate_many(f, np.array([0.75, 0.5, 0.25])).tolist() == [5.0, 0.5, 0.25]
+
+
 def test_evaluate_many_matches_scalar():
     f = sawtooth(3)
     xs = np.linspace(0.01, 0.99, 57)
     vect = evaluate_many(f, xs)
     scal = np.array([evaluate(f, x) for x in xs])
     np.testing.assert_allclose(vect, scal, atol=1e-15)
+
+
+def test_validate_samples_a_monotone_piece_in_one_call():
+    calls = []
+
+    def cube(x):
+        calls.append(np.shape(x))
+        return np.asarray(x, dtype=float) ** 3
+
+    f = MOscillatingFunction(
+        domain=Domain1D(0.0, 1.0),
+        pieces=(Piece(sub_lower=0.0, sub_upper=1.0, forward=cube),),
+    )
+    calls.clear()  # the image ends are read at construction
+    assert validate(f, samples_per_piece=64).valid
+    assert calls == [(64,)]
 
 
 def test_invert_affine():
