@@ -203,25 +203,41 @@ def evaluate(f: MOscillatingFunction, x: float) -> float:
 
 
 def evaluate_many(f: MOscillatingFunction, xs: np.ndarray) -> np.ndarray:
-    """Vectorized evaluate over an array of interior points.  Boundary and
-    gap points go to the piece on their left, clipped into its interval."""
+    """Vectorized evaluate over an array of points, of any shape and order.
+
+    The points are sorted (input that is already sorted is used as it is),
+    and each piece is evaluated once, on the contiguous run of points that
+    falls to it.  A shared endpoint and a gap point go to the piece on their
+    left, clipped into its interval; points outside the domain go to the
+    first or last piece.
+    """
     xs = np.asarray(xs, dtype=float)
-    idx = np.searchsorted(f.piece_table.sub_lower, xs, side="right") - 1
-    idx = np.clip(idx, 0, len(f.pieces) - 1)
-    out = np.empty_like(xs)
-    for i, p in enumerate(f.pieces):
-        mask = idx == i
-        if not mask.any():
-            continue
-        sub = np.clip(xs[mask], p.sub_lower, p.sub_upper)
-        try:
-            vals = np.asarray(p.forward(sub), dtype=float)
-            if vals.shape != sub.shape:
-                raise ValueError
-        except (TypeError, ValueError):
-            vals = np.array([float(p.forward(v)) for v in sub])
-        out[mask] = vals
-    return out
+    flat = xs.ravel()
+    order = None
+    if not np.all(flat[1:] >= flat[:-1]):
+        order = np.argsort(flat)
+        flat = flat[order]
+    cuts = np.searchsorted(flat, f.piece_table.sub_lower[1:], side="right").tolist()
+    out = np.empty_like(flat)
+    for p, a, b in zip(f.pieces, [0, *cuts], [*cuts, flat.size]):
+        if a < b:
+            out[a:b] = forward_values(p, np.clip(flat[a:b], p.sub_lower, p.sub_upper))
+    if order is not None:
+        flat[order] = out  # flat is a sorted copy, free to take the values back
+        out = flat
+    return out.reshape(xs.shape)
+
+
+def forward_values(p: Piece, xs: np.ndarray) -> np.ndarray:
+    """p.forward on a 1-D array in one call; a forward map that rejects
+    arrays, or returns another shape, is called once per value instead."""
+    try:
+        vals = np.asarray(p.forward(xs), dtype=float)
+        if vals.shape == xs.shape:
+            return vals
+    except (TypeError, ValueError):
+        pass
+    return np.array([float(p.forward(v)) for v in xs])
 
 
 def invert_piece(p: Piece, y: float, tol: float = BISECT_WIDTH) -> float:
@@ -362,7 +378,7 @@ def validate(
         if p.kind != DIFFEOMORPHIC:
             continue
         xs = np.linspace(p.sub_lower, p.sub_upper, samples_per_piece)
-        ys = np.array([float(p.forward(x)) for x in xs])
+        ys = forward_values(p, xs)
         d = np.diff(ys)
         if (d > 0).any() and (d < 0).any():
             violations.append(

@@ -34,7 +34,6 @@ from .domain import (
 from .errors import ConstructionError, SingularSlopeError
 
 PROB_TOL = 1e-6
-ATOM_SNAP = 1e-9
 GRID_SIZE = 1024
 
 

@@ -49,14 +49,22 @@ def pushforward_empirical(
     n_bins: int = 16,
     atom_snap: float = ATOM_SNAP,
 ) -> Histogram:
-    """Histogram of f under uniform sampling of the domain."""
+    """Histogram of f under uniform sampling of the domain.
+
+    The draws are sorted before evaluation, so `evaluate_many` takes each
+    piece's points as one contiguous run and needs no permutation; the
+    histogram and the atoms count values and do not depend on their order.
+    A draw on a shared endpoint takes the value of the piece on its left.
+    """
     if n_samples < 1000:
         raise PreconditionError("n_samples must be at least 1000")
     if n_bins < 8:
         raise PreconditionError("n_bins must be at least 8")
     rng = np.random.Generator(np.random.Philox(key=seed))
     xs = rng.uniform(f.domain.lower, f.domain.upper, n_samples)
+    xs.sort()
     values = evaluate_many(f, xs)
+    del xs
 
     uniq, counts = np.unique(values, return_counts=True)
     atom_idx = counts >= MIN_ATOM_COUNT
