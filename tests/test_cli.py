@@ -336,3 +336,73 @@ def test_homog_passes_quad_tol(monkeypatch, tmp_path):
                    "--out", str(out)])
     assert rc == 0
     assert seen["quad_tol"] == 1e-7
+
+
+def custom_sequence(path, functions):
+    """Write a custom sequence spec over the given function specs, with
+    indices [1, len(functions)]."""
+    path.write_text(json.dumps({
+        "family": "custom", "params": {"functions": functions},
+        "indices": [1, len(functions)]}))
+    return str(path)
+
+
+def ramp_and_plateau(value):
+    # 2x on (0, 0.5), then the constant value on (0.5, 1): density 1/2 on
+    # (0, 1) plus an atom of weight 1/2 at value
+    return {"domain": [0.0, 1.0], "pieces": [
+        {"interval": [0.0, 0.5], "kind": "affine",
+         "params": {"slope": 2.0, "intercept": 0.0}},
+        {"interval": [0.5, 1.0], "kind": "constant", "params": {"value": value}},
+    ]}
+
+
+def converge_json(capsys, spec, *extra):
+    from oscym.cli import main
+
+    rc = main(["converge", "--input", spec, "--format", "json", *extra])
+    return rc, json.loads(capsys.readouterr().out)["result"]
+
+
+def test_converge_counts_atoms(tmp_path, capsys):
+    # the densities agree for every n; only the atom jumps between 0.2 and 0.8
+    spec = custom_sequence(tmp_path / "jumping.json",
+                           [ramp_and_plateau(0.2 if n % 2 else 0.8)
+                            for n in range(1, 17)])
+    rc, result = converge_json(capsys, spec, "--window", "4,16", "--depth", "3")
+    assert rc == 1
+    assert result["converged"] is False
+    assert result["worst_residual"] == 0.5
+    assert "limit_atoms" not in result
+
+
+def test_converge_on_constant_functions(tmp_path, capsys):
+    constant = {"domain": [0.0, 1.0], "pieces": [
+        {"interval": [0.0, 1.0], "kind": "constant", "params": {"value": 0.5}}]}
+    spec = custom_sequence(tmp_path / "constant.json", [constant] * 8)
+    rc, result = converge_json(capsys, spec, "--window", "2,8", "--depth", "2")
+    assert rc == 0
+    assert result["converged"] is True
+    assert result["worst_residual"] == 0.0
+    assert result["limit_atoms"] == [[0.5, 1.0]]
+
+
+@pytest.mark.parametrize("family, indices, window", [
+    ("custom", [1, 16], None),
+    ("amplitude_tent", [1, 16], "8,64"),
+    ("amplitude_tent", [10, 64], "8,64"),
+])
+def test_converge_window_outside_indices_is_input_error(tmp_path, capsys,
+                                                        family, indices, window):
+    from oscym.cli import main
+
+    path = tmp_path / "seq.json"
+    if family == "custom":
+        custom_sequence(path, [ramp_and_plateau(0.5)] * indices[1])
+    else:
+        path.write_text(json.dumps(
+            {"family": family, "params": {}, "indices": indices}))
+    rc = main(["converge", "--input", str(path),
+               *(("--window", window) if window else ())])
+    assert rc == 2
+    assert "indices" in capsys.readouterr().err

@@ -311,3 +311,14 @@ def test_homogeneity_below_tolerance_perturbation():
     fam = NonhomogeneousDensityFamily(
         domain=Domain1D(0.0, 1.0), evaluator=ev, range_K=(0.0, 1.0))
     assert homogeneity_check(fam, 4, 1e-6)
+
+
+@pytest.mark.parametrize("n_min", [8, 9])
+def test_dieudonne_measures_window_precondition(n_min):
+    # an empty or one-point window is no window, with or without max_index
+    seq = amplitude_tent_density_sequence()
+    fam = BorelTestFamily((0.0, 2.0), 2)
+    with pytest.raises(PreconditionError):
+        dieudonne_check_measures(
+            lambda n: ScalarMeasureRCA(range_K=(0.0, 2.0), density=seq.generator(n)),
+            fam, n_min, 8)
