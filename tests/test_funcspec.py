@@ -3,12 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oscym.domain import evaluate
+from oscym.domain import evaluate, evaluate_many
 from oscym.errors import SpecError
 from oscym.exprparse import parse_expression as compile_expression
 from oscym.funcspec import SequenceSpec, build_function, build_sequence, parse_spec
 from oscym.measures import young_density
+
+from test_exact_masses import affine_or_sine_specs
+from test_piece_table import power_specs
 
 
 def make_spec(pieces, domain=(0.0, 1.0), range_k=None):
@@ -206,3 +210,34 @@ def test_build_function_accepts_parsed_object():
 def test_build_sequence_accepts_parsed_object():
     seq = build_sequence({"family": "sin", "params": {}, "indices": [1, 2]})
     assert seq.indices == (1, 2)
+
+
+# defined for every real x, so no drawn domain raises a numpy warning
+EVERYWHERE_DEFINED = ("x^3 - x", "exp(x) / 2", "sin(3*x) + x", "2", "pi")
+
+
+@st.composite
+def specs_of_every_kind(draw):
+    """An affine/sine or power spec, continued past its domain by 0-3
+    constant or expr pieces."""
+    spec = draw(st.one_of(affine_or_sine_specs(), power_specs()))
+    lo, hi = spec["domain"]
+    pieces = list(spec["pieces"])
+    for _ in range(draw(st.integers(0, 3))):
+        width = draw(st.floats(0.05, 1.0))
+        if draw(st.booleans()):
+            kind, params = "constant", {"value": draw(st.floats(-3.0, 3.0))}
+        else:
+            kind, params = "expr", {"expr": draw(st.sampled_from(EVERYWHERE_DEFINED))}
+        pieces.append({"interval": [hi, hi + width], "kind": kind, "params": params})
+        hi += width
+    return {"domain": [lo, hi], "pieces": pieces}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(spec=specs_of_every_kind())
+def test_spec_round_trips_through_json(spec):
+    direct = build_function(spec)
+    parsed = parse_spec(json.dumps(spec))
+    xs = np.linspace(*spec["domain"], 257)
+    assert evaluate_many(parsed, xs).tobytes() == evaluate_many(direct, xs).tobytes()
