@@ -1,11 +1,12 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 negative verdict (invalid function, oracle
-disagreement, non-convergence, non-homogeneity), 2 input error, 3 numeric
-error.  Each subcommand takes only the options it reads.  Output is CSV
-or a single JSON object {"command", "config", "result"}, whose `config`
-lists the options the command read; it is written atomically (temp file +
-rename) when --out is given.  Numbers are formatted with 17 significant
+disagreement, non-convergence, non-homogeneity), 2 input error (such as a
+`converge` window outside the spec's indices), 3 numeric error.  Each
+subcommand takes only the options it reads.  Output is CSV or a single
+JSON object {"command", "config", "result"}, whose `config` lists the
+options the command read; it is written atomically (temp file + rename)
+when --out is given.  Numbers are formatted with 17 significant
 digits so CSV round-trips 64-bit floats exactly; the YM_SEED environment
 variable overrides the --seed of `verify`.  JSON output is strict: a
 non-finite number, such as a singular density value, is written as one of
@@ -208,6 +209,9 @@ def _verdict_output(args, command, verdict, extra=None):
 def cmd_converge(args) -> int:
     seq = load_sequence(args.input)
     n_min, n_max = args.window
+    if n_min < seq.indices[0] or n_max > seq.indices[1]:
+        raise SpecError(f"window [{n_min}, {n_max}] lies outside the spec's "
+                        f"indices {list(seq.indices)}")
     fs = [seq.function_for(n) for n in range(1, n_max + 1)]
     lo = min(f.range_K[0] for f in fs)
     hi = max(f.range_K[1] for f in fs)

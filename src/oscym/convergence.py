@@ -8,6 +8,7 @@ surrogate - evidence at the tested resolution, not a proof.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -19,6 +20,7 @@ from .measures import (
     DensityFunction,
     ScalarMeasureRCA,
     total_slope,
+    unvalidated_young_measure,
     young_density_function,
     young_measure,
 )
@@ -94,13 +96,12 @@ class NonhomogeneousDensityFamily:
 
 
 def _leaf_masses(
-    set_masses: Callable[..., np.ndarray], family: BorelTestFamily, quad_tol: float
+    set_masses: Callable[[np.ndarray], np.ndarray], family: BorelTestFamily
 ) -> np.ndarray:
     """Masses of the 2^depth finest dyadic sets, from one call of
-    `set_masses(edges, quad_tol=...)` over their edges."""
+    `set_masses` over their edges."""
     lo, hi = family.range_K
-    edges = np.linspace(lo, hi, 2 ** family.depth + 1)
-    return set_masses(edges, quad_tol=quad_tol)
+    return set_masses(np.linspace(lo, hi, 2 ** family.depth + 1))
 
 
 def _tail_indices(ns: Sequence[int]) -> list[int]:
@@ -140,18 +141,27 @@ def _setwise_verdict(
     )
 
 
-def _window_verdict(
-    set_masses_at: Callable[[int], Callable[..., np.ndarray]],
+def dieudonne_check_measures(
+    measures: Callable[[int], ScalarMeasureRCA],
     family: BorelTestFamily,
-    n_min: int,
-    n_max: int,
-    tol: float,
-    quad_tol: float,
+    n_min: int = DEFAULT_WINDOW[0],
+    n_max: int = DEFAULT_WINDOW[1],
+    tol: float = DEFAULT_TOL,
+    max_index: Optional[int] = None,
 ) -> ConvergenceVerdict:
-    """Cauchy verdict over the window [n_min, n_max]; only the tail's set
-    masses enter it, so only they are computed."""
+    """Set-wise convergence check for a sequence of measures.
+
+    For every test set A the masses m_n(A), density part and atoms, are
+    taken over the window [n_min, n_max]; the Cauchy residual is the spread
+    of m_n(A) over the window's final quarter, and the limit estimate is
+    m_{n_max}(A).  Only the tail's measures enter, so only they are built.
+    """
+    if not n_min < n_max or (max_index is not None and n_max > max_index):
+        bound = "" if max_index is None else f" <= max_index {max_index}"
+        raise PreconditionError(
+            f"need n_min < n_max{bound}, got [{n_min}, {n_max}]")
     tail = _tail_indices(range(n_min, n_max + 1))
-    leaves = [_leaf_masses(set_masses_at(n), family, quad_tol) for n in tail]
+    leaves = [_leaf_masses(measures(n).set_masses, family) for n in tail]
     return _setwise_verdict(leaves, family, (n_min, n_max), tol)
 
 
@@ -161,37 +171,13 @@ def dieudonne_check(
     n_min: int = DEFAULT_WINDOW[0],
     n_max: int = DEFAULT_WINDOW[1],
     tol: float = DEFAULT_TOL,
-    quad_tol: float = quadrature.QUAD_TOL,
 ) -> ConvergenceVerdict:
-    """Set-wise convergence check for a density sequence.
-
-    For every test set A the integrals I_n(A) are taken over the window;
-    the Cauchy residual is the spread of I_n(A) over the window's final
-    quarter, and the limit estimate is I_{n_max}(A).
-    """
-    if not n_min < n_max <= seq.max_index:
-        raise PreconditionError(
-            f"need n_min < n_max <= max_index, got [{n_min}, {n_max}] "
-            f"with max_index {seq.max_index}"
-        )
-    return _window_verdict(lambda n: seq.generator(n).masses,
-                           family, n_min, n_max, tol, quad_tol)
-
-
-def dieudonne_check_measures(
-    measures: Callable[[int], ScalarMeasureRCA],
-    family: BorelTestFamily,
-    n_min: int = DEFAULT_WINDOW[0],
-    n_max: int = DEFAULT_WINDOW[1],
-    tol: float = DEFAULT_TOL,
-    max_index: Optional[int] = None,
-    quad_tol: float = quadrature.QUAD_TOL,
-) -> ConvergenceVerdict:
-    """Measure-level counterpart: set masses replace density integrals."""
-    if max_index is not None and not n_min < n_max <= max_index:
-        raise PreconditionError("window exceeds available indices")
-    return _window_verdict(lambda n: measures(n).set_masses,
-                           family, n_min, n_max, tol, quad_tol)
+    """Set-wise convergence check for a density sequence: the measure check
+    over the measures with densities u_n, whose set masses are the
+    integrals of u_n."""
+    return dieudonne_check_measures(
+        lambda n: ScalarMeasureRCA(seq.range_K, seq.generator(n)),
+        family, n_min, n_max, tol, max_index=seq.max_index)
 
 
 def weak_limit_estimate(
@@ -250,11 +236,11 @@ def converge_young(
     n_min: int = DEFAULT_WINDOW[0],
     n_max: int = DEFAULT_WINDOW[1],
     y_grid: Optional[Sequence[float]] = None,
-    slope_tol: float = 1e-9,
 ) -> tuple[ConvergenceVerdict, Optional[ScalarMeasureRCA]]:
     """Monotone-total-slope convergence: check monotonicity, run the
-    set-wise test on the Young densities, and return the limit measure.
-    Young set masses are exact, so no quadrature tolerance applies.
+    set-wise test on the Young measures of fs, density and atoms, and
+    return the limit measure.  Young set masses are exact preimage lengths,
+    so no quadrature tolerance applies.
 
     A failing monotonicity hypothesis is a precondition error; a failing
     set-wise test returns the verdict without a measure.
@@ -263,15 +249,15 @@ def converge_young(
     hi = min(f.range_K[1] for f in fs)
     if y_grid is None:
         y_grid = np.linspace(lo, hi, 35)[1:-1]
-    if not monotone_slope_check(fs, y_grid, tol=slope_tol):
+    if not monotone_slope_check(fs, y_grid):
         raise PreconditionError("total slopes do not form a monotone sequence")
-    seq = density_sequence_from_functions(fs, range_K=family.range_K)
-    n_max = min(n_max, seq.max_index)
-    verdict = dieudonne_check(seq, family, n_min, n_max, tol)
+    n_max = min(n_max, len(fs))
+    verdict = dieudonne_check_measures(
+        lambda n: unvalidated_young_measure(fs[n - 1]), family, n_min, n_max, tol)
     if not verdict.converged:
         return verdict, None
     # the limit representative is the last tail element, as in
-    # weak_limit_estimate, with the atoms of its function
+    # weak_limit_estimate; it is the one measure returned, so the one validated
     limit = young_measure(fs[n_max - 1])
     return verdict, replace(limit, range_K=family.range_K)
 
@@ -291,7 +277,8 @@ def weak_continuity_check(
     for x in list(xs) + [x0]:
         if not fam.domain.contains(x):
             raise PreconditionError(f"x={x} outside the family domain")
-    leaves = [_leaf_masses(fam.evaluator(x).masses, family, quad_tol)
+    leaves = [_leaf_masses(partial(fam.evaluator(x).masses, quad_tol=quad_tol),
+                           family)
               for x in (xs[-1], x0)]
     return _setwise_verdict(leaves, family, (0, len(xs) - 1), tol)
 

@@ -240,7 +240,7 @@ def forward_values(p: Piece, xs: np.ndarray) -> np.ndarray:
     return np.array([float(p.forward(v)) for v in xs])
 
 
-def invert_piece(p: Piece, y: float, tol: float = BISECT_WIDTH) -> float:
+def invert_piece(p: Piece, y: float) -> float:
     """Preimage of y under a monotone piece.
 
     Uses the closed-form inverse when present, otherwise bisection on the
@@ -260,7 +260,7 @@ def invert_piece(p: Piece, y: float, tol: float = BISECT_WIDTH) -> float:
     if fa == 0.0:
         return a
     for _ in range(BISECT_MAX_ITER):
-        if b - a <= max(tol, BISECT_WIDTH):
+        if b - a <= BISECT_WIDTH:
             break
         mid = 0.5 * (a + b)
         fm = float(p.forward(mid)) - y
@@ -291,7 +291,7 @@ def forward_derivative(p: Piece, x: float) -> float:
     ) / (2 * h)
 
 
-def inverse_slope(p: Piece, y: float, tol: float = BISECT_WIDTH) -> float:
+def inverse_slope(p: Piece, y: float) -> float:
     """Absolute derivative of the piece inverse at y (the 1-D Jacobian of
     the inverse).  Raises SingularSlopeError where the forward derivative
     vanishes, e.g. at the extrema of a sine branch."""
@@ -302,7 +302,7 @@ def inverse_slope(p: Piece, y: float, tol: float = BISECT_WIDTH) -> float:
         if not math.isfinite(v) or v > 1.0 / DERIVATIVE_FLOOR:
             raise SingularSlopeError(y)
         return v
-    x = invert_piece(p, y, tol)
+    x = invert_piece(p, y)
     d = forward_derivative(p, x)
     # rounding noise in the finite difference is of order eps/h; below that
     # the derivative is indistinguishable from zero

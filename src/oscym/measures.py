@@ -35,6 +35,7 @@ from .errors import ConstructionError, SingularSlopeError
 
 PROB_TOL = 1e-6
 GRID_SIZE = 1024
+MERGE_SNAP = 1e-12  # atoms this close share one location
 
 
 class Atom(NamedTuple):
@@ -103,23 +104,22 @@ class ScalarMeasureRCA:
     density: Optional[DensityFunction] = None
     atoms: tuple[Atom, ...] = ()
 
-    def set_mass(self, lo: float, hi: float, closed_right: bool = False,
-                 quad_tol: float = quadrature.QUAD_TOL) -> float:
+    def set_mass(self, lo: float, hi: float, closed_right: bool = False) -> float:
         """Measure of the interval [lo, hi) (closed on the right on demand)."""
         total = 0.0
         if self.density is not None:
-            total += integrate_density(self.density, (lo, hi), quad_tol=quad_tol)
+            total += integrate_density(self.density, (lo, hi))
         for a in self.atoms:
             if lo <= a.location < hi or (closed_right and a.location == hi):
                 total += a.weight
         return total
 
-    def set_masses(self, edges, quad_tol: float = quadrature.QUAD_TOL) -> np.ndarray:
+    def set_masses(self, edges) -> np.ndarray:
         """Measures of the consecutive intervals [e_i, e_i+1) of the
         increasing `edges`, the last one closed on the right."""
         edges = np.asarray(edges, dtype=float)
         if self.density is not None:
-            masses = self.density.masses(edges, quad_tol=quad_tol)
+            masses = self.density.masses(edges)
         else:
             masses = np.zeros(len(edges) - 1)
         for a in self.atoms:
@@ -131,11 +131,11 @@ class ScalarMeasureRCA:
         return masses
 
 
-def merge_atoms(atoms: Sequence[tuple[float, float]], snap: float = 1e-12) -> tuple[Atom, ...]:
-    """Sum weights of atoms whose locations coincide within snap."""
+def merge_atoms(atoms: Sequence[tuple[float, float]]) -> tuple[Atom, ...]:
+    """Sum weights of atoms whose locations coincide within MERGE_SNAP."""
     merged: list[Atom] = []
     for loc, w in sorted(atoms):
-        if merged and abs(loc - merged[-1].location) <= snap:
+        if merged and abs(loc - merged[-1].location) <= MERGE_SNAP:
             merged[-1] = Atom(merged[-1].location, merged[-1].weight + w)
         else:
             merged.append(Atom(loc, w))
@@ -241,6 +241,12 @@ def young_measure(f: MOscillatingFunction) -> ScalarMeasureRCA:
             "function failed validation: "
             + "; ".join(v.message for v in report.violations)
         )
+    return unvalidated_young_measure(f)
+
+
+def unvalidated_young_measure(f: MOscillatingFunction) -> ScalarMeasureRCA:
+    """The Young measure of f, density and atoms, built without validating
+    f; `young_measure` validates first."""
     M = f.measure_M
     atoms = merge_atoms([
         (float(p.constant_value), p.length / M)
@@ -251,22 +257,14 @@ def young_measure(f: MOscillatingFunction) -> ScalarMeasureRCA:
                             atoms=atoms)
 
 
-def integrate_density(
-    g: DensityFunction,
-    A: tuple[float, float],
-    quad_tol: float = quadrature.QUAD_TOL,
-) -> float:
+def integrate_density(g: DensityFunction, A: tuple[float, float]) -> float:
     """Integral of g over the interval A, clipped to the support."""
     if A[1] <= A[0]:
         return 0.0
-    return float(g.masses(A, quad_tol=quad_tol)[0])
+    return float(g.masses(A)[0])
 
 
-def integrate_test(
-    m: ScalarMeasureRCA,
-    phi: Callable[[float], float],
-    quad_tol: float = quadrature.QUAD_TOL,
-) -> float:
+def integrate_test(m: ScalarMeasureRCA, phi: Callable[[float], float]) -> float:
     """Integral of a bounded test function against the measure."""
     total = 0.0
     if m.density is not None:
@@ -274,14 +272,14 @@ def integrate_test(
         pts = list(g.singular_points) + list(g.breakpoints)
         total += quadrature.integrate(
             lambda y: phi(y) * g.evaluator(y),
-            g.support[0], g.support[1], points=pts, tol=quad_tol,
+            g.support[0], g.support[1], points=pts,
         )
     for a in m.atoms:
         total += a.weight * phi(a.location)
     return total
 
 
-def tv_norm(m: ScalarMeasureRCA, quad_tol: float = quadrature.QUAD_TOL) -> float:
+def tv_norm(m: ScalarMeasureRCA) -> float:
     """Total variation: integral of |density| plus the absolute atom weights."""
     total = sum(abs(a.weight) for a in m.atoms)
     if m.density is not None and m.density.cdf is not None:
@@ -292,7 +290,7 @@ def tv_norm(m: ScalarMeasureRCA, quad_tol: float = quadrature.QUAD_TOL) -> float
         pts = list(g.singular_points) + list(g.breakpoints)
         total += quadrature.integrate(
             lambda y: abs(g.evaluator(y)),
-            g.support[0], g.support[1], points=pts, tol=quad_tol,
+            g.support[0], g.support[1], points=pts,
         )
     return total
 

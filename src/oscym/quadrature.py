@@ -26,7 +26,6 @@ def integrate(
     b: float,
     points: Iterable[float] = (),
     tol: float = QUAD_TOL,
-    limit: int = MAX_SUBDIVISIONS,
 ) -> float:
     """Integrate fn over [a, b], splitting at the given interior points.
 
@@ -43,7 +42,8 @@ def integrate(
     for lo, hi in zip(edges[:-1], edges[1:]):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", category=_si.IntegrationWarning)
-            val, abserr = _si.quad(fn, lo, hi, epsabs=tol, epsrel=tol * 10, limit=limit)
+            val, abserr = _si.quad(fn, lo, hi, epsabs=tol, epsrel=tol * 10,
+                                  limit=MAX_SUBDIVISIONS)
         total += val
         err += abserr
     if err > max(tol, abs(total) * tol) * 100:

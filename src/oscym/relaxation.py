@@ -82,14 +82,13 @@ def relaxed_value(
     phi: Callable[[float], float],
     w: Union[Callable[[float], float], float],
     domain: Domain1D = Domain1D(0.0, 1.0),
-    quad_tol: float = quadrature.QUAD_TOL,
 ) -> float:
     """Limit value of the oscillating integrals: for a homogeneous measure
     the double integral factorizes into (integral of phi against nu) times
     (integral of the weight over the domain)."""
-    phi_bar = integrate_test(nu, phi, quad_tol=quad_tol)
+    phi_bar = integrate_test(nu, phi)
     if callable(w):
-        w_int = quadrature.integrate(w, domain.lower, domain.upper, tol=quad_tol)
+        w_int = quadrature.integrate(w, domain.lower, domain.upper)
     else:
         w_int = float(w) * domain.measure_M
     return phi_bar * w_int

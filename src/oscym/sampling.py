@@ -12,7 +12,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import quadrature
 from .domain import MOscillatingFunction, evaluate_many
 from .errors import PreconditionError
 from .measures import ScalarMeasureRCA
@@ -47,7 +46,6 @@ def pushforward_empirical(
     n_samples: int = 1_000_000,
     seed: int = 42,
     n_bins: int = 16,
-    atom_snap: float = ATOM_SNAP,
 ) -> Histogram:
     """Histogram of f under uniform sampling of the domain.
 
@@ -70,7 +68,7 @@ def pushforward_empirical(
     atom_idx = counts >= MIN_ATOM_COUNT
     point_masses: list[PointMass] = []
     for loc, cnt in zip(uniq[atom_idx], counts[atom_idx]):
-        if point_masses and abs(loc - point_masses[-1].location) <= atom_snap:
+        if point_masses and abs(loc - point_masses[-1].location) <= ATOM_SNAP:
             prev = point_masses[-1]
             point_masses[-1] = PointMass(prev.location, prev.mass + cnt / n_samples)
         else:
@@ -133,14 +131,12 @@ def oracle_report(
     m: ScalarMeasureRCA,
     h: Histogram,
     n_sigma: float = 3.0,
-    atom_snap: float = ATOM_SNAP,
-    quad_tol: float = quadrature.QUAD_TOL,
 ) -> OracleReport:
     """Per-bin and per-atom comparison of a model measure against its
     empirical histogram, with binomial standard-error thresholds."""
     n = h.sample_count
     if m.density is not None:
-        models = m.density.masses(h.edges, quad_tol=quad_tol)
+        models = m.density.masses(h.edges)
     else:
         models = np.zeros(len(h.masses))
     bins = []
@@ -155,7 +151,7 @@ def oracle_report(
     for pm in h.point_masses:
         match = None
         for j, a in enumerate(m.atoms):
-            if abs(a.location - pm.location) <= atom_snap:
+            if abs(a.location - pm.location) <= ATOM_SNAP:
                 match = j
                 break
         if match is None:
@@ -179,7 +175,7 @@ def oracle_report(
                         discrepancy=disc, n_sigma=n_sigma)
 
 
-def compare_histogram(m: ScalarMeasureRCA, h: Histogram, **kwargs) -> float:
+def compare_histogram(m: ScalarMeasureRCA, h: Histogram) -> float:
     """Sup-discrepancy between the model measure and the empirical
     histogram: the worst bin or atom mass mismatch."""
-    return oracle_report(m, h, **kwargs).discrepancy
+    return oracle_report(m, h).discrepancy

@@ -210,7 +210,7 @@ def test_monotone_bound_property():
     fam = BorelTestFamily((0.0, 2.0), 3)
     from oscym.convergence import _leaf_masses
 
-    leaves = [_leaf_masses(seq.generator(n).masses, fam, 1e-9)
+    leaves = [_leaf_masses(seq.generator(n).masses, fam)
               for n in (2, 4, 8, 16)]
     # leaves 0..3 cover [0, 1], which lies inside every support in the family
     for earlier, later in zip(leaves[:-1], leaves[1:]):
