@@ -157,9 +157,9 @@ def dieudonne_check_measures(
     m_{n_max}(A).  Only the tail's measures enter, so only they are built.
     """
     if not n_min < n_max or (max_index is not None and n_max > max_index):
-        bound = "" if max_index is None else f" <= max_index {max_index}"
         raise PreconditionError(
-            f"need n_min < n_max{bound}, got [{n_min}, {n_max}]")
+            f"need n_min < n_max <= max_index, got [{n_min}, {n_max}] "
+            f"with max_index {max_index}")
     tail = _tail_indices(range(n_min, n_max + 1))
     leaves = [_leaf_masses(measures(n).set_masses, family) for n in tail]
     return _setwise_verdict(leaves, family, (n_min, n_max), tol)
