@@ -278,6 +278,25 @@ def test_power_piece_from_zero(square_spec):
     assert r.returncode == 0
 
 
+def test_verify_keeps_atoms_apart_as_the_model_does(tmp_path):
+    # two constant pieces 1e-10 apart are two atoms of weight 1/4 in the
+    # model (MERGE_SNAP is 1e-12); the oracle must not fold them into one
+    path = tmp_path / "two_plateaus.json"
+    path.write_text(json.dumps({"domain": [0.0, 1.0], "pieces": [
+        {"interval": [0.0, 0.5], "kind": "affine",
+         "params": {"slope": 1.0, "intercept": 0.0}},
+        {"interval": [0.5, 0.75], "kind": "constant", "params": {"value": 0.3}},
+        {"interval": [0.75, 1.0], "kind": "constant",
+         "params": {"value": 0.3000000001}},
+    ]}))
+    r = run_cli("verify", "--input", str(path), "--seed", "7",
+                "--samples", "200000", "--format", "json")
+    assert r.returncode == 0, r.stdout
+    atoms = json.loads(r.stdout)["result"]["atoms"]
+    assert [a["model_weight"] for a in atoms] == [0.25, 0.25]
+    assert all(abs(a["empirical_mass"] - 0.25) <= a["threshold"] for a in atoms)
+
+
 OPTIONS = {
     "validate": set(),
     "density": {"--grid"},

@@ -203,6 +203,14 @@ def test_converge_young_rejects_nonmonotone():
         converge_young(fs, fam, tol=1e-2, n_min=2, n_max=6)
 
 
+def test_converge_young_window_past_the_functions_is_precondition_error():
+    # the default window (8, 64) needs 64 functions; 16 must not be read as
+    # the window (8, 16)
+    fs = [amplitude_tent(n) for n in range(1, 17)]
+    with pytest.raises(PreconditionError):
+        converge_young(fs, BorelTestFamily((0.0, 2.0), 3))
+
+
 def test_monotone_bound_property():
     # nondecreasing slopes: set masses inside the limit support never decrease
     fs = [amplitude_tent(n) for n in range(1, 17)]
