@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import convergence, families, measures, relaxation, sampling
+from . import convergence, families, measures, quadrature, relaxation, sampling
 from .convergence import BorelTestFamily, NonhomogeneousDensityFamily
 from .domain import Domain1D, validate
 from .errors import OscymError, PreconditionError, QuadratureError, SingularSlopeError, SpecError
@@ -311,10 +311,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid", type=int, default=measures.GRID_SIZE)
 
     def tol(p):
-        p.add_argument("--tol", type=float, default=1e-2)
+        p.add_argument("--tol", type=float, default=convergence.DEFAULT_TOL)
 
     def quad_tol(p):
-        p.add_argument("--quad-tol", dest="quad_tol", type=float, default=1e-9)
+        p.add_argument("--quad-tol", type=float, default=quadrature.QUAD_TOL)
 
     p = sub.add_parser("validate", help="check the structural invariants")
     common(p)
@@ -345,8 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("converge", help="monotone-slope convergence check")
     common(p)
     tol(p)
-    p.add_argument("--window", type=_window, default=(8, 64))
-    p.add_argument("--depth", type=int, default=6)
+    p.add_argument("--window", type=_window, default=convergence.DEFAULT_WINDOW)
+    p.add_argument("--depth", type=int, default=convergence.DEFAULT_DEPTH)
     p.set_defaults(func=cmd_converge)
 
     p = sub.add_parser("weak-cont", help="weak continuity of x -> h_x")
@@ -357,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x0", type=float, default=0.5)
     p.add_argument("--n-start", type=int, default=3)
     p.add_argument("--n-stop", type=int, default=256)
-    p.add_argument("--depth", type=int, default=6)
+    p.add_argument("--depth", type=int, default=convergence.DEFAULT_DEPTH)
     p.set_defaults(func=cmd_weak_cont)
 
     p = sub.add_parser("homog", help="homogeneity of a density family")

@@ -242,8 +242,9 @@ def converge_young(
     return the limit measure.  Young set masses are exact preimage lengths,
     so no quadrature tolerance applies.
 
-    A failing monotonicity hypothesis is a precondition error; a failing
-    set-wise test returns the verdict without a measure.
+    A failing monotonicity hypothesis, or a window that ends past the last
+    of fs, is a precondition error; a failing set-wise test returns the
+    verdict without a measure.
     """
     lo = max(f.range_K[0] for f in fs)
     hi = min(f.range_K[1] for f in fs)
@@ -251,9 +252,9 @@ def converge_young(
         y_grid = np.linspace(lo, hi, 35)[1:-1]
     if not monotone_slope_check(fs, y_grid):
         raise PreconditionError("total slopes do not form a monotone sequence")
-    n_max = min(n_max, len(fs))
     verdict = dieudonne_check_measures(
-        lambda n: unvalidated_young_measure(fs[n - 1]), family, n_min, n_max, tol)
+        lambda n: unvalidated_young_measure(fs[n - 1]), family, n_min, n_max, tol,
+        max_index=len(fs))
     if not verdict.converged:
         return verdict, None
     # the limit representative is the last tail element, as in

@@ -134,13 +134,6 @@ def sine_wave(n: int = 1, closed_form: bool = True) -> MOscillatingFunction:
                                 range_K=(-1.0, 1.0))
 
 
-def arcsine_density_value(y: float) -> float:
-    """Closed form of the sine wave's Young density."""
-    if abs(y) >= 1.0:
-        return math.inf
-    return 1.0 / (math.pi * math.sqrt(1.0 - y * y))
-
-
 def roubicek(n: int, teeth: int = 64) -> MOscillatingFunction:
     """Nonperiodic sawtooth family with total slope exactly 1.
 

@@ -2,8 +2,9 @@
 
 Draws uniform samples from the domain with a counter-based Philox
 generator (bit-for-bit reproducible for a fixed seed), evaluates the
-function, and bins the values.  Exactly repeated values - the signature of
-constant pieces - are split out as point masses before binning.
+function and reads atoms and bins off one sorted pass over the values.
+Repeated values - the signature of constant pieces - are atoms, merged by
+the model's rule, `measures.merge_atoms`.
 """
 from __future__ import annotations
 
@@ -14,9 +15,8 @@ import numpy as np
 
 from .domain import MOscillatingFunction, evaluate_many
 from .errors import PreconditionError
-from .measures import ScalarMeasureRCA
+from .measures import MERGE_SNAP, ScalarMeasureRCA, merge_atoms
 
-ATOM_SNAP = 1e-9
 # minimum multiplicity before an exactly repeated value counts as an atom;
 # continuous sampling essentially never repeats a 53-bit double
 MIN_ATOM_COUNT = 5
@@ -50,9 +50,14 @@ def pushforward_empirical(
     """Histogram of f under uniform sampling of the domain.
 
     The draws are sorted before evaluation, so `evaluate_many` takes each
-    piece's points as one contiguous run and needs no permutation; the
-    histogram and the atoms count values and do not depend on their order.
-    A draw on a shared endpoint takes the value of the piece on its left.
+    piece's points as one contiguous run; a draw on a shared endpoint takes
+    the value of the piece on its left.  The values are then sorted once.
+    A run of at least MIN_ATOM_COUNT equal values is an atom; atoms within
+    `measures.MERGE_SNAP` merge, as the model's do.  Bin k holds
+    edges[k] <= v < edges[k+1], the last bin closed; values that stray
+    outside range_K by rounding fall into the end bins, and atom runs are
+    left out.  Edges are `np.histogram_bin_edges`, so a one-value range
+    widens to +-0.5.
     """
     if n_samples < 1000:
         raise PreconditionError("n_samples must be at least 1000")
@@ -63,34 +68,29 @@ def pushforward_empirical(
     xs.sort()
     values = evaluate_many(f, xs)
     del xs
+    values.sort()
 
-    uniq, counts = np.unique(values, return_counts=True)
-    atom_idx = counts >= MIN_ATOM_COUNT
-    point_masses: list[PointMass] = []
-    for loc, cnt in zip(uniq[atom_idx], counts[atom_idx]):
-        if point_masses and abs(loc - point_masses[-1].location) <= ATOM_SNAP:
-            prev = point_masses[-1]
-            point_masses[-1] = PointMass(prev.location, prev.mass + cnt / n_samples)
-        else:
-            point_masses.append(PointMass(float(loc), cnt / n_samples))
+    # run[i]: values[i:i + MIN_ATOM_COUNT] are equal; each stretch of True
+    # is one atom run and starts where that run starts
+    k = MIN_ATOM_COUNT - 1
+    run = values[k:] == values[:-k]
+    starts = np.flatnonzero(np.diff(run, prepend=False))[::2]
+    locations = values[starts]
+    run_counts = np.searchsorted(values, locations, side="right") - starts
+    point_masses = tuple(
+        PointMass(*a) for a in merge_atoms(zip(locations.tolist(),
+                                               (run_counts / n_samples).tolist())))
 
-    if point_masses:
-        atom_values = uniq[atom_idx]
-        keep = ~np.isin(values, atom_values)
-        rest = values[keep]
-    else:
-        rest = values
-    counts_b, edges = np.histogram(rest, bins=n_bins, range=f.range_K)
-    # samples that stray outside range_K by rounding get clipped into it
-    stray = rest[(rest < f.range_K[0]) | (rest > f.range_K[1])]
-    if stray.size:
-        counts_b[0] += np.count_nonzero(stray < f.range_K[0])
-        counts_b[-1] += np.count_nonzero(stray > f.range_K[1])
+    edges = np.histogram_bin_edges(values, n_bins, f.range_K)
+    inner = edges[1:-1]
+    counts = np.diff(np.searchsorted(values, inner, side="left"),
+                     prepend=0, append=n_samples)
+    np.subtract.at(counts, np.searchsorted(inner, locations, side="right"), run_counts)
     return Histogram(
         range=tuple(f.range_K),
         edges=edges,
-        masses=counts_b / n_samples,
-        point_masses=tuple(point_masses),
+        masses=counts / n_samples,
+        point_masses=point_masses,
         sample_count=n_samples,
         seed=seed,
     )
@@ -149,11 +149,8 @@ def oracle_report(
     atoms = []
     matched_model = set()
     for pm in h.point_masses:
-        match = None
-        for j, a in enumerate(m.atoms):
-            if abs(a.location - pm.location) <= ATOM_SNAP:
-                match = j
-                break
+        match = next((j for j, a in enumerate(m.atoms)
+                      if abs(a.location - pm.location) <= MERGE_SNAP), None)
         if match is None:
             # empirical atom with no model counterpart: full-mass discrepancy
             atoms.append(AtomComparison(pm.location, 0.0, pm.mass, 0.0))

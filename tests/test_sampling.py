@@ -2,10 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oscym import compare_histogram, oracle_report, pushforward_empirical, young_measure
+from oscym.domain import Domain1D, MOscillatingFunction, evaluate_many
 from oscym.errors import PreconditionError
-from oscym.families import half_plateau, identity_map, sine_wave, tent_map
+from oscym.families import (affine_piece, constant_piece, half_plateau, identity_map,
+                            sine_wave, tent_map)
+from oscym.funcspec import build_function
+from oscym.measures import MERGE_SNAP
+from oscym.sampling import MIN_ATOM_COUNT, PointMass
+from test_evaluate_many import assert_same_bits, mixed_specs
 
 SEED = 42
 N = 200_000
@@ -87,3 +94,69 @@ def test_oracle_report_atom_matching():
     atom = rep.atoms[0]
     assert atom.model_weight == pytest.approx(0.5)
     assert abs(atom.empirical_mass - 0.5) <= atom.threshold
+
+
+def unique_histogram(f, n_samples, seed, n_bins):
+    """The `np.unique` pipeline `pushforward_empirical` replaced, kept as its
+    reference: atoms from `np.unique` counts merged at MERGE_SNAP, the rest
+    of the values binned by `np.histogram`, strays added to the end bins."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    xs = rng.uniform(f.domain.lower, f.domain.upper, n_samples)
+    xs.sort()
+    values = evaluate_many(f, xs)
+    uniq, counts = np.unique(values, return_counts=True)
+    atom_idx = counts >= MIN_ATOM_COUNT
+    point_masses = []
+    for loc, cnt in zip(uniq[atom_idx], counts[atom_idx]):
+        if point_masses and abs(loc - point_masses[-1].location) <= MERGE_SNAP:
+            prev = point_masses[-1]
+            point_masses[-1] = PointMass(prev.location, prev.mass + cnt / n_samples)
+        else:
+            point_masses.append(PointMass(float(loc), cnt / n_samples))
+    rest = values[~np.isin(values, uniq[atom_idx])]
+    counts_b, edges = np.histogram(rest, bins=n_bins, range=f.range_K)
+    counts_b[0] += np.count_nonzero(rest < f.range_K[0])
+    counts_b[-1] += np.count_nonzero(rest > f.range_K[1])
+    return edges, counts_b / n_samples, tuple(point_masses)
+
+
+def assert_matches_unique_histogram(f, n_samples, seed, n_bins):
+    h = pushforward_empirical(f, n_samples, seed, n_bins)
+    edges, masses, point_masses = unique_histogram(f, n_samples, seed, n_bins)
+    assert_same_bits(h.edges, edges)
+    assert_same_bits(h.masses, masses)
+    assert_same_bits(np.array(h.point_masses, dtype=float).reshape(-1, 2),
+                     np.array(point_masses, dtype=float).reshape(-1, 2))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(spec=mixed_specs(),
+       n_samples=st.integers(1000, 20_000),
+       seed=st.integers(0, 2**32 - 1),
+       n_bins=st.integers(8, 40))
+def test_sorted_pass_equals_unique_histogram(spec, n_samples, seed, n_bins):
+    assert_matches_unique_histogram(build_function(spec), n_samples, seed, n_bins)
+
+
+def ramp_with(*constants, range_K=None):
+    """2x on (0, 0.5), then each constant on an equal share of (0.5, 1)."""
+    cuts = np.linspace(0.5, 1.0, len(constants) + 1)
+    pieces = [affine_piece(0.0, 0.5, 2.0, 0.0)]
+    pieces += [constant_piece(a, b, c) for a, b, c in zip(cuts[:-1], cuts[1:], constants)]
+    return MOscillatingFunction(domain=Domain1D(0.0, 1.0), pieces=tuple(pieces),
+                                range_K=range_K)
+
+
+@pytest.mark.parametrize("f", [
+    # atoms at both ends of the range and on the inner edge 0.5
+    ramp_with(0.0, 0.5, 1.0),
+    # one value only: the range widens to +-0.5 around it
+    MOscillatingFunction(domain=Domain1D(0.0, 1.0),
+                         pieces=(constant_piece(0.0, 1.0, 0.3),)),
+    # a range narrower than the images: the ramp and the atom at 0.9 stray
+    ramp_with(0.9, 0.4, range_K=(0.25, 0.75)),
+], ids=["end_and_edge_atoms", "one_value", "narrow_range"])
+def test_edge_cases_equal_unique_histogram(f):
+    h = pushforward_empirical(f, 20_000, SEED, 16)
+    assert h.point_masses
+    assert_matches_unique_histogram(f, 20_000, SEED, 16)
