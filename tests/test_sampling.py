@@ -127,6 +127,7 @@ def assert_matches_unique_histogram(f, n_samples, seed, n_bins):
     assert_same_bits(h.masses, masses)
     assert_same_bits(np.array(h.point_masses, dtype=float).reshape(-1, 2),
                      np.array(point_masses, dtype=float).reshape(-1, 2))
+    return h
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -157,6 +158,5 @@ def ramp_with(*constants, range_K=None):
     ramp_with(0.9, 0.4, range_K=(0.25, 0.75)),
 ], ids=["end_and_edge_atoms", "one_value", "narrow_range"])
 def test_edge_cases_equal_unique_histogram(f):
-    h = pushforward_empirical(f, 20_000, SEED, 16)
+    h = assert_matches_unique_histogram(f, 20_000, SEED, 16)
     assert h.point_masses
-    assert_matches_unique_histogram(f, 20_000, SEED, 16)
