@@ -14,7 +14,7 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from oscym import integrate_density, tv_norm, young_measure
+from oscym import integrate_density, integrate_test, tv_norm, young_measure
 from oscym.funcspec import build_function
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -88,3 +88,21 @@ def test_mass_commands_do_not_import_scipy(tmp_path):
     r = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                        text=True, env=dict(os.environ, PYTHONPATH=str(SRC)))
     assert r.returncode == 0, r.stderr
+
+
+def test_integrate_test_with_extrema_one_ulp_apart():
+    # two full sine branches whose maxima, 0.5 and 0.5000000000000001, sit
+    # one ulp apart: the density in y is infinite at both, but phi(f(x))
+    # is bounded in x
+    w = math.pi / 2.5
+    f = build_function({"domain": [0.0, 5.0], "pieces": [
+        {"interval": [0.0, 2.5], "kind": "sin",
+         "params": {"amplitude": 0.5, "frequency": w, "phase": -math.pi / 2}},
+        {"interval": [2.5, 5.0], "kind": "sin",
+         "params": {"amplitude": 0.5000000000000001, "frequency": w,
+                    "phase": -math.pi / 2}},
+    ]})
+    m = young_measure(f)
+    for phi, expected in ((lambda y: 1.0, 1.0), (lambda y: y * y, 0.125),
+                          (abs, 1.0 / math.pi)):
+        assert abs(integrate_test(m, phi) - expected) <= 1e-9
