@@ -5,9 +5,15 @@ its preimage over the domain measure.  Its density part is exact twice
 over: pointwise, as the sum over the pieces whose image holds y of the
 absolute inverse slopes, divided by M; and as a distribution function, the
 summed preimage lengths |inv(y) - inv(lo)| over M, from which every set
-mass is a difference.  Adaptive quadrature serves only densities that have
-no function behind them (user-supplied, grid or family densities) and the
-integrals of test functions.  Constant pieces carry no density; they
+mass is a difference.  A test function integrates against it in x, by
+the identity integral of phi dnu_f = (1/M) integral of phi(f(x)) dx, whose
+integrand is bounded.  The in-package adaptive Gauss-Kronrod rule
+(`quadrature`) runs those x-integrals piece by piece, and integrates in y
+only densities that have no function behind them (user-supplied, grid or
+family densities): it cuts at their singular points and breakpoints, maps
+each cut interval so that inverse-square-root singularities at its ends
+become bounded, and bisects until its error estimate is at most
+max(tol, tol |integral|).  Constant pieces carry no density; they
 appear as atoms weighted by their share of the domain.  Nothing is
 tabulated up front: a density is sampled only when output asks for it.
 `young_density` and `total_slope` take a scalar or an array of y and
@@ -48,14 +54,19 @@ class DensityFunction:
     """Nonnegative density on a closed support interval.
 
     `evaluator` must accept a scalar and may return +inf exactly at the
-    listed singular points; quadrature splits there and never evaluates the
-    singular points themselves.  `breakpoints` mark mere kinks, passed to
-    the integrator for accuracy.  `cdf`, when set, is the exact
-    distribution function y -> integral of the density below y, taking and
-    returning arrays; set masses are then its differences and no quadrature
-    runs.  A Young density lists no singular points: its infinite values
-    sit at piece-image endpoints, which are its breakpoints or the ends of
-    its support.
+    listed singular points; quadrature cuts there and never evaluates the
+    cut points themselves.  `breakpoints` mark mere kinks, cut points too.
+    The rule maps each cut interval [lo, hi] by y = lo + w t^2 (3 - 2t),
+    w = hi - lo, so an integrable inverse-square-root singularity at a cut
+    point leaves a bounded integrand in t; any other singularity there,
+    or a non-finite value at a node, raises QuadratureError.  `cdf`, when
+    set, is the exact distribution function y -> integral of the density
+    below y, taking and returning arrays; set masses are then its
+    differences and no quadrature runs.  `expectation`, when set, maps a
+    test function phi to the integral of phi against the density without
+    integrating in y.  A Young density sets both, and lists no singular
+    points: its infinite values sit at piece-image endpoints, which are
+    its breakpoints or the ends of its support.
     """
 
     support: tuple[float, float]
@@ -63,6 +74,7 @@ class DensityFunction:
     singular_points: tuple[float, ...] = ()
     breakpoints: tuple[float, ...] = ()
     cdf: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    expectation: Optional[Callable[[Callable[[float], float]], float]] = None
 
     @classmethod
     def from_grid(cls, ys: np.ndarray, values: np.ndarray) -> "DensityFunction":
@@ -198,11 +210,14 @@ def total_slope(f: MOscillatingFunction, y):
 
 def young_density_function(f: MOscillatingFunction) -> Optional[DensityFunction]:
     """Density part of the Young measure of f, with its exact distribution
-    function; None when f has no monotone piece.
+    function and expectation; None when f has no monotone piece.
 
     F(y) = sum over the monotone pieces of |inv(clip(y)) - inv(lo)| / M,
     with clip(y) clamped to the piece image [lo, hi]: the preimage length
-    of [lo, y] under each piece.
+    of [lo, y] under each piece.  The expectation of phi is the sum over
+    the monotone pieces of the integral of phi(f(x)) over the piece, over
+    M: the paper's identity, integrated in x where the integrand is
+    bounded.
     """
     t = f.piece_table
     if not t.monotone:
@@ -212,6 +227,12 @@ def young_density_function(f: MOscillatingFunction) -> Optional[DensityFunction]
     breakpoints = tuple(sorted({v for v in los + his if support[0] < v < support[1]}))
     starts = [invert_piece(p, lo) for p, lo in zip(t.monotone, los)]
     M = f.measure_M
+
+    def expectation(phi):
+        return math.fsum(
+            quadrature.integrate(lambda x, _p=p: phi(float(_p.forward(x))),
+                                 p.sub_lower, p.sub_upper)
+            for p in t.monotone) / M
 
     def cdf(ys):
         ys = np.asarray(ys, dtype=float)
@@ -230,6 +251,7 @@ def young_density_function(f: MOscillatingFunction) -> Optional[DensityFunction]
         evaluator=lambda y: young_density(f, y),
         breakpoints=breakpoints,
         cdf=cdf,
+        expectation=expectation,
     )
 
 
@@ -265,10 +287,13 @@ def integrate_density(g: DensityFunction, A: tuple[float, float]) -> float:
 
 
 def integrate_test(m: ScalarMeasureRCA, phi: Callable[[float], float]) -> float:
-    """Integral of a bounded test function against the measure."""
+    """Integral of a bounded test function against the measure: in x when
+    the density carries an `expectation` (Young measures), in y otherwise."""
     total = 0.0
-    if m.density is not None:
-        g = m.density
+    g = m.density
+    if g is not None and g.expectation is not None:
+        total += g.expectation(phi)
+    elif g is not None:
         pts = list(g.singular_points) + list(g.breakpoints)
         total += quadrature.integrate(
             lambda y: phi(y) * g.evaluator(y),

@@ -133,7 +133,7 @@ def test_integrating_commands_do_not_import_scipy():
         "for argv, want in ((['bolza', '--n-list', '1,2'], 0),\n"
         "                   (['bolza', '--gradient-ym'], 0),\n"
         "                   (['homog'], 1),\n"
-        "                   (['weak-cont', '--n-stop', '16', '--depth', '3'], 0)):\n"
+        "                   (['weak-cont', '--n-stop', '128', '--depth', '4'], 0)):\n"
         "    rc = oscym.cli.main(argv)\n"
         "    assert rc == want, (argv, rc)\n"
         "loaded = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
