@@ -58,7 +58,7 @@ class DensityFunction:
     cut points themselves.  `breakpoints` mark mere kinks, cut points too.
     The rule maps each cut interval [lo, hi] by y = lo + w t^2 (3 - 2t),
     w = hi - lo, so an integrable inverse-square-root singularity at a cut
-    point leaves a bounded integrand in t; any other singularity there,
+    point leaves a bounded integrand in t; a non-integrable singularity,
     or a non-finite value at a node, raises QuadratureError.  `cdf`, when
     set, is the exact distribution function y -> integral of the density
     below y, taking and returning arrays; set masses are then its
