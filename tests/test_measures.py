@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -231,6 +232,18 @@ def test_is_probability_rejects_double_mass():
 def test_is_probability_dirac():
     m = ScalarMeasureRCA(range_K=(0.0, 1.0), atoms=(Atom(0.3, 1.0),))
     assert is_probability(m)
+
+
+def test_is_probability_samples_a_young_density_in_one_call():
+    m = young_measure(roubicek(3))
+    calls = []
+
+    def counted(y):
+        calls.append(np.shape(y))
+        return m.density.evaluator(y)
+
+    assert is_probability(replace(m, density=replace(m.density, evaluator=counted)))
+    assert calls == [(255,)]
 
 
 def test_normalization_across_suite():
