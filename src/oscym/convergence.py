@@ -28,6 +28,7 @@ from .measures import (
 DEFAULT_DEPTH = 6
 DEFAULT_WINDOW = (8, 64)
 DEFAULT_TOL = 1e-2
+SLOPE_GRID_POINTS = 33  # interior points of range_K where converge_young compares slopes
 
 
 class DyadicSet(NamedTuple):
@@ -235,7 +236,6 @@ def converge_young(
     tol: float = DEFAULT_TOL,
     n_min: int = DEFAULT_WINDOW[0],
     n_max: int = DEFAULT_WINDOW[1],
-    y_grid: Optional[Sequence[float]] = None,
 ) -> tuple[ConvergenceVerdict, Optional[ScalarMeasureRCA]]:
     """Monotone-total-slope convergence: check monotonicity, run the
     set-wise test on the Young measures of fs, density and atoms, and
@@ -248,9 +248,7 @@ def converge_young(
     """
     lo = max(f.range_K[0] for f in fs)
     hi = min(f.range_K[1] for f in fs)
-    if y_grid is None:
-        y_grid = np.linspace(lo, hi, 35)[1:-1]
-    if not monotone_slope_check(fs, y_grid):
+    if not monotone_slope_check(fs, np.linspace(lo, hi, SLOPE_GRID_POINTS + 2)[1:-1]):
         raise PreconditionError("total slopes do not form a monotone sequence")
     verdict = dieudonne_check_measures(
         lambda n: unvalidated_young_measure(fs[n - 1]), family, n_min, n_max, tol,
@@ -287,7 +285,7 @@ def weak_continuity_check(
 def homogeneity_check(
     fam: NonhomogeneousDensityFamily,
     x_samples: int = 5,
-    tol: float = 1e-6,
+    tol: float = DEFAULT_TOL,
     quad_tol: float = quadrature.QUAD_TOL,
 ) -> bool:
     """Finite-sample surrogate for the singleton-family characterization:

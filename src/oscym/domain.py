@@ -18,7 +18,6 @@ from .errors import (
     ConstructionError,
     DomainError,
     PieceKindError,
-    PreconditionError,
     RangeError,
     SingularSlopeError,
 )
@@ -30,6 +29,8 @@ BISECT_WIDTH = 1e-12
 BISECT_MAX_ITER = 200
 H_FD_SCALE = 1e-6          # finite-difference step, scaled by piece length
 DERIVATIVE_FLOOR = 1e-10   # below this the inverse slope counts as singular
+VALIDATE_SAMPLES = 64      # grid points per monotone piece in `validate`
+VALIDATE_TOL = 1e-6        # slack of `validate`'s structural and inverse checks
 
 DIFFEOMORPHIC = "diffeomorphic"
 CONSTANT = "constant"
@@ -221,23 +222,23 @@ def evaluate_many(f: MOscillatingFunction, xs: np.ndarray) -> np.ndarray:
     out = np.empty_like(flat)
     for p, a, b in zip(f.pieces, [0, *cuts], [*cuts, flat.size]):
         if a < b:
-            out[a:b] = forward_values(p, np.clip(flat[a:b], p.sub_lower, p.sub_upper))
+            out[a:b] = forward_values(p.forward, np.clip(flat[a:b], p.sub_lower, p.sub_upper))
     if order is not None:
         flat[order] = out  # flat is a sorted copy, free to take the values back
         out = flat
     return out.reshape(xs.shape)
 
 
-def forward_values(p: Piece, xs: np.ndarray) -> np.ndarray:
-    """p.forward on a 1-D array in one call; a forward map that rejects
-    arrays, or returns another shape, is called once per value instead."""
+def forward_values(fn: Callable, xs: np.ndarray) -> np.ndarray:
+    """fn on a 1-D array in one call; a function that rejects arrays, or
+    returns another shape, is called once per value instead."""
     try:
-        vals = np.asarray(p.forward(xs), dtype=float)
+        vals = np.asarray(fn(xs), dtype=float)
         if vals.shape == xs.shape:
             return vals
     except (TypeError, ValueError):
         pass
-    return np.array([float(p.forward(v)) for v in xs])
+    return np.array([float(fn(v)) for v in xs])
 
 
 def invert_piece(p: Piece, y: float) -> float:
@@ -314,19 +315,13 @@ def inverse_slope(p: Piece, y: float) -> float:
     return 1.0 / abs(d)
 
 
-def validate(
-    f: MOscillatingFunction,
-    samples_per_piece: int = 64,
-    tol: float = 1e-6,
-) -> ValidationReport:
+def validate(f: MOscillatingFunction) -> ValidationReport:
     """Check the structural invariants of an oscillating function.
 
     All problems are reported, never thrown.  Monotonicity is checked by the
-    sign of forward differences over a sample grid, so the answer is only as
-    good as the sampling resolution.
+    sign of forward differences over VALIDATE_SAMPLES points per piece, so
+    the answer is only as good as that resolution.
     """
-    if samples_per_piece < 3:
-        raise PreconditionError(f"samples_per_piece must be >= 3, got {samples_per_piece}")
     violations: list[Violation] = []
     pieces = f.pieces
     dom = f.domain
@@ -334,7 +329,7 @@ def validate(
     # disjointness / containment / gap accounting
     gap_total = max(0.0, pieces[0].sub_lower - dom.lower)
     for i, p in enumerate(pieces):
-        if p.sub_lower < dom.lower - tol or p.sub_upper > dom.upper + tol:
+        if p.sub_lower < dom.lower - VALIDATE_TOL or p.sub_upper > dom.upper + VALIDATE_TOL:
             violations.append(
                 Violation(
                     "outside_domain", i,
@@ -345,7 +340,7 @@ def validate(
         if i + 1 < len(pieces):
             nxt = pieces[i + 1]
             overlap = p.sub_upper - nxt.sub_lower
-            if overlap > tol:
+            if overlap > VALIDATE_TOL:
                 violations.append(
                     Violation(
                         "overlap", i,
@@ -356,7 +351,7 @@ def validate(
             else:
                 gap_total += max(0.0, nxt.sub_lower - p.sub_upper)
     gap_total += max(0.0, dom.upper - pieces[-1].sub_upper)
-    if gap_total > tol:
+    if gap_total > VALIDATE_TOL:
         violations.append(
             Violation("gap_total", None,
                       "piece closures do not cover the domain closure",
@@ -367,7 +362,7 @@ def validate(
     images = [p.image for p in pieces]
     hull = (min(im[0] for im in images), max(im[1] for im in images))
     range_err = max(abs(hull[0] - f.range_K[0]), abs(hull[1] - f.range_K[1]))
-    if range_err > tol:
+    if range_err > VALIDATE_TOL:
         violations.append(
             Violation("range_mismatch", None,
                       f"range_K {f.range_K} vs piece image hull {hull}",
@@ -377,8 +372,8 @@ def validate(
     for i, p in enumerate(pieces):
         if p.kind != DIFFEOMORPHIC:
             continue
-        xs = np.linspace(p.sub_lower, p.sub_upper, samples_per_piece)
-        ys = forward_values(p, xs)
+        xs = np.linspace(p.sub_lower, p.sub_upper, VALIDATE_SAMPLES)
+        ys = forward_values(p.forward, xs)
         d = np.diff(ys)
         if (d > 0).any() and (d < 0).any():
             violations.append(
@@ -389,12 +384,12 @@ def validate(
             continue
         lo, hi = p.image
         # probe strictly inside the image; derivative may vanish at the rim
-        probes = lo + (hi - lo) * np.linspace(0.08, 0.92, max(3, samples_per_piece // 8))
+        probes = lo + (hi - lo) * np.linspace(0.08, 0.92, VALIDATE_SAMPLES // 8)
         if p.inverse is not None:
             worst = 0.0
             for y in probes:
                 worst = max(worst, abs(float(p.forward(float(p.inverse(y)))) - y))
-            if worst > tol * max(1.0, abs(lo), abs(hi)):
+            if worst > VALIDATE_TOL * max(1.0, abs(lo), abs(hi)):
                 violations.append(
                     Violation("inverse_mismatch", i,
                               f"forward(inverse(y)) != y on piece {i}", worst)
@@ -411,7 +406,7 @@ def validate(
                     worst = max(worst, abs(claimed - 1.0 / abs(d_fd)) / (1.0 / abs(d_fd)))
                 except (RangeError, SingularSlopeError):
                     continue
-            if worst > max(tol, 1e-6):
+            if worst > VALIDATE_TOL:
                 violations.append(
                     Violation("inverse_derivative_mismatch", i,
                               f"inverse_derivative inconsistent with 1/|forward'| on piece {i}",

@@ -1,160 +1,75 @@
-"""Tiny arithmetic expression grammar for "expr" pieces.
+"""The arithmetic language of "expr" pieces.
 
-Recursive descent over: numbers, the variable x, + - * / ^, parentheses,
-and the functions sin, cos, exp, log, pow(a, b).  Expressions compile to
-numpy-backed callables so piecewise evaluation stays vectorized.
+Loosest first: + and - (left associative), * and /, unary -, then ^ (right
+associative and above unary minus: -x^2 is -(x^2), 2^-x is 2^(-x)).  Atoms:
+parentheses, x, pi, sin, cos, exp and log of one argument, pow(a, b), and
+decimal numbers read by float, as 01, .5, 2. and 1E-05.  Any whitespace,
+newlines too, may separate tokens.  All else is a SpecError: **, unary +,
+hex, octal, binary, imaginary or underscored numbers, other names, keywords,
+comparisons, attributes, subscripts, tuples, other arguments, and more than
+MAX_DEPTH nodes on a path.  Numbers reach Python's `ast` as placeholder names.
 """
 from __future__ import annotations
 
+import ast
 import math
+import re
 from typing import Callable
 
 import numpy as np
 
 from .errors import SpecError
 
-_FUNCS = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "exp": np.exp,
-    "log": np.log,
+MAX_DEPTH = 200  # evaluating a node costs one stack frame per node above it
+
+_ALPHABET = re.compile(r"[\s\dA-Za-z.+\-*/^(),]*")
+# read by Python, not by the grammar: **, a trailing comma, a function name without "("
+_PYTHON_ONLY = re.compile(r"\*\*|,\s*\)|\b(?:sin|cos|exp|log|pow)\b(?!\s*\()")
+_NUMBER = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+_BINARY = {
+    ast.Add: lambda a, b: lambda x: a(x) + b(x),
+    ast.Sub: lambda a, b: lambda x: a(x) - b(x),
+    ast.Mult: lambda a, b: lambda x: a(x) * b(x),
+    ast.Div: lambda a, b: lambda x: a(x) / b(x),
+    ast.Pow: lambda a, b: lambda x: a(x) ** b(x),
 }
-
-
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def peek(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        if self.pos >= len(self.text):
-            return None
-        return self.text[self.pos]
-
-    def error(self, msg):
-        raise SpecError(f"{msg} at position {self.pos} in expression {self.text!r}")
-
-    def next_number(self):
-        start = self.pos
-        seen_dot = seen_exp = False
-        while self.pos < len(self.text):
-            c = self.text[self.pos]
-            if c.isdigit():
-                self.pos += 1
-            elif c == "." and not seen_dot and not seen_exp:
-                seen_dot = True
-                self.pos += 1
-            elif c in "eE" and not seen_exp and self.pos > start:
-                seen_exp = True
-                self.pos += 1
-                if self.pos < len(self.text) and self.text[self.pos] in "+-":
-                    self.pos += 1
-            else:
-                break
-        try:
-            return float(self.text[start:self.pos])
-        except ValueError:
-            self.pos = start
-            self.error("bad number")
-
-    def next_name(self):
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isalpha():
-            self.pos += 1
-        return self.text[start:self.pos]
-
-    def expect(self, ch):
-        if self.peek() != ch:
-            self.error(f"expected {ch!r}")
-        self.pos += 1
+_FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log}
 
 
 def parse_expression(text: str) -> Callable:
     """Compile the expression to a callable of x (scalar or ndarray)."""
-    tk = _Tokenizer(text)
-    ast = _parse_sum(tk)
-    if tk.peek() is not None:
-        tk.error("trailing input")
-    return lambda x: ast(x)
+    if not _ALPHABET.fullmatch(text) or _PYTHON_ONLY.search(text):
+        raise SpecError(f"invalid expression {text!r}")
+    names = {"x": lambda x: np.asarray(x, dtype=float) if np.ndim(x) else float(x),
+             "pi": lambda x: math.pi}
 
+    def number(m):  # the text holds no '_', so none of its names is a placeholder
+        v = float(m.group())
+        names[f"_{len(names)}"] = lambda x: v if np.ndim(x) == 0 else np.full_like(
+            np.asarray(x, dtype=float), v)
+        return f"_{len(names) - 1}"
 
-def _parse_sum(tk):
-    node = _parse_term(tk)
-    while tk.peek() in ("+", "-"):
-        op = tk.peek()
-        tk.pos += 1
-        rhs = _parse_term(tk)
-        if op == "+":
-            node = (lambda a, b: lambda x: a(x) + b(x))(node, rhs)
-        else:
-            node = (lambda a, b: lambda x: a(x) - b(x))(node, rhs)
-    return node
+    def build(node, depth):
+        if depth > MAX_DEPTH:
+            raise SpecError(f"expression nested deeper than {MAX_DEPTH}: {text!r}")
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+            return _BINARY[type(node.op)](build(node.left, depth + 1),
+                                          build(node.right, depth + 1))
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return lambda x, a=build(node.operand, depth + 1): -a(x)
+        if isinstance(node, ast.Name) and node.id in names:
+            return names[node.id]
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and not node.keywords:
+            args = [build(a, depth + 1) for a in node.args]
+            if node.func.id in _FUNCS and len(args) == 1:
+                return lambda x, f=_FUNCS[node.func.id], a=args[0]: f(a(x))
+            if node.func.id == "pow" and len(args) == 2:
+                return _BINARY[ast.Pow](*args)
+        raise SpecError(f"invalid expression {text!r}")
 
-
-def _parse_term(tk):
-    node = _parse_factor(tk)
-    while tk.peek() in ("*", "/"):
-        op = tk.peek()
-        tk.pos += 1
-        rhs = _parse_factor(tk)
-        if op == "*":
-            node = (lambda a, b: lambda x: a(x) * b(x))(node, rhs)
-        else:
-            node = (lambda a, b: lambda x: a(x) / b(x))(node, rhs)
-    return node
-
-
-def _parse_factor(tk):
-    # unary minus binds looser than '^', so -x^2 means -(x^2)
-    if tk.peek() == "-":
-        tk.pos += 1
-        inner = _parse_factor(tk)
-        return lambda x: -inner(x)
-    return _parse_power(tk)
-
-
-def _parse_power(tk):
-    node = _parse_primary(tk)
-    if tk.peek() == "^":
-        tk.pos += 1
-        exponent = _parse_factor(tk)  # right associative; allows x^-2
-        node = (lambda a, b: lambda x: a(x) ** b(x))(node, exponent)
-    return node
-
-
-def _parse_primary(tk):
-    c = tk.peek()
-    if c is None:
-        tk.error("unexpected end of expression")
-    if c == "(":
-        tk.pos += 1
-        node = _parse_sum(tk)
-        tk.expect(")")
-        return node
-    if c.isdigit() or c == ".":
-        value = tk.next_number()
-        return lambda x, _v=value: _v if np.ndim(x) == 0 else np.full_like(
-            np.asarray(x, dtype=float), _v)
-    if c.isalpha():
-        name = tk.next_name()
-        if name == "x":
-            return lambda x: np.asarray(x, dtype=float) if np.ndim(x) else float(x)
-        if name == "pi":
-            return lambda x: math.pi
-        if name == "pow":
-            tk.expect("(")
-            base = _parse_sum(tk)
-            tk.expect(",")
-            exponent = _parse_sum(tk)
-            tk.expect(")")
-            return lambda x, _b=base, _e=exponent: _b(x) ** _e(x)
-        if name in _FUNCS:
-            fn = _FUNCS[name]
-            tk.expect("(")
-            arg = _parse_sum(tk)
-            tk.expect(")")
-            return lambda x, _f=fn, _a=arg: _f(_a(x))
-        tk.error(f"unknown identifier {name!r}")
-    tk.error(f"unexpected character {c!r}")
+    source = _NUMBER.sub(number, re.sub(r"\s+", " ", text)).replace("^", "**").strip()
+    try:  # no number literal reaches Python's tokenizer, nor any of its warnings
+        tree = ast.parse(source, mode="eval")
+    except (SyntaxError, MemoryError, RecursionError):
+        raise SpecError(f"invalid expression {text!r}") from None
+    return build(tree.body, 1)

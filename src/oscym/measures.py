@@ -33,6 +33,7 @@ from . import quadrature
 from .domain import (
     CONSTANT,
     MOscillatingFunction,
+    forward_values,
     inverse_slope,
     invert_piece,
     validate,
@@ -327,11 +328,10 @@ def is_probability(m: ScalarMeasureRCA, prob_tol: float = PROB_TOL) -> bool:
         return False
     if m.density is not None:
         g = m.density
-        lo, hi = g.support
-        for y in np.linspace(lo, hi, 257)[1:-1]:
-            if g.singular_points and min(abs(y - s) for s in g.singular_points) < 1e-9:
-                continue
-            v = g.evaluator(y)
-            if math.isfinite(v) and v < -prob_tol:
-                return False
+        ys = np.linspace(*g.support, 257)[1:-1]
+        if g.singular_points:
+            ys = ys[np.abs(ys[:, None] - np.array(g.singular_points)).min(axis=1) >= 1e-9]
+        vs = forward_values(g.evaluator, ys)
+        if (np.isfinite(vs) & (vs < -prob_tol)).any():
+            return False
     return abs(tv_norm(m) - 1.0) <= prob_tol

@@ -34,7 +34,7 @@ def sawtooth(n: int) -> MOscillatingFunction:
     return MOscillatingFunction(domain=Domain1D(0.0, 1.0), pieces=tuple(pieces))
 
 
-def bolza_functional(u: MOscillatingFunction, quad_tol: float = 1e-10) -> float:
+def bolza_functional(u: MOscillatingFunction, quad_tol: float = quadrature.QUAD_TOL) -> float:
     """Value of the functional: integral of u^2 + ((u')^2 - 1)^2 over the
     domain.  Affine pieces use the exact slope; other pieces fall back to a
     finite-difference derivative inside the quadrature."""

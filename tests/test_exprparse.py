@@ -148,7 +148,7 @@ REJECTED = [
     "x if x else 2", "1if x else 2", "0x1for x in x", "sin(x for x in x)",
     "2 +", "foo(x)", "1..2", "1.2.3", ".", "1e", "1e+", ".e1", "sin(x, 2)",
     "sin(x,)", "pow(x, 2,)", "pow(x)", "pow(x, 2, 3)", "sin(x=1)", "sin(*x)",
-    "sin", "pi(x)", "x(2)", "(1)(2)", "2(3)", "e", "E", "2pi", "x2", "2x",
+    "sin", "(sin)(x)", "(pow)(x, 2)", "sin(x, ^x)", "pow(x, ^x)", "pi(x)", "x(2)", "(1)(2)", "2(3)", "e", "E", "2pi", "x2", "2x",
     "x y", "x // 2", "x % 2", "x @ x", "x ^^ 2", "x * ^ 2", "-", "()", "(x",
     "x)", "", "  ", "__import__('os')", "\N{FULLWIDTH LATIN SMALL LETTER X}",
     "x\N{SUPERSCRIPT TWO}", "1\N{SUPERSCRIPT TWO}",

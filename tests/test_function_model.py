@@ -141,7 +141,7 @@ def test_validate_samples_a_monotone_piece_in_one_call():
         pieces=(Piece(sub_lower=0.0, sub_upper=1.0, forward=cube),),
     )
     calls.clear()  # the image ends are read at construction
-    assert validate(f, samples_per_piece=64).valid
+    assert validate(f).valid
     assert calls == [(64,)]
 
 
