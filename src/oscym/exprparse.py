@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import SpecError
 
-MAX_DEPTH = 200  # evaluating a node costs one stack frame per node above it
+MAX_DEPTH = 200  # evaluation recurses once per node on the deepest path
 
 _ALPHABET = re.compile(r"[\s\dA-Za-z.+\-*/^(),]*")
 # read by Python, not by the grammar: **, a trailing comma, a function name without "("
