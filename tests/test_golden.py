@@ -21,7 +21,7 @@ CASES = {
        for command in ("density", "slope", "measure")
        for spec in ("tent", "sine", "power")},
     **{f"verify_{spec}": ("verify", f"{spec}.json", *ORACLE)
-       for spec in ("tent", "sine", "power", "atoms")},
+       for spec in ("tent", "sine", "power", "atoms", "expr")},
 }
 
 
