@@ -254,6 +254,20 @@ def test_exit_2_on_sequence_where_function_expected(sin_spec):
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize("expr", ["(x - 2)^0.5", "log(x - 2)"],
+                         ids=["complex", "nan"])
+def test_exit_2_on_expr_without_real_values(tmp_path, expr):
+    # a square root or logarithm of a negative number has no real value
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"domain": [0.0, 1.0], "pieces": [
+        {"interval": [0.0, 1.0], "kind": "expr", "params": {"expr": expr}}]}))
+    r = run_cli("validate", "--input", str(spec))
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+    assert "[0.0, 1.0]" in r.stderr
+
+
 def test_measure_json_is_strict(sine_function_spec):
     def reject(token):
         raise ValueError(f"non-standard JSON constant {token}")

@@ -1,8 +1,10 @@
 """`evaluate_many` on sorted runs against the per-piece mask loop.
 
-Each piece is evaluated on one contiguous run of sorted points.  The
-values must be bitwise those of the mask loop it replaced, in any input
-order and shape, with a shared endpoint given to the left piece.
+Each piece is evaluated on one contiguous run of sorted points, in blocks
+of at most `domain.EVAL_BLOCK` points.  The values must be bitwise those
+of the mask loop it replaced, in any input order and shape, for any block
+size, written to a fresh array or back into the input, with a shared
+endpoint given to the left piece.
 """
 import math
 
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oscym import domain
 from oscym.domain import Domain1D, MOscillatingFunction, Piece, evaluate_many
 from oscym.families import affine_piece, constant_piece, sine_piece
 from oscym.funcspec import build_function
@@ -75,14 +78,42 @@ def assert_same_bits(got, want):
     assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
 
 
+POINTS = dict(spec=mixed_specs(),
+              fractions=st.lists(st.floats(0.0, 1.0), min_size=0, max_size=40),
+              order=st.sampled_from(("shuffled", "sorted", "reversed")),
+              repeats=st.integers(1, 3),
+              with_nan=st.booleans(),
+              seed=st.integers(0, 2**32 - 1))
+
+
+def arrange(xs, order, seed):
+    if order == "sorted":
+        return np.sort(xs)
+    if order == "reversed":
+        return np.sort(xs)[::-1]
+    xs = xs.copy()
+    np.random.default_rng(seed).shuffle(xs)
+    return xs
+
+
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
-@given(spec=mixed_specs(),
-       fractions=st.lists(st.floats(0.0, 1.0), min_size=0, max_size=40),
-       order=st.sampled_from(("shuffled", "sorted", "reversed")),
-       repeats=st.integers(1, 3),
-       with_nan=st.booleans(),
-       seed=st.integers(0, 2**32 - 1))
+@given(**POINTS)
 def test_sorted_runs_equal_mask_loop(spec, fractions, order, repeats, with_nan, seed):
+    assert_matches_mask_loop(spec, fractions, order, repeats, with_nan, seed)
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(**POINTS)
+def test_blocked_runs_equal_mask_loop(block, spec, fractions, order, repeats, with_nan,
+                                      seed):
+    # blocks this small cut nearly every piece's run, most at many places
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(domain, "EVAL_BLOCK", block)
+        assert_matches_mask_loop(spec, fractions, order, repeats, with_nan, seed)
+
+
+def assert_matches_mask_loop(spec, fractions, order, repeats, with_nan, seed):
     f = build_function(spec)
     lo, hi = f.domain.lower, f.domain.upper
     ends = [v for p in f.pieces for v in (p.sub_lower, p.sub_upper)]
@@ -90,12 +121,7 @@ def test_sorted_runs_equal_mask_loop(spec, fractions, order, repeats, with_nan, 
     xs = np.repeat(xs, repeats)
     if with_nan:
         xs = np.append(xs, math.nan)
-    if order == "sorted":
-        xs = np.sort(xs)
-    elif order == "reversed":
-        xs = np.sort(xs)[::-1]
-    else:
-        np.random.default_rng(seed).shuffle(xs)
+    xs = arrange(xs, order, seed)
     before = xs.copy()
     got = evaluate_many(f, xs)
     assert np.array_equal(xs, before, equal_nan=True)  # input left as it was
@@ -145,3 +171,58 @@ def test_forward_that_rejects_arrays_is_called_per_value():
     xs = np.array([0.4, 0.9, 0.1, 0.5, 0.3])
     assert evaluate_many(f, xs).tolist() == [
         math.sin(0.4), 1.8, math.sin(0.1), math.sin(0.5), math.sin(0.3)]
+
+
+def all_kinds():
+    return build_function({"domain": [0.0, 3.0], "pieces": [
+        {"interval": [0.0, 0.5], "kind": "power", "params": {"exponent": 0.5}},
+        {"interval": [0.5, 1.0], "kind": "affine", "params": {"slope": -2.0, "intercept": 3.0}},
+        {"interval": [1.0, 1.5], "kind": "constant", "params": {"value": 0.25}},
+        {"interval": [1.5, 2.0], "kind": "sin",
+         "params": {"amplitude": 1.0, "frequency": 3.0, "phase": 0.1}},
+        {"interval": [2.0, 3.0], "kind": "expr", "params": {"expr": "exp(x) / 2"}}]})
+
+
+@pytest.mark.parametrize("block", [7, None], ids=["block7", "default"])
+@pytest.mark.parametrize("order", ["sorted", "reversed", "shuffled"])
+def test_out_may_be_the_input(monkeypatch, block, order):
+    if block:
+        monkeypatch.setattr(domain, "EVAL_BLOCK", block)
+    f = all_kinds()
+    xs = arrange(np.linspace(-0.5, 3.5, 1001), order, seed=3)
+    fresh = evaluate_many(f, xs)
+    assert evaluate_many(f, xs, out=xs) is xs
+    assert_same_bits(xs, fresh)
+
+    grid = arrange(np.linspace(0.0, 3.0, 24), order, seed=5).reshape(4, 6)
+    out = np.empty((4, 6))
+    assert evaluate_many(f, grid, out=out) is out
+    assert_same_bits(out, evaluate_many(f, grid))
+
+
+@pytest.mark.parametrize("out", [np.empty(5), np.empty(6, dtype=np.float32),
+                                 np.empty(12)[::2]],
+                         ids=["shape", "dtype", "strided"])
+def test_out_must_match_the_input(out):
+    with pytest.raises(ValueError):
+        evaluate_many(two_jumps(), np.linspace(0.1, 1.4, 6), out=out)
+
+
+def test_run_is_cut_into_blocks(monkeypatch):
+    sizes = []
+
+    def ramp(x):
+        sizes.append(np.size(x))
+        return 2.0 * x
+
+    f = MOscillatingFunction(domain=Domain1D(0.0, 1.0),
+                             pieces=(Piece(sub_lower=0.0, sub_upper=1.0, forward=ramp),))
+    xs = np.linspace(0.05, 0.95, 10)
+    f.piece_table  # the image calls ramp at both ends
+    sizes.clear()
+    evaluate_many(f, xs)
+    assert sizes == [10]  # a run no longer than a block is one call
+    monkeypatch.setattr(domain, "EVAL_BLOCK", 4)
+    sizes.clear()
+    assert_same_bits(evaluate_many(f, xs), 2.0 * xs)
+    assert sizes == [4, 4, 2]

@@ -1,4 +1,7 @@
+import json
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -160,3 +163,35 @@ def ramp_with(*constants, range_K=None):
 def test_edge_cases_equal_unique_histogram(f):
     h = assert_matches_unique_histogram(f, 20_000, SEED, 16)
     assert h.point_masses
+
+
+def power_then_ramp(exponent):
+    return build_function({"domain": [0.0, 1.5], "pieces": [
+        {"interval": [0.0, 1.0], "kind": "power", "params": {"exponent": exponent}},
+        {"interval": [1.0, 1.5], "kind": "affine",
+         "params": {"slope": -1.2, "intercept": 2.2}}]})
+
+
+def expr_spec():
+    path = Path(__file__).resolve().parent / "data" / "expr.json"
+    return build_function(json.loads(path.read_text()))
+
+
+@pytest.mark.parametrize("f", [tent_map, lambda: sine_wave(3), lambda: power_then_ramp(0.5),
+                               lambda: power_then_ramp(2.5), half_plateau, expr_spec],
+                         ids=["affine", "sine", "power_below_1", "power_above_1", "atom",
+                              "expr"])
+def test_pushforward_holds_one_sample_array(f):
+    # 1M float64 values take 7.63 MiB; evaluation writes them over the
+    # sorted draws, so only block-sized temporaries and the atom scan's
+    # three 1 MB boolean arrays come on top
+    f = f()
+    pushforward_empirical(f, 1000, SEED, 16)  # build the piece table first
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        pushforward_empirical(f, 1_000_000, SEED, 16)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2**20
