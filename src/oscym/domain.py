@@ -31,6 +31,7 @@ H_FD_SCALE = 1e-6          # finite-difference step, scaled by piece length
 DERIVATIVE_FLOOR = 1e-10   # below this the inverse slope counts as singular
 VALIDATE_SAMPLES = 64      # grid points per monotone piece in `validate`
 VALIDATE_TOL = 1e-6        # slack of `validate`'s structural and inverse checks
+EVAL_BLOCK = 1 << 16       # points per forward call in `evaluate_many` (512 KiB of float64)
 
 DIFFEOMORPHIC = "diffeomorphic"
 CONSTANT = "constant"
@@ -101,13 +102,23 @@ class Piece:
     @cached_property
     def image(self) -> tuple[float, float]:
         """Closed image [min, max] of the piece (endpoints of a monotone map),
-        computed once: every inversion and density scan reads it."""
+        computed once: every inversion and density scan reads it.  An
+        endpoint value that is not a finite real number, as sqrt or log of
+        a negative number gives, raises ConstructionError."""
         if self.kind == CONSTANT:
             c = float(self.constant_value)
             return (c, c)
-        ya = float(self.forward(self.sub_lower))
-        yb = float(self.forward(self.sub_upper))
+        ya, yb = self._end_value(self.sub_lower), self._end_value(self.sub_upper)
         return (min(ya, yb), max(ya, yb))
+
+    def _end_value(self, x: float) -> float:
+        with np.errstate(all="ignore"):
+            y = self.forward(x)
+        if np.iscomplexobj(y) or not math.isfinite(float(y)):
+            raise ConstructionError(
+                f"piece on [{self.sub_lower}, {self.sub_upper}] has no finite real "
+                f"value at x={x}: {y}")
+        return float(y)
 
 
 @dataclass(frozen=True)
@@ -203,30 +214,46 @@ def evaluate(f: MOscillatingFunction, x: float) -> float:
     return float(evaluate_many(f, np.array([x]))[0])
 
 
-def evaluate_many(f: MOscillatingFunction, xs: np.ndarray) -> np.ndarray:
+def evaluate_many(f: MOscillatingFunction, xs: np.ndarray,
+                  out: Optional[np.ndarray] = None) -> np.ndarray:
     """Vectorized evaluate over an array of points, of any shape and order.
 
     The points are sorted (input that is already sorted is used as it is),
-    and each piece is evaluated once, on the contiguous run of points that
-    falls to it.  A shared endpoint and a gap point go to the piece on their
-    left, clipped into its interval; points outside the domain go to the
-    first or last piece.
+    and each piece is evaluated on the contiguous run of points that falls
+    to it, in blocks of at most EVAL_BLOCK points: a run no longer than a
+    block is one forward call, and no temporary holds more than a block.
+    A shared endpoint and a gap point go to the piece on their left,
+    clipped into its interval; points outside the domain go to the first
+    or last piece.
+
+    `out`, a float64 array of the shape of `xs` (1-D or C-contiguous),
+    receives the values and is returned.  It may be `xs` itself, as each
+    block is read into its clipped copy before its values are written.
+    Without `out` the values go to a fresh array and `xs` is left as it was.
     """
     xs = np.asarray(xs, dtype=float)
+    if out is None:
+        out = np.empty(xs.shape)
+    elif (out.shape != xs.shape or out.dtype != np.float64
+          or (out.ndim > 1 and not out.flags.c_contiguous)):
+        raise ValueError("out must be a float64 array of the shape of xs, "
+                         "1-D or C-contiguous")
     flat = xs.ravel()
     order = None
     if not np.all(flat[1:] >= flat[:-1]):
         order = np.argsort(flat)
         flat = flat[order]
+    # the values in sorted order: straight into out, or over the sorted copy
+    values = out.reshape(-1) if order is None else flat
     cuts = np.searchsorted(flat, f.piece_table.sub_lower[1:], side="right").tolist()
-    out = np.empty_like(flat)
     for p, a, b in zip(f.pieces, [0, *cuts], [*cuts, flat.size]):
-        if a < b:
-            out[a:b] = forward_values(p.forward, np.clip(flat[a:b], p.sub_lower, p.sub_upper))
+        for s in range(a, b, EVAL_BLOCK):
+            e = min(s + EVAL_BLOCK, b)
+            values[s:e] = forward_values(p.forward,
+                                         np.clip(flat[s:e], p.sub_lower, p.sub_upper))
     if order is not None:
-        flat[order] = out  # flat is a sorted copy, free to take the values back
-        out = flat
-    return out.reshape(xs.shape)
+        out.reshape(-1)[order] = values
+    return out
 
 
 def forward_values(fn: Callable, xs: np.ndarray) -> np.ndarray:

@@ -66,8 +66,7 @@ def pushforward_empirical(
     rng = np.random.Generator(np.random.Philox(key=seed))
     xs = rng.uniform(f.domain.lower, f.domain.upper, n_samples)
     xs.sort()
-    values = evaluate_many(f, xs)
-    del xs
+    values = evaluate_many(f, xs, out=xs)  # the sorted draws become the values
     values.sort()
 
     # run[i]: values[i:i + MIN_ATOM_COUNT] are equal; each stretch of True
