@@ -108,17 +108,16 @@ class Piece:
         if self.kind == CONSTANT:
             c = float(self.constant_value)
             return (c, c)
-        ya, yb = self._end_value(self.sub_lower), self._end_value(self.sub_upper)
+        ends = (self.sub_lower, self.sub_upper)
+        with np.errstate(all="ignore"):  # a value that is not finite raises below
+            ys = [self.forward(x) for x in ends]
+        for x, y in zip(ends, ys):
+            if isinstance(y, complex) or not math.isfinite(y):
+                raise ConstructionError(
+                    f"piece on [{self.sub_lower}, {self.sub_upper}] has no finite real "
+                    f"value at x={x}: {y}")
+        ya, yb = float(ys[0]), float(ys[1])
         return (min(ya, yb), max(ya, yb))
-
-    def _end_value(self, x: float) -> float:
-        with np.errstate(all="ignore"):
-            y = self.forward(x)
-        if np.iscomplexobj(y) or not math.isfinite(float(y)):
-            raise ConstructionError(
-                f"piece on [{self.sub_lower}, {self.sub_upper}] has no finite real "
-                f"value at x={x}: {y}")
-        return float(y)
 
 
 @dataclass(frozen=True)
@@ -221,7 +220,8 @@ def evaluate_many(f: MOscillatingFunction, xs: np.ndarray,
     The points are sorted (input that is already sorted is used as it is),
     and each piece is evaluated on the contiguous run of points that falls
     to it, in blocks of at most EVAL_BLOCK points: a run no longer than a
-    block is one forward call, and no temporary holds more than a block.
+    block is one forward call.  On sorted input no temporary holds more
+    than a block; other input costs a sorted copy and its permutation.
     A shared endpoint and a gap point go to the piece on their left,
     clipped into its interval; points outside the domain go to the first
     or last piece.

@@ -51,7 +51,10 @@ def pushforward_empirical(
 
     The draws are sorted before evaluation, so `evaluate_many` takes each
     piece's points as one contiguous run; a draw on a shared endpoint takes
-    the value of the piece on its left.  The values are then sorted once.
+    the value of the piece on its left.  The values are written over the
+    draws and then sorted in place, so the call holds one n-sized float
+    array, plus temporaries of O(`domain.EVAL_BLOCK`) floats and the atom
+    scan's n-sized boolean arrays.
     A run of at least MIN_ATOM_COUNT equal values is an atom; atoms within
     `measures.MERGE_SNAP` merge, as the model's do.  Bin k holds
     edges[k] <= v < edges[k+1], the last bin closed; values that stray
