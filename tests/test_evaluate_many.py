@@ -200,12 +200,12 @@ def test_out_may_be_the_input(monkeypatch, block, order):
     assert_same_bits(out, evaluate_many(f, grid))
 
 
-@pytest.mark.parametrize("out", [np.empty(5), np.empty(6, dtype=np.float32),
-                                 np.empty(12)[::2]],
-                         ids=["shape", "dtype", "strided"])
+@pytest.mark.parametrize("out", [np.empty((3, 2)), np.empty((2, 3), dtype=np.float32),
+                                 np.empty((2, 6))[:, ::2]],
+                         ids=["shape", "dtype", "strided_2d"])
 def test_out_must_match_the_input(out):
     with pytest.raises(ValueError):
-        evaluate_many(two_jumps(), np.linspace(0.1, 1.4, 6), out=out)
+        evaluate_many(two_jumps(), np.linspace(0.1, 1.4, 6).reshape(2, 3), out=out)
 
 
 def test_run_is_cut_into_blocks(monkeypatch):
