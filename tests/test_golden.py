@@ -20,6 +20,8 @@ CASES = {
     **{f"{command}_{spec}": (command, f"{spec}.json", "--grid", "101")
        for command in ("density", "slope", "measure")
        for spec in ("tent", "sine", "power")},
+    **{f"{command}_expr": (command, "expr.json", "--grid", "101")
+       for command in ("density", "slope")},
     **{f"verify_{spec}": ("verify", f"{spec}.json", *ORACLE)
        for spec in ("tent", "sine", "power", "atoms", "expr")},
 }
