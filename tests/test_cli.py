@@ -254,10 +254,11 @@ def test_exit_2_on_sequence_where_function_expected(sin_spec):
     assert r.returncode == 2
 
 
-@pytest.mark.parametrize("expr", ["(x - 2)^0.5", "log(x - 2)"],
-                         ids=["complex", "nan"])
+@pytest.mark.parametrize("expr", ["(x - 2)^0.5", "log(x - 2)", "1/x", "2^(2000*x)"],
+                         ids=["complex", "nan", "division-by-zero", "overflow"])
 def test_exit_2_on_expr_without_real_values(tmp_path, expr):
-    # a square root or logarithm of a negative number has no real value
+    # a square root or logarithm of a negative number has no real value, and
+    # 1/x at 0 or 2^2000 no finite one
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"domain": [0.0, 1.0], "pieces": [
         {"interval": [0.0, 1.0], "kind": "expr", "params": {"expr": expr}}]}))
