@@ -25,7 +25,6 @@ from pathlib import Path
 import numpy as np
 
 from . import convergence, families, measures, quadrature, relaxation, sampling
-from .convergence import BorelTestFamily, NonhomogeneousDensityFamily
 from .domain import Domain1D, validate
 from .errors import OscymError, PreconditionError, QuadratureError, SingularSlopeError, SpecError
 from .funcspec import SequenceSpec, parse_spec
@@ -215,7 +214,7 @@ def cmd_converge(args) -> int:
     fs = [seq.function_for(n) for n in range(1, n_max + 1)]
     lo = min(f.range_K[0] for f in fs)
     hi = max(f.range_K[1] for f in fs)
-    fam = BorelTestFamily((lo, hi), args.depth)
+    fam = convergence.BorelTestFamily((lo, hi), args.depth)
     verdict, limit = convergence.converge_young(
         fs, fam, tol=args.tol, n_min=n_min, n_max=n_max)
     extra = None
@@ -225,9 +224,9 @@ def cmd_converge(args) -> int:
     return EXIT_OK if verdict.converged else EXIT_NEGATIVE
 
 
-def _builtin_family(name: str) -> NonhomogeneousDensityFamily:
+def _builtin_family(name: str) -> convergence.NonhomogeneousDensityFamily:
     if name == "triangular":
-        return NonhomogeneousDensityFamily(
+        return convergence.NonhomogeneousDensityFamily(
             domain=Domain1D(0.0, 1.0),
             evaluator=lambda x: DensityFunction(
                 support=(0.0, 2.0),
@@ -237,7 +236,7 @@ def _builtin_family(name: str) -> NonhomogeneousDensityFamily:
         )
     if name == "uniform":
         u = DensityFunction(support=(0.0, 1.0), evaluator=lambda y: 1.0)
-        return NonhomogeneousDensityFamily(
+        return convergence.NonhomogeneousDensityFamily(
             domain=Domain1D(0.0, 1.0), evaluator=lambda x: u, range_K=(0.0, 1.0))
     raise SpecError(f"unknown density family {name!r}")
 
@@ -245,7 +244,7 @@ def _builtin_family(name: str) -> NonhomogeneousDensityFamily:
 def cmd_weak_cont(args) -> int:
     fam = _builtin_family(args.family)
     xs = [args.x0 + 1.0 / n for n in range(args.n_start, args.n_stop + 1)]
-    test = BorelTestFamily(fam.range_K, args.depth)
+    test = convergence.BorelTestFamily(fam.range_K, args.depth)
     verdict = convergence.weak_continuity_check(
         fam, xs, args.x0, test, tol=args.tol, quad_tol=args.quad_tol)
     _verdict_output(args, "weak-cont", verdict)
@@ -311,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid", type=int, default=measures.GRID_SIZE)
 
     def tol(p):
-        p.add_argument("--tol", type=float, default=convergence.DEFAULT_TOL)
+        p.add_argument("--tol", type=float, default=measures.DEFAULT_TOL)
 
     def quad_tol(p):
         p.add_argument("--quad-tol", type=float, default=quadrature.QUAD_TOL)
@@ -345,8 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("converge", help="monotone-slope convergence check")
     common(p)
     tol(p)
-    p.add_argument("--window", type=_window, default=convergence.DEFAULT_WINDOW)
-    p.add_argument("--depth", type=int, default=convergence.DEFAULT_DEPTH)
+    p.add_argument("--window", type=_window, default=measures.DEFAULT_WINDOW)
+    p.add_argument("--depth", type=int, default=measures.DEFAULT_DEPTH)
     p.set_defaults(func=cmd_converge)
 
     p = sub.add_parser("weak-cont", help="weak continuity of x -> h_x")
@@ -357,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x0", type=float, default=0.5)
     p.add_argument("--n-start", type=int, default=3)
     p.add_argument("--n-stop", type=int, default=256)
-    p.add_argument("--depth", type=int, default=convergence.DEFAULT_DEPTH)
+    p.add_argument("--depth", type=int, default=measures.DEFAULT_DEPTH)
     p.set_defaults(func=cmd_weak_cont)
 
     p = sub.add_parser("homog", help="homogeneity of a density family")

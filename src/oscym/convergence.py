@@ -17,6 +17,9 @@ from . import quadrature
 from .domain import Domain1D, MOscillatingFunction
 from .errors import PreconditionError
 from .measures import (
+    DEFAULT_DEPTH,
+    DEFAULT_TOL,
+    DEFAULT_WINDOW,
     DensityFunction,
     ScalarMeasureRCA,
     total_slope,
@@ -25,9 +28,6 @@ from .measures import (
     young_measure,
 )
 
-DEFAULT_DEPTH = 6
-DEFAULT_WINDOW = (8, 64)
-DEFAULT_TOL = 1e-2
 SLOPE_GRID_POINTS = 33  # interior points of range_K where converge_young compares slopes
 
 
@@ -43,7 +43,7 @@ class BorelTestFamily:
     """All dyadic subintervals of range_K at levels 0..depth."""
 
     range_K: tuple[float, float]
-    depth: int
+    depth: int = DEFAULT_DEPTH
 
     @property
     def sets(self) -> list[DyadicSet]:

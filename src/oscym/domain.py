@@ -64,8 +64,9 @@ class Piece:
     (sub_lower, sub_upper).
 
     Diffeomorphic pieces are strictly monotone; `inverse` and
-    `inverse_derivative` are optional closed forms, with bisection and
-    finite differences as the fallback.  `affine_slope` is set by builders
+    `inverse_derivative` are optional closed forms, taking and returning
+    arrays, with bisection and finite differences as the fallback (see
+    `invert` and `inverse_slopes`).  `affine_slope` is set by builders
     when the forward map is affine, enabling exact derivative pushforwards.
     """
 
@@ -118,6 +119,61 @@ class Piece:
                     f"value at x={x}: {y}")
         ya, yb = float(ys[0]), float(ys[1])
         return (min(ya, yb), max(ya, yb))
+
+    def invert(self, ys: np.ndarray) -> np.ndarray:
+        """Preimages of a 1-D array of values under a monotone piece, each
+        first clamped into the image: the closed-form `inverse` in one call,
+        or else lockstep bisection, one bracket per value and one forward
+        call per halving for all of them.  Each value follows the rule of a
+        scalar bisection from the whole interval: halve at mid = (a + b)/2,
+        keep the half where forward - y changes sign, and stop at an exact
+        zero (returning it) or once the bracket is BISECT_WIDTH wide or has
+        been halved BISECT_MAX_ITER times (returning its midpoint)."""
+        lo, hi = self.image
+        ys = np.clip(ys, lo, hi)
+        if self.inverse is not None:
+            return forward_values(self.inverse, ys)
+        a = np.full(ys.shape, self.sub_lower)
+        b = np.full(ys.shape, self.sub_upper)
+        fa = forward_values(self.forward, a[:1]) - ys
+        exact = fa == 0.0
+        root = np.where(exact, a, 0.0)
+        live = ~exact
+        for _ in range(BISECT_MAX_ITER):
+            live &= ~(b - a <= BISECT_WIDTH)
+            if not live.any():
+                break
+            mid = 0.5 * (a + b)
+            fm = forward_values(self.forward, mid) - ys
+            hit = live & (fm == 0.0)
+            root[hit] = mid[hit]
+            exact |= hit
+            live &= ~hit
+            up = live & ((fm > 0) == (fa > 0))
+            a = np.where(up, mid, a)
+            fa = np.where(up, fm, fa)
+            b = np.where(live & ~up, mid, b)
+        return np.where(exact, root, 0.5 * (a + b))
+
+    def inverse_slopes(self, ys: np.ndarray) -> np.ndarray:
+        """Absolute derivative of the inverse at each value of a 1-D array,
+        +inf where it is singular: the closed-form `inverse_derivative` in
+        one call (singular where not finite or above 1/DERIVATIVE_FLOOR), or
+        else one over the forward derivative at the preimages from `invert`
+        (singular where that is below DERIVATIVE_FLOOR, or below the
+        rounding noise of its finite difference)."""
+        if self.inverse_derivative is not None:
+            v = np.abs(forward_values(self.inverse_derivative, ys))
+            return np.where(np.isfinite(v) & ~(v > 1.0 / DERIVATIVE_FLOOR), v, math.inf)
+        xs = self.invert(ys)
+        d = np.abs(forward_derivative(self, xs))
+        # rounding noise in the finite difference is of order eps/h; below
+        # that the derivative is indistinguishable from zero
+        h = H_FD_SCALE * self.length
+        scale = np.maximum(1.0, np.abs(forward_values(self.forward, xs)))
+        floor = np.maximum(DERIVATIVE_FLOOR, 100.0 * 2.2e-16 * scale / h)
+        with np.errstate(divide="ignore"):
+            return np.where(d < floor, math.inf, 1.0 / d)
 
 
 @dataclass(frozen=True)
@@ -268,78 +324,63 @@ def forward_values(fn: Callable, xs: np.ndarray) -> np.ndarray:
     return np.array([float(fn(v)) for v in xs])
 
 
-def invert_piece(p: Piece, y: float) -> float:
-    """Preimage of y under a monotone piece.
-
-    Uses the closed-form inverse when present, otherwise bisection on the
-    piece interval (monotonicity gives a guaranteed bracket).
-    """
-    if p.kind != DIFFEOMORPHIC:
-        raise PieceKindError("cannot invert a constant piece")
+def _require_in_image(p: Piece, y: float) -> None:
     lo, hi = p.image
     slack = 1e-12 * max(1.0, abs(lo), abs(hi))
     if not (lo - slack <= y <= hi + slack):
         raise RangeError(f"y={y} outside piece image [{lo}, {hi}]")
-    y = min(max(y, lo), hi)
-    if p.inverse is not None:
-        return float(p.inverse(y))
-    a, b = p.sub_lower, p.sub_upper
-    fa = float(p.forward(a)) - y
-    if fa == 0.0:
-        return a
-    for _ in range(BISECT_MAX_ITER):
-        if b - a <= BISECT_WIDTH:
-            break
-        mid = 0.5 * (a + b)
-        fm = float(p.forward(mid)) - y
-        if fm == 0.0:
-            return mid
-        if (fm > 0) == (fa > 0):
-            a, fa = mid, fm
-        else:
-            b = mid
-    return 0.5 * (a + b)
 
 
-def forward_derivative(p: Piece, x: float) -> float:
-    """Derivative of the forward map, exact for affine pieces, otherwise a
-    second-order finite difference kept inside the piece interval."""
+def invert_piece(p: Piece, y: float) -> float:
+    """Preimage of y under a monotone piece: `Piece.invert` at one value,
+    after checking that y lies in the image up to rounding slack (else
+    RangeError).  Uses the closed-form inverse when present, otherwise
+    bisection on the piece interval (monotonicity gives a guaranteed
+    bracket)."""
+    if p.kind != DIFFEOMORPHIC:
+        raise PieceKindError("cannot invert a constant piece")
+    _require_in_image(p, y)
+    return float(p.invert(np.array([y], dtype=float))[0])
+
+
+def forward_derivative(p: Piece, x):
+    """Derivative of the forward map at x, a scalar or an array: exact for
+    affine pieces, otherwise a second-order finite difference kept inside
+    the piece interval, central or, within h of an end, one-sided."""
     if p.affine_slope is not None:
-        return p.affine_slope
+        return p.affine_slope if np.ndim(x) == 0 else np.full(np.shape(x), p.affine_slope)
+    xs = np.asarray(x, dtype=float)
+    flat = xs.reshape(-1)
     h = H_FD_SCALE * p.length
-    lo, hi = p.sub_lower, p.sub_upper
-    if x - h >= lo and x + h <= hi:
-        return (float(p.forward(x + h)) - float(p.forward(x - h))) / (2 * h)
-    if x + 2 * h <= hi:  # left boundary: one-sided, second order
-        return (
-            -3 * float(p.forward(x)) + 4 * float(p.forward(x + h)) - float(p.forward(x + 2 * h))
-        ) / (2 * h)
-    return (
-        3 * float(p.forward(x)) - 4 * float(p.forward(x - h)) + float(p.forward(x - 2 * h))
-    ) / (2 * h)
+    inner = (flat - h >= p.sub_lower) & (flat + h <= p.sub_upper)
+    d = np.empty(flat.shape)
+    c = flat[inner]
+    d[inner] = (forward_values(p.forward, c + h) - forward_values(p.forward, c - h)) / (2 * h)
+    if not inner.all():
+        e = flat[~inner]
+        # one-sided, second order, stepping inward: s = -h at the right end
+        # gives the mirrored stencil with every rounding mirrored exactly
+        s = np.where(e + 2 * h <= p.sub_upper, h, -h)
+        d[~inner] = (-3 * forward_values(p.forward, e)
+                     + 4 * forward_values(p.forward, e + s)
+                     - forward_values(p.forward, e + 2 * s)) / (2 * s)
+    return float(d[0]) if xs.ndim == 0 else d.reshape(xs.shape)
 
 
 def inverse_slope(p: Piece, y: float) -> float:
     """Absolute derivative of the piece inverse at y (the 1-D Jacobian of
-    the inverse).  Raises SingularSlopeError where the forward derivative
-    vanishes, e.g. at the extrema of a sine branch."""
+    the inverse): `Piece.inverse_slopes` at one value.  Raises
+    SingularSlopeError where the forward derivative vanishes, e.g. at the
+    extrema of a sine branch, and RangeError for a y outside the image of
+    a piece without a closed-form inverse derivative."""
     if p.kind != DIFFEOMORPHIC:
         raise PieceKindError("constant pieces have no inverse slope")
-    if p.inverse_derivative is not None:
-        v = abs(float(p.inverse_derivative(y)))
-        if not math.isfinite(v) or v > 1.0 / DERIVATIVE_FLOOR:
-            raise SingularSlopeError(y)
-        return v
-    x = invert_piece(p, y)
-    d = forward_derivative(p, x)
-    # rounding noise in the finite difference is of order eps/h; below that
-    # the derivative is indistinguishable from zero
-    h = H_FD_SCALE * p.length
-    scale = max(1.0, abs(float(p.forward(x))))
-    floor = max(DERIVATIVE_FLOOR, 100.0 * 2.2e-16 * scale / h)
-    if abs(d) < floor:
+    if p.inverse_derivative is None:
+        _require_in_image(p, y)
+    v = float(p.inverse_slopes(np.array([y], dtype=float))[0])
+    if v == math.inf:
         raise SingularSlopeError(y)
-    return 1.0 / abs(d)
+    return v
 
 
 def validate(f: MOscillatingFunction) -> ValidationReport:
@@ -413,26 +454,19 @@ def validate(f: MOscillatingFunction) -> ValidationReport:
         # probe strictly inside the image; derivative may vanish at the rim
         probes = lo + (hi - lo) * np.linspace(0.08, 0.92, VALIDATE_SAMPLES // 8)
         if p.inverse is not None:
-            worst = 0.0
-            for y in probes:
-                worst = max(worst, abs(float(p.forward(float(p.inverse(y)))) - y))
+            miss = np.abs(forward_values(p.forward, p.invert(probes)) - probes)
+            worst = float(np.fmax.reduce(miss, initial=0.0))  # fmax skips nan
             if worst > VALIDATE_TOL * max(1.0, abs(lo), abs(hi)):
                 violations.append(
                     Violation("inverse_mismatch", i,
                               f"forward(inverse(y)) != y on piece {i}", worst)
                 )
         if p.inverse_derivative is not None:
-            worst = 0.0
-            for y in probes:
-                try:
-                    x = invert_piece(p, float(y))
-                    d_fd = forward_derivative(p, x)
-                    if abs(d_fd) < DERIVATIVE_FLOOR:
-                        continue
-                    claimed = abs(float(p.inverse_derivative(float(y))))
-                    worst = max(worst, abs(claimed - 1.0 / abs(d_fd)) / (1.0 / abs(d_fd)))
-                except (RangeError, SingularSlopeError):
-                    continue
+            d_fd = np.abs(forward_derivative(p, p.invert(probes)))
+            keep = ~(d_fd < DERIVATIVE_FLOOR)
+            claimed = np.abs(forward_values(p.inverse_derivative, probes[keep]))
+            rel = np.abs(claimed - 1.0 / d_fd[keep]) / (1.0 / d_fd[keep])
+            worst = float(np.fmax.reduce(rel, initial=0.0))
             if worst > VALIDATE_TOL:
                 violations.append(
                     Violation("inverse_derivative_mismatch", i,

@@ -8,6 +8,12 @@ newlines too, may separate tokens.  All else is a SpecError: **, unary +,
 hex, octal, binary, imaginary or underscored numbers, other names, keywords,
 comparisons, attributes, subscripts, tuples, other arguments, and more than
 MAX_DEPTH nodes on a path.  Numbers reach Python's `ast` as placeholder names.
+
+Scalars and arrays share one arithmetic: x is a 1-D float64 array (a
+scalar an array of it) and pi and numbers one-value arrays, so each node
+is one numpy operation on arrays and a value does not depend on the values
+beside it.  Division by zero and overflow give inf, a fractional power of a
+negative number nan, under numpy's error state: never a Python exception.
 """
 from __future__ import annotations
 
@@ -37,16 +43,15 @@ _FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log}
 
 
 def parse_expression(text: str) -> Callable:
-    """Compile the expression to a callable of x (scalar or ndarray)."""
+    """Compile the expression to a callable of x: a float at a scalar x,
+    an array of the shape of x at an ndarray."""
     if not _ALPHABET.fullmatch(text) or _PYTHON_ONLY.search(text):
         raise SpecError(f"invalid expression {text!r}")
-    names = {"x": lambda x: np.asarray(x, dtype=float) if np.ndim(x) else float(x),
-             "pi": lambda x: math.pi}
+    names = {"x": lambda x: x, "pi": lambda x, _pi=np.array([math.pi]): _pi}
 
     def number(m):  # the text holds no '_', so none of its names is a placeholder
-        v = float(m.group())
-        names[f"_{len(names)}"] = lambda x: v if np.ndim(x) == 0 else np.full_like(
-            np.asarray(x, dtype=float), v)
+        v = np.array([float(m.group())])
+        names[f"_{len(names)}"] = lambda x: v
         return f"_{len(names) - 1}"
 
     def build(node, depth):
@@ -72,4 +77,17 @@ def parse_expression(text: str) -> Callable:
         tree = ast.parse(source, mode="eval")
     except (SyntaxError, MemoryError, RecursionError):
         raise SpecError(f"invalid expression {text!r}") from None
-    return build(tree.body, 1)
+    body = build(tree.body, 1)
+
+    def evaluate(x):
+        xs = np.asarray(x, dtype=float)
+        flat = xs.reshape(-1)
+        # numpy's power takes its fast paths (sqrt, square, reciprocal) for
+        # an exponent broadcast from one value only over two or more bases,
+        # so a lone value is evaluated as two
+        values = body(np.repeat(flat, 2) if flat.size == 1 else flat)[:flat.size]
+        if values.size != flat.size:  # an expression without x
+            values = np.repeat(values, flat.size)
+        return float(values[0]) if xs.ndim == 0 else values.reshape(xs.shape)
+
+    return evaluate

@@ -18,6 +18,15 @@ from .domain import CONSTANT, DIFFEOMORPHIC, Domain1D, MOscillatingFunction, Pie
 TWO_PI = 2.0 * math.pi
 
 
+def per_value(fn: Callable[[float], float], y) -> np.ndarray:
+    """fn at each value of the array y, in Python floats: for closed forms
+    whose value must be bitwise that of the scalar formula, where a numpy
+    array function (arcsin, power) can differ from math and float in the
+    last bit."""
+    y = np.asarray(y, dtype=float)
+    return np.fromiter(map(fn, y.ravel().tolist()), float, y.size).reshape(y.shape)
+
+
 def affine_piece(lo: float, hi: float, slope: float, intercept: float) -> Piece:
     """Monotone affine branch with exact closed-form inverse."""
     if slope == 0:
@@ -28,7 +37,7 @@ def affine_piece(lo: float, hi: float, slope: float, intercept: float) -> Piece:
         kind=DIFFEOMORPHIC,
         forward=lambda x: slope * np.asarray(x, dtype=float) + intercept,
         inverse=lambda y: (y - intercept) / slope,
-        inverse_derivative=lambda y: 1.0 / slope,
+        inverse_derivative=lambda y: np.full(np.shape(y), 1.0 / slope),
         affine_slope=float(slope),
     )
 
@@ -49,7 +58,9 @@ def sine_piece(
 
     The closed-form inverse picks the arcsine branch containing the
     subinterval's midpoint; disable closed_form to force bisection and
-    finite differences.
+    finite differences.  The closed forms take arrays; the arcsine is
+    math.asin at each value and the rest is IEEE arithmetic and sqrt, so
+    each value is bitwise that of the same formula in Python floats.
     """
     A, w, ph = float(amplitude), float(frequency), float(phase)
 
@@ -63,13 +74,14 @@ def sine_piece(
         sign = -1.0 if k % 2 else 1.0
 
         def inv(y, _k=k, _sign=sign):
-            t = _k * math.pi + _sign * math.asin(min(max(y / A, -1.0), 1.0))
-            return (t - ph) / w
+            r = np.clip(np.asarray(y, dtype=float) / A, -1.0, 1.0)
+            return (_k * math.pi + _sign * per_value(math.asin, r) - ph) / w
 
         def inv_d(y):
-            r = min(max(y / A, -1.0), 1.0)
-            return 1.0 / (abs(A * w) * math.sqrt(max(1.0 - r * r, 0.0))) \
-                if abs(r) < 1.0 else math.inf
+            r = np.clip(np.asarray(y, dtype=float) / A, -1.0, 1.0)
+            with np.errstate(divide="ignore"):
+                v = 1.0 / (abs(A * w) * np.sqrt(np.maximum(1.0 - r * r, 0.0)))
+            return np.where(np.abs(r) < 1.0, v, math.inf)
 
     return Piece(sub_lower=lo, sub_upper=hi, kind=DIFFEOMORPHIC,
                  forward=fwd, inverse=inv, inverse_derivative=inv_d)

@@ -57,11 +57,11 @@ def _interval(raw, context: str) -> tuple[float, float]:
     return lo, hi
 
 
-def _power_inverse_slope(y, p: float) -> float:
+def _power_inverse_slope(y: float, p: float) -> float:
     """Derivative of y -> y^(1/p); +inf at y = 0 when 1/p < 1, where the
     forward slope vanishes (a singular slope, as at the extrema of sin)."""
     e = 1.0 / p - 1.0
-    y = max(float(y), 0.0)
+    y = max(y, 0.0)
     if y == 0.0 and e < 0:
         return math.inf
     return y ** e / p
@@ -97,8 +97,9 @@ def _build_piece(raw: dict, index: int) -> Piece:
         return Piece(
             sub_lower=lo, sub_upper=hi,
             forward=lambda x, _p=p: np.asarray(x, dtype=float) ** _p,
-            inverse=lambda y, _p=p: float(y) ** (1.0 / _p),
-            inverse_derivative=lambda y, _p=p: _power_inverse_slope(y, _p),
+            inverse=lambda y, _e=1.0 / p: families.per_value(lambda v: v ** _e, y),
+            inverse_derivative=lambda y, _p=p: families.per_value(
+                lambda v: _power_inverse_slope(v, _p), y),
         )
     if kind == "constant":
         _require_keys(params, {"value"}, ctx)

@@ -34,14 +34,18 @@ from .domain import (
     CONSTANT,
     MOscillatingFunction,
     forward_values,
-    inverse_slope,
     invert_piece,
     validate,
 )
-from .errors import ConstructionError, SingularSlopeError
+from .errors import ConstructionError
 
 PROB_TOL = 1e-6
 GRID_SIZE = 1024
+# defaults of the set-wise checks in `convergence`, defined here so that the
+# CLI reads its option defaults without loading that module
+DEFAULT_DEPTH = 6
+DEFAULT_WINDOW = (8, 64)
+DEFAULT_TOL = 1e-2
 MERGE_SNAP = 1e-12  # atoms this close share one location
 
 
@@ -164,8 +168,9 @@ def _slope_sum(f: MOscillatingFunction, y):
     on the boundary between two touching images counts once.  A value
     within rounding slack of an image end counts as on it.  The sum is +inf
     where any contributing slope is singular.  Affine pieces read their
-    slope from the piece table; other pieces call `inverse_slope` at each
-    value they hold.  Pieces are added in order, one row at a time.
+    slope from the piece table; every other piece makes one call of its
+    array form `Piece.inverse_slopes` on all the values it holds.  Pieces
+    are added in order, one row at a time.
     """
     t = f.piece_table
     ys = np.asarray(y, dtype=float)
@@ -180,14 +185,10 @@ def _slope_sum(f: MOscillatingFunction, y):
         tops = np.flatnonzero(t.hi >= top - slack)
         hit[np.ix_(tops, near)] |= np.abs(row[0, near] - t.hi[tops, None]) <= slack
     terms = np.where(hit, t.inv_slope[:, None], 0.0)
-    values = row[0].tolist()
-    varying = np.flatnonzero(np.isnan(t.inv_slope))
-    for k, j in zip(*np.nonzero(hit[varying])):
-        i = varying[k]
-        try:
-            terms[i, j] = inverse_slope(t.monotone[i], values[j])
-        except SingularSlopeError:
-            terms[i, j] = math.inf
+    for i in np.flatnonzero(np.isnan(t.inv_slope)).tolist():
+        held = hit[i]
+        if held.any():
+            terms[i, held] = t.monotone[i].inverse_slopes(row[0, held])
     if terms.shape[1] == 1:
         # piece after piece, as a sum along axis 0 adds two or more
         # columns; it would add a lone column pairwise
@@ -215,7 +216,8 @@ def young_density_function(f: MOscillatingFunction) -> Optional[DensityFunction]
 
     F(y) = sum over the monotone pieces of |inv(clip(y)) - inv(lo)| / M,
     with clip(y) clamped to the piece image [lo, hi]: the preimage length
-    of [lo, y] under each piece.  The expectation of phi is the sum over
+    of [lo, y] under each piece, from one call of the array form
+    `Piece.invert` per piece.  The expectation of phi is the sum over
     the monotone pieces of the integral of phi(f(x)) over the piece, over
     M: the paper's identity, integrated in x where the integrand is
     bounded.
@@ -237,15 +239,11 @@ def young_density_function(f: MOscillatingFunction) -> Optional[DensityFunction]
 
     def cdf(ys):
         ys = np.asarray(ys, dtype=float)
-        total = np.zeros(ys.shape)
-        for p, lo, hi, x0 in zip(t.monotone, los, his, starts):
-            clipped = np.clip(ys, lo, hi)
-            if p.affine_slope is not None and p.inverse is not None:
-                xs = p.inverse(clipped)  # affine: one call inverts the array
-            else:
-                xs = np.array([invert_piece(p, y) for y in clipped])
-            total += np.abs(xs - x0)
-        return total / M
+        flat = ys.reshape(-1)
+        total = np.zeros(flat.shape)
+        for p, x0 in zip(t.monotone, starts):
+            total += np.abs(p.invert(flat) - x0)
+        return (total / M).reshape(ys.shape)
 
     return DensityFunction(
         support=support,
