@@ -134,26 +134,23 @@ class Piece:
         if self.inverse is not None:
             return forward_values(self.inverse, ys)
         a = np.full(ys.shape, self.sub_lower)
-        b = np.full(ys.shape, self.sub_upper)
         fa = forward_values(self.forward, a[:1]) - ys
-        exact = fa == 0.0
-        root = np.where(exact, a, 0.0)
-        live = ~exact
+        # a value stops with its bracket's midpoint, which at an exact zero
+        # is that zero: an empty bracket [a, a] at the lower end
+        b = np.where(fa == 0.0, a, self.sub_upper)
+        live = np.ones(ys.shape, dtype=bool)
         for _ in range(BISECT_MAX_ITER):
             live &= ~(b - a <= BISECT_WIDTH)
             if not live.any():
                 break
             mid = 0.5 * (a + b)
             fm = forward_values(self.forward, mid) - ys
-            hit = live & (fm == 0.0)
-            root[hit] = mid[hit]
-            exact |= hit
-            live &= ~hit
+            live &= fm != 0.0
             up = live & ((fm > 0) == (fa > 0))
             a = np.where(up, mid, a)
             fa = np.where(up, fm, fa)
             b = np.where(live & ~up, mid, b)
-        return np.where(exact, root, 0.5 * (a + b))
+        return 0.5 * (a + b)
 
     def inverse_slopes(self, ys: np.ndarray) -> np.ndarray:
         """Absolute derivative of the inverse at each value of a 1-D array,

@@ -193,6 +193,17 @@ def test_power_slopes_at_zero_for_exponents_below_and_above_one():
         assert invert_piece(p, 0.0) == 0.0
 
 
+def test_lockstep_bisection_stops_each_value_at_its_own_exact_zero():
+    # x on (0, 1) halves at dyadic points: 0.5 is hit first, 0.375 third,
+    # 0.3 never; 0 is the lower end itself
+    p = build_function({"domain": [0.0, 1.0], "pieces": [
+        {"interval": [0.0, 1.0], "kind": "expr", "params": {"expr": "x"}}]}).pieces[0]
+    ys = np.array([0.5, 0.3, 0.375, 0.0, 1.0])
+    xs = p.invert(ys)
+    assert xs.tobytes() == np.array([loop_invert(p, y) for y in ys]).tobytes()
+    assert xs[[0, 2, 3]].tolist() == [0.5, 0.375, 0.0]
+
+
 def counted_piece(text, lo, hi):
     calls = []
     fwd = parse_expression(text)
