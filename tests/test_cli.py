@@ -440,3 +440,37 @@ def test_converge_window_outside_indices_is_input_error(tmp_path, capsys,
                *(("--window", window) if window else ())])
     assert rc == 2
     assert "indices" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bolza", "--n-list", "1,,2"],
+    ["bolza", "--n-list", "2.5"],
+    ["bolza", "--n-list", "0"],
+    ["bolza", "--gradient-ym", "--n", "0"],
+    ["weak-cont", "--n-start", "0"],
+    ["weak-cont", "--n-start", "5", "--n-stop", "3"],
+    ["weak-cont", "--depth", "-1"],
+    ["converge", "--input", "amp", "--depth", "-1"],
+    ["density", "--input", "tent", "--grid", "-3"],
+], ids=["n-list-empty-item", "n-list-fraction", "n-list-zero", "gradient-n-zero",
+        "n-start-zero", "n-start-past-n-stop", "weak-cont-depth-negative",
+        "converge-depth-negative", "grid-negative"])
+def test_out_of_range_option_is_an_input_error(argv, amp_spec, tent_spec, capsys):
+    from oscym.cli import main
+
+    argv = [{"amp": amp_spec, "tent": tent_spec}.get(a, a) for a in argv]
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1, err
+    assert "Traceback" not in err
+
+
+def test_density_on_an_empty_grid_prints_the_header(tent_spec, capsys):
+    from oscym.cli import main
+
+    assert main(["density", "--input", tent_spec, "--grid", "0"]) == 0
+    assert capsys.readouterr().out == "y,g\n"

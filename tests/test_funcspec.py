@@ -119,6 +119,12 @@ def test_unknown_piece_param_rejected():
         parse_spec(spec)
 
 
+def test_sin_family_takes_no_params():
+    spec = {"family": "sin", "params": {"closed_form": False}, "indices": [1, 4]}
+    with pytest.raises(SpecError, match="closed_form"):
+        parse_spec(json.dumps(spec))
+
+
 def test_malformed_json_reports_position():
     with pytest.raises(SpecError) as exc:
         parse_spec('{"domain": [0, 1],\n "pieces": [,]}')

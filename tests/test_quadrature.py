@@ -3,8 +3,11 @@
 One panel is checked against exact polynomial integrals, the adaptive rule
 against closed forms with singular ends and with a kink between its cut
 points, and the CLI commands that integrate against the claim that they
-load no scipy module.
+load no scipy module.  An integrand that takes arrays is called once per
+panel, on its 15 nodes, and gives bitwise what a call per node gives; one
+that takes only scalars is called once per node with a Python float.
 """
+import json
 import math
 import os
 import subprocess
@@ -18,12 +21,31 @@ from hypothesis import given, settings, strategies as st
 
 from oscym import cli, quadrature
 from oscym.convergence import NonhomogeneousDensityFamily
-from oscym.domain import Domain1D
+from oscym.domain import Domain1D, forward_derivative, forward_values
 from oscym.errors import QuadratureError
 from oscym.families import triangular_density
-from oscym.measures import DensityFunction
+from oscym.funcspec import build_function
+from oscym.measures import (
+    DensityFunction,
+    ScalarMeasureRCA,
+    integrate_test,
+    young_density_function,
+    young_measure,
+)
+from oscym.relaxation import bolza_functional
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def per_node(fn):
+    """fn called once per node with a Python float, as the rule called every
+    integrand before it took arrays: the reference for the array call."""
+    return lambda ys: np.array([fn(y) for y in ys.tolist()], dtype=float)
+
+
+def spec_function(name):
+    return build_function(json.loads((DATA / f"{name}.json").read_text()))
 
 
 def _integral_of_powers(weights, a, b):
@@ -142,3 +164,72 @@ def test_integrating_commands_do_not_import_scipy():
     r = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                        text=True, env=dict(os.environ, PYTHONPATH=str(SRC)))
     assert r.returncode == 0, r.stderr
+
+
+def test_an_array_integrand_is_called_once_per_panel(monkeypatch):
+    panels, shapes = [], []
+    kronrod = quadrature._kronrod
+    monkeypatch.setattr(quadrature, "_kronrod",
+                        lambda values, h: panels.append(h) or kronrod(values, h))
+
+    def fn(y):
+        shapes.append(np.shape(y))
+        return np.abs(y - 0.3)  # a kink off the cut points: bisection runs
+
+    assert quadrature.integrate(fn, 0.0, 1.0) == pytest.approx(0.29, abs=1e-9)
+    assert len(panels) > 2
+    assert shapes == [(15,)] * len(panels)
+
+
+def test_a_scalar_only_integrand_receives_python_floats():
+    seen = set()
+
+    def fn(y):
+        seen.add(type(y))
+        return math.sqrt(abs(y - 0.3))
+
+    quadrature.integrate(fn, 0.0, 1.0, points=(0.3,))
+    assert seen == {np.ndarray, float}
+    seen.clear()
+    assert forward_values(fn, np.array([0.3, 0.55])).tolist() == [0.0, 0.5]
+    assert seen == {np.ndarray, float}
+
+
+@pytest.mark.parametrize("fn, a, b, points", [
+    (lambda y: y * y - 3.0 * y, 0.0, 2.0, ()),
+    (lambda y: np.abs(y - 0.3), 0.0, 2.0, (0.7,)),
+    (triangular_density(0.3), 0.0, 2.0, (0.3, 1.0)),
+    (DensityFunction.from_grid(np.linspace(0.0, 2.0, 9),
+                               np.linspace(0.0, 2.0, 9) ** 2).evaluator, 0.0, 2.0, ()),
+    (young_density_function(spec_function("sine")).evaluator, -1.0, 1.0, (0.0,)),
+], ids=["polynomial", "kink", "triangular", "grid", "arcsine"])
+def test_array_calls_equal_a_call_per_node_bitwise(fn, a, b, points):
+    assert quadrature.integrate(fn, a, b, points) == quadrature.integrate(
+        per_node(fn), a, b, points)
+
+
+@pytest.mark.parametrize("name", ["sine", "power", "expr", "tent"])
+def test_x_integrals_equal_a_call_per_node_bitwise(name):
+    f = spec_function(name)
+    pieces = f.piece_table.monotone
+    for phi in (lambda y: y * y, math.cos):
+        loop = math.fsum(quadrature.integrate(
+            per_node(lambda x, _p=p: phi(float(_p.forward(x)))), p.sub_lower, p.sub_upper)
+            for p in pieces) / f.measure_M
+        assert integrate_test(young_measure(f), phi) == loop
+    loop = 0.0
+    for p in f.pieces:
+        loop += quadrature.integrate(
+            per_node(lambda x, _p=p: float(_p.forward(x)) ** 2
+                     + (forward_derivative(_p, x) ** 2 - 1.0) ** 2),
+            p.sub_lower, p.sub_upper)
+    assert bolza_functional(f) == loop
+
+
+def test_y_integrals_equal_a_call_per_node_bitwise():
+    tri = triangular_density(0.3)
+    m = ScalarMeasureRCA((0.0, 2.0), DensityFunction((0.0, 2.0), tri, breakpoints=(0.3, 1.0)))
+    for phi in (lambda y: y * y, math.cos):
+        loop = quadrature.integrate(per_node(lambda y: phi(y) * tri(y)), 0.0, 2.0,
+                                    points=(0.3, 1.0))
+        assert integrate_test(m, phi) == loop

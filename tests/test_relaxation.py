@@ -1,8 +1,11 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from oscym import quadrature, relaxation
 from oscym import (
     bolza_functional,
     gradient_young_measure,
@@ -14,6 +17,9 @@ from oscym.domain import Domain1D, MOscillatingFunction
 from oscym.domain import evaluate, evaluate_many
 from oscym.errors import UnsupportedError
 from oscym.families import constant_piece, sine_wave
+from oscym.funcspec import build_function
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def test_sawtooth_structure():
@@ -66,6 +72,20 @@ def test_bolza_decreasing_along_sequence():
     vals = [bolza_functional(sawtooth(n)) for n in (1, 2, 4, 8, 16)]
     assert all(a > b for a, b in zip(vals[:-1], vals[1:]))
     assert vals[-1] < 1e-3
+
+
+def test_bolza_takes_one_derivative_call_per_panel(monkeypatch):
+    f = build_function(json.loads((DATA / "sine.json").read_text()))
+    panels, shapes = [], []
+    kronrod = quadrature._kronrod
+    monkeypatch.setattr(quadrature, "_kronrod",
+                        lambda values, h: panels.append(h) or kronrod(values, h))
+    derivative = relaxation.forward_derivative
+    monkeypatch.setattr(relaxation, "forward_derivative",
+                        lambda p, x: shapes.append(np.shape(x)) or derivative(p, x))
+    bolza_functional(f)
+    assert len(panels) >= len(f.pieces)
+    assert shapes == [(15,)] * len(panels)
 
 
 def test_gradient_young_measure_two_atoms():
