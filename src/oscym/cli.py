@@ -235,13 +235,15 @@ def _builtin_family(name: str) -> convergence.NonhomogeneousDensityFamily:
             range_K=(0.0, 2.0),
         )
     if name == "uniform":
-        u = DensityFunction(support=(0.0, 1.0), evaluator=lambda y: 1.0)
+        u = DensityFunction(support=(0.0, 1.0), evaluator=np.ones_like)
         return convergence.NonhomogeneousDensityFamily(
             domain=Domain1D(0.0, 1.0), evaluator=lambda x: u, range_K=(0.0, 1.0))
     raise SpecError(f"unknown density family {name!r}")
 
 
 def cmd_weak_cont(args) -> int:
+    if args.n_start > args.n_stop:
+        raise PreconditionError(f"--n-start {args.n_start} exceeds --n-stop {args.n_stop}")
     fam = _builtin_family(args.family)
     xs = [args.x0 + 1.0 / n for n in range(args.n_start, args.n_stop + 1)]
     test = convergence.BorelTestFamily(fam.range_K, args.depth)
@@ -282,6 +284,31 @@ def cmd_bolza(args) -> int:
     return EXIT_OK
 
 
+def _at_least(low: int, value: int) -> int:
+    if value < low:
+        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {value}")
+    return value
+
+
+def _count(text: str) -> int:
+    """argparse type: an integer >= 0; argparse reports a text that int()
+    rejects as an invalid value."""
+    return _at_least(0, int(text))
+
+
+def _positive(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    return _at_least(1, int(text))
+
+
+def _n_list(text: str) -> str:
+    """argparse type: comma-separated integers >= 1, kept as written, the
+    form the JSON config echoes."""
+    for part in text.split(","):
+        _positive(part)
+    return text
+
+
 def _window(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
@@ -307,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     def grid(p):
-        p.add_argument("--grid", type=int, default=measures.GRID_SIZE)
+        p.add_argument("--grid", type=_count, default=measures.GRID_SIZE)
 
     def tol(p):
         p.add_argument("--tol", type=float, default=measures.DEFAULT_TOL)
@@ -345,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     tol(p)
     p.add_argument("--window", type=_window, default=measures.DEFAULT_WINDOW)
-    p.add_argument("--depth", type=int, default=measures.DEFAULT_DEPTH)
+    p.add_argument("--depth", type=_count, default=measures.DEFAULT_DEPTH)
     p.set_defaults(func=cmd_converge)
 
     p = sub.add_parser("weak-cont", help="weak continuity of x -> h_x")
@@ -354,9 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
     quad_tol(p)
     p.add_argument("--family", default="triangular")
     p.add_argument("--x0", type=float, default=0.5)
-    p.add_argument("--n-start", type=int, default=3)
-    p.add_argument("--n-stop", type=int, default=256)
-    p.add_argument("--depth", type=int, default=measures.DEFAULT_DEPTH)
+    p.add_argument("--n-start", type=_positive, default=3)
+    p.add_argument("--n-stop", type=_positive, default=256)
+    p.add_argument("--depth", type=_count, default=measures.DEFAULT_DEPTH)
     p.set_defaults(func=cmd_weak_cont)
 
     p = sub.add_parser("homog", help="homogeneity of a density family")
@@ -370,9 +397,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bolza", help="Bolza functional on the sawtooth sequence")
     common(p, input_file=False)
     quad_tol(p)
-    p.add_argument("--n-list", default="1,2,4,8,16")
+    p.add_argument("--n-list", type=_n_list, default="1,2,4,8,16")
     p.add_argument("--gradient-ym", action="store_true")
-    p.add_argument("--n", type=int, default=4)
+    p.add_argument("--n", type=_positive, default=4)
     p.set_defaults(func=cmd_bolza)
 
     return ap

@@ -24,7 +24,6 @@ from .measures import (
     ScalarMeasureRCA,
     total_slope,
     unvalidated_young_measure,
-    young_density_function,
     young_measure,
 )
 
@@ -212,24 +211,6 @@ def monotone_slope_check(
     return bool((diffs >= -tol).all() or (diffs <= tol).all())
 
 
-def density_sequence_from_functions(
-    fs: Sequence[MOscillatingFunction],
-    range_K: Optional[tuple[float, float]] = None,
-) -> DensitySequence:
-    """Young densities of the given functions as a 1-based DensitySequence."""
-    if range_K is None:
-        range_K = (
-            min(f.range_K[0] for f in fs),
-            max(f.range_K[1] for f in fs),
-        )
-
-    def gen(n: int) -> DensityFunction:
-        return young_density_function(fs[n - 1])
-
-    return DensitySequence(generator=gen, range_K=tuple(range_K),
-                           max_index=len(fs))
-
-
 def converge_young(
     fs: Sequence[MOscillatingFunction],
     family: BorelTestFamily,
@@ -299,11 +280,10 @@ def homogeneity_check(
     for i in range(len(densities)):
         for j in range(i + 1, len(densities)):
             gi, gj = densities[i], densities[j]
-            pts = (list(gi.singular_points) + list(gi.breakpoints)
-                   + list(gj.singular_points) + list(gj.breakpoints))
             dist = quadrature.integrate(
-                lambda y: abs(gi.evaluator(y) - gj.evaluator(y)),
-                lo, hi, points=pts, tol=max(quad_tol, tol * 1e-3),
+                lambda y: np.abs(gi.evaluator(y) - gj.evaluator(y)),
+                lo, hi, points=gi.cut_points + gj.cut_points,
+                tol=max(quad_tol, tol * 1e-3),
             )
             if dist > tol:
                 return False

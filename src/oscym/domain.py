@@ -311,14 +311,15 @@ def evaluate_many(f: MOscillatingFunction, xs: np.ndarray,
 
 def forward_values(fn: Callable, xs: np.ndarray) -> np.ndarray:
     """fn on a 1-D array in one call; a function that rejects arrays, or
-    returns another shape, is called once per value instead."""
+    returns another shape, is called once per value instead, with a
+    Python float."""
     try:
         vals = np.asarray(fn(xs), dtype=float)
         if vals.shape == xs.shape:
             return vals
     except (TypeError, ValueError):
         pass
-    return np.array([float(fn(v)) for v in xs])
+    return np.array([float(fn(v)) for v in xs.tolist()])
 
 
 def _require_in_image(p: Piece, y: float) -> None:

@@ -52,13 +52,11 @@ def sine_piece(
     amplitude: float = 1.0,
     frequency: float = TWO_PI,
     phase: float = 0.0,
-    closed_form: bool = True,
 ) -> Piece:
     """Branch of A*sin(w*x + phase), monotone on (lo, hi).
 
     The closed-form inverse picks the arcsine branch containing the
-    subinterval's midpoint; disable closed_form to force bisection and
-    finite differences.  The closed forms take arrays; the arcsine is
+    subinterval's midpoint.  The closed forms take arrays; the arcsine is
     math.asin at each value and the rest is IEEE arithmetic and sqrt, so
     each value is bitwise that of the same formula in Python floats.
     """
@@ -67,21 +65,19 @@ def sine_piece(
     def fwd(x):
         return A * np.sin(w * np.asarray(x, dtype=float) + ph)
 
-    inv = inv_d = None
-    if closed_form:
-        t_mid = w * 0.5 * (lo + hi) + ph
-        k = round(t_mid / math.pi)
-        sign = -1.0 if k % 2 else 1.0
+    t_mid = w * 0.5 * (lo + hi) + ph
+    k = round(t_mid / math.pi)
+    sign = -1.0 if k % 2 else 1.0
 
-        def inv(y, _k=k, _sign=sign):
-            r = np.clip(np.asarray(y, dtype=float) / A, -1.0, 1.0)
-            return (_k * math.pi + _sign * per_value(math.asin, r) - ph) / w
+    def inv(y):
+        r = np.clip(np.asarray(y, dtype=float) / A, -1.0, 1.0)
+        return (k * math.pi + sign * per_value(math.asin, r) - ph) / w
 
-        def inv_d(y):
-            r = np.clip(np.asarray(y, dtype=float) / A, -1.0, 1.0)
-            with np.errstate(divide="ignore"):
-                v = 1.0 / (abs(A * w) * np.sqrt(np.maximum(1.0 - r * r, 0.0)))
-            return np.where(np.abs(r) < 1.0, v, math.inf)
+    def inv_d(y):
+        r = np.clip(np.asarray(y, dtype=float) / A, -1.0, 1.0)
+        with np.errstate(divide="ignore"):
+            v = 1.0 / (abs(A * w) * np.sqrt(np.maximum(1.0 - r * r, 0.0)))
+        return np.where(np.abs(r) < 1.0, v, math.inf)
 
     return Piece(sub_lower=lo, sub_upper=hi, kind=DIFFEOMORPHIC,
                  forward=fwd, inverse=inv, inverse_derivative=inv_d)
@@ -128,7 +124,7 @@ def rising_sawtooth(teeth: int = 2) -> MOscillatingFunction:
     return MOscillatingFunction(domain=Domain1D(0.0, 1.0), pieces=tuple(pieces))
 
 
-def sine_wave(n: int = 1, closed_form: bool = True) -> MOscillatingFunction:
+def sine_wave(n: int = 1) -> MOscillatingFunction:
     """sin(2*pi*n*x) on (0, 1), split into its maximal monotone branches.
 
     The branch cuts sit at the extrema (2k+1)/(4n); every interior branch
@@ -138,8 +134,7 @@ def sine_wave(n: int = 1, closed_form: bool = True) -> MOscillatingFunction:
     w = TWO_PI * n
     cuts = [0.0] + [(2 * k + 1) / (4.0 * n) for k in range(2 * n)] + [1.0]
     pieces = tuple(
-        sine_piece(lo, hi, amplitude=1.0, frequency=w, phase=0.0,
-                   closed_form=closed_form)
+        sine_piece(lo, hi, amplitude=1.0, frequency=w, phase=0.0)
         for lo, hi in zip(cuts[:-1], cuts[1:])
     )
     return MOscillatingFunction(domain=Domain1D(0.0, 1.0), pieces=pieces,
@@ -187,18 +182,16 @@ def half_plateau() -> MOscillatingFunction:
     )
 
 
-def triangular_density(x: float) -> Callable[[float], float]:
-    """Density 2*h_x on K = [0, 2]: rises like 2y/x on [0, x), falls like
-    2(1-y)/(1-x) on [x, 1), and vanishes on [1, 2].  Integrates to 1 for
-    every x in (0, 1)."""
+def triangular_density(x: float) -> Callable:
+    """Density 2*h_x on K = [0, 2], at a scalar or at each value of an
+    array: rises like 2y/x on [0, x), falls like 2(1-y)/(1-x) on [x, 1),
+    and vanishes on [1, 2].  Integrates to 1 for every x in (0, 1)."""
     if not 0.0 < x < 1.0:
         raise ValueError("x must lie in (0, 1)")
 
     def h(y, _x=float(x)):
-        if 0.0 <= y < _x:
-            return 2.0 * y / _x
-        if _x <= y < 1.0:
-            return 2.0 * (1.0 - y) / (1.0 - _x)
-        return 0.0
+        y = np.asarray(y, dtype=float)
+        return np.where((0.0 <= y) & (y < _x), 2.0 * y / _x,
+                        np.where((_x <= y) & (y < 1.0), 2.0 * (1.0 - y) / (1.0 - _x), 0.0))
 
     return h

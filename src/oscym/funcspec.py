@@ -121,15 +121,14 @@ def build_function(obj: dict) -> MOscillatingFunction:
 
 
 _BUILTIN_FAMILIES = {
-    "sin": lambda n, params: families.sine_wave(
-        n, closed_form=bool(params.get("closed_form", True))),
+    "sin": lambda n, params: families.sine_wave(n),
     "roubicek": lambda n, params: families.roubicek(
         n, teeth=int(params.get("teeth", 64))),
     "amplitude_tent": lambda n, params: families.amplitude_tent(n),
 }
 
 _FAMILY_PARAM_KEYS = {
-    "sin": {"closed_form"},
+    "sin": set(),
     "roubicek": {"teeth"},
     "amplitude_tent": set(),
 }

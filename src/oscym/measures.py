@@ -58,9 +58,12 @@ class Atom(NamedTuple):
 class DensityFunction:
     """Nonnegative density on a closed support interval.
 
-    `evaluator` must accept a scalar and may return +inf exactly at the
-    listed singular points; quadrature cuts there and never evaluates the
-    cut points themselves.  `breakpoints` mark mere kinks, cut points too.
+    `evaluator` takes an array of y and returns the density at each, an
+    array of the same shape; quadrature calls it once per panel.  One that
+    accepts only a scalar still works, called once per value with a Python
+    float.  It may return +inf exactly at the listed singular points;
+    quadrature cuts there and never evaluates the cut points themselves.
+    `breakpoints` mark mere kinks, cut points too (`cut_points` lists both).
     The rule maps each cut interval [lo, hi] by y = lo + w t^2 (3 - 2t),
     w = hi - lo, so an integrable inverse-square-root singularity at a cut
     point leaves a bounded integrand in t; a non-integrable singularity,
@@ -75,7 +78,7 @@ class DensityFunction:
     """
 
     support: tuple[float, float]
-    evaluator: Callable[[float], float]
+    evaluator: Callable
     singular_points: tuple[float, ...] = ()
     breakpoints: tuple[float, ...] = ()
     cdf: Optional[Callable[[np.ndarray], np.ndarray]] = None
@@ -89,7 +92,7 @@ class DensityFunction:
         yf, vf = ys[finite], values[finite]
 
         def ev(y, _ys=yf, _vs=vf):
-            return float(np.interp(y, _ys, _vs))
+            return np.interp(y, _ys, _vs)
 
         return cls(
             support=(float(ys[0]), float(ys[-1])),
@@ -100,15 +103,19 @@ class DensityFunction:
     def __call__(self, y: float) -> float:
         return float(self.evaluator(y))
 
+    @property
+    def cut_points(self) -> tuple[float, ...]:
+        """Where quadrature in y cuts: the singular points and breakpoints."""
+        return (*self.singular_points, *self.breakpoints)
+
     def masses(self, edges, quad_tol: float = quadrature.QUAD_TOL) -> np.ndarray:
         """Integrals of the density over the consecutive intervals of the
         nondecreasing `edges`, each clipped to the support."""
         edges = np.clip(np.asarray(edges, dtype=float), *self.support)
         if self.cdf is not None:
             return np.diff(self.cdf(edges))
-        pts = [*self.singular_points, *self.breakpoints]
         return np.array([
-            quadrature.integrate(self.evaluator, a, b, points=pts, tol=quad_tol)
+            quadrature.integrate(self.evaluator, a, b, points=self.cut_points, tol=quad_tol)
             for a, b in zip(edges[:-1], edges[1:])
         ])
 
@@ -220,7 +227,7 @@ def young_density_function(f: MOscillatingFunction) -> Optional[DensityFunction]
     `Piece.invert` per piece.  The expectation of phi is the sum over
     the monotone pieces of the integral of phi(f(x)) over the piece, over
     M: the paper's identity, integrated in x where the integrand is
-    bounded.
+    bounded, with f and then phi called once on each panel's nodes.
     """
     t = f.piece_table
     if not t.monotone:
@@ -233,8 +240,9 @@ def young_density_function(f: MOscillatingFunction) -> Optional[DensityFunction]
 
     def expectation(phi):
         return math.fsum(
-            quadrature.integrate(lambda x, _p=p: phi(float(_p.forward(x))),
-                                 p.sub_lower, p.sub_upper)
+            quadrature.integrate(
+                lambda x, _p=p: forward_values(phi, forward_values(_p.forward, x)),
+                p.sub_lower, p.sub_upper)
             for p in t.monotone) / M
 
     def cdf(ys):
@@ -293,10 +301,9 @@ def integrate_test(m: ScalarMeasureRCA, phi: Callable[[float], float]) -> float:
     if g is not None and g.expectation is not None:
         total += g.expectation(phi)
     elif g is not None:
-        pts = list(g.singular_points) + list(g.breakpoints)
         total += quadrature.integrate(
             lambda y: phi(y) * g.evaluator(y),
-            g.support[0], g.support[1], points=pts,
+            g.support[0], g.support[1], points=g.cut_points,
         )
     for a in m.atoms:
         total += a.weight * phi(a.location)
@@ -311,10 +318,9 @@ def tv_norm(m: ScalarMeasureRCA) -> float:
         total += integrate_density(m.density, m.density.support)
     elif m.density is not None:
         g = m.density
-        pts = list(g.singular_points) + list(g.breakpoints)
         total += quadrature.integrate(
-            lambda y: abs(g.evaluator(y)),
-            g.support[0], g.support[1], points=pts,
+            lambda y: np.abs(g.evaluator(y)),
+            g.support[0], g.support[1], points=g.cut_points,
         )
     return total
 

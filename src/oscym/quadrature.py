@@ -11,6 +11,11 @@ QUADPACK's qk15 does, from the gap to the embedded 7-point Gauss rule.
 Global adaptive bisection splits the panel with the largest estimate
 until the summed estimate is at most max(tol, tol |integral|).
 
+The integrand follows the package's array convention: it is called once
+per panel, on the array of its 15 nodes, and returns an array of the same
+shape.  A callable that rejects arrays, or returns another shape, is
+called once per node with a Python float instead (`domain.forward_values`).
+
 Set masses of Young measures never come here: they are exact preimage
 lengths (see `measures`).  The rule serves generic densities, test
 functions (in x for Young measures, in y for other densities) and the
@@ -24,6 +29,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from .domain import forward_values
 from .errors import QuadratureError
 
 QUAD_TOL = 1e-9
@@ -63,10 +69,10 @@ def _kronrod(values: np.ndarray, h: float) -> tuple[float, float]:
     return h * k, max(err, 50.0 * _EPS * h * float(_KRONROD @ np.abs(values)))
 
 
-def _panel(fn: Callable[[float], float], lo: float, hi: float,
+def _panel(fn: Callable, lo: float, hi: float,
            t0: float, t1: float) -> tuple[float, float]:
     """Value and error estimate of fn over the part of [lo, hi] that the
-    end map takes [t0, t1] to."""
+    end map takes [t0, t1] to, from one call of fn on the panel's nodes."""
     h = 0.5 * (t1 - t0)
     t = (t0 + h) + h * _NODES
     s = 1.0 - t
@@ -74,7 +80,7 @@ def _panel(fn: Callable[[float], float], lo: float, hi: float,
     # offsets from the nearer end keep nodes near hi off hi itself
     ys = np.where(t <= 0.5, lo + w * (t * t * (3.0 - 2.0 * t)),
                   hi - w * (s * s * (3.0 - 2.0 * s)))
-    values = np.array([fn(y) for y in ys.tolist()], dtype=float)
+    values = forward_values(fn, ys)
     bad = ~np.isfinite(values)
     if bad.any():
         raise QuadratureError(f"integrand is not finite at y={ys[bad][0]}")
@@ -82,7 +88,7 @@ def _panel(fn: Callable[[float], float], lo: float, hi: float,
 
 
 def integrate(
-    fn: Callable[[float], float],
+    fn: Callable,
     a: float,
     b: float,
     points: Iterable[float] = (),

@@ -5,7 +5,9 @@ vanishing only where u = 0 and u' = +-1 simultaneously, which no function
 can do.  Equal-slope sawteeth drive the value to zero like 1/(48 n^2) while
 their derivatives oscillate between +-1 on sets of equal length, so the
 derivative pushforward is the two-atom measure (delta_{-1} + delta_{+1})/2
-for every index.
+for every index.  The functional is integrated piece by piece, one array
+call of W per quadrature panel, with u' exact on affine pieces and a
+finite difference elsewhere (`domain.forward_derivative`).
 """
 from __future__ import annotations
 
@@ -14,8 +16,8 @@ from typing import Callable, Union
 from . import quadrature
 from .domain import Domain1D, MOscillatingFunction, forward_derivative
 from .errors import UnsupportedError
-from .measures import ScalarMeasureRCA, integrate_test, merge_atoms
-from .families import affine_piece
+from .families import affine_piece, constant_piece
+from .measures import ScalarMeasureRCA, integrate_test, unvalidated_young_measure
 
 
 def sawtooth(n: int) -> MOscillatingFunction:
@@ -36,45 +38,27 @@ def sawtooth(n: int) -> MOscillatingFunction:
 
 def bolza_functional(u: MOscillatingFunction, quad_tol: float = quadrature.QUAD_TOL) -> float:
     """Value of the functional: integral of u^2 + ((u')^2 - 1)^2 over the
-    domain.  Affine pieces use the exact slope; other pieces fall back to a
-    finite-difference derivative inside the quadrature."""
+    domain, piece by piece, with u' from `forward_derivative`: exact on
+    affine pieces, a finite difference on the others."""
     total = 0.0
     for p in u.pieces:
-        if p.affine_slope is not None:
-            s = p.affine_slope
-            total += quadrature.integrate(
-                lambda x, _p=p: float(_p.forward(x)) ** 2,
-                p.sub_lower, p.sub_upper, tol=quad_tol,
-            )
-            total += (s * s - 1.0) ** 2 * p.length
-        else:
-            total += quadrature.integrate(
-                lambda x, _p=p: float(_p.forward(x)) ** 2
-                + (forward_derivative(_p, x) ** 2 - 1.0) ** 2,
-                p.sub_lower, p.sub_upper, tol=quad_tol,
-            )
+        total += quadrature.integrate(
+            lambda x, _p=p: _p.forward(x) ** 2 + (forward_derivative(_p, x) ** 2 - 1.0) ** 2,
+            p.sub_lower, p.sub_upper, tol=quad_tol,
+        )
     return total
 
 
 def gradient_young_measure(u: MOscillatingFunction) -> ScalarMeasureRCA:
-    """Pushforward of the piecewise-constant derivative under the normalized
-    domain measure: one atom per distinct slope, weighted by the share of
-    the domain carrying that slope."""
-    M = u.measure_M
-    raw = []
-    for p in u.pieces:
-        if p.affine_slope is None:
-            raise UnsupportedError(
-                "derivative pushforward needs piecewise-affine input"
-            )
-        raw.append((float(p.affine_slope), p.length / M))
-    atoms = merge_atoms(raw)
-    locs = [a.location for a in atoms]
-    return ScalarMeasureRCA(
-        range_K=(min(locs), max(locs)),
-        density=None,
-        atoms=atoms,
-    )
+    """Young measure of the piecewise-constant derivative u': the Young
+    measure of the function that is constant at each piece's slope, one
+    atom per distinct slope weighted by the share of the domain carrying
+    it."""
+    if any(p.affine_slope is None for p in u.pieces):
+        raise UnsupportedError("derivative pushforward needs piecewise-affine input")
+    du = MOscillatingFunction(domain=u.domain, pieces=tuple(
+        constant_piece(p.sub_lower, p.sub_upper, p.affine_slope) for p in u.pieces))
+    return unvalidated_young_measure(du)
 
 
 def relaxed_value(

@@ -6,6 +6,7 @@ loosened; a failing check is a real regression.
 """
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -31,7 +32,6 @@ from oscym import (
     young_density,
     young_measure,
 )
-from oscym.convergence import density_sequence_from_functions
 from oscym.domain import Domain1D
 from oscym.families import (
     amplitude_tent,
@@ -42,7 +42,7 @@ from oscym.families import (
     tent_map,
     triangular_density,
 )
-from oscym.measures import DensityFunction, ScalarMeasureRCA
+from oscym.measures import DensityFunction, ScalarMeasureRCA, young_density_function
 
 SUITE = {
     "identity": identity_map(),
@@ -59,14 +59,17 @@ def report(name: str, ok: bool, detail: str):
     assert ok, f"{name}: {detail}"
 
 
-def test_arcsine_density():
+def test_arcsine_density(bisected_sine):
     t0 = time.time()
     ys = np.linspace(-0.99, 0.99, 100)
     target = 1.0 / (np.pi * np.sqrt(1.0 - ys * ys))
 
     worst = {}
     for closed, tol in ((True, 1e-6), (False, 1e-4)):
-        f = sine_wave(1, closed_form=closed)
+        f = sine_wave(1)
+        if not closed:
+            f = replace(f, pieces=tuple(bisected_sine(p.sub_lower, p.sub_upper)
+                                        for p in f.pieces))
         got = np.array([young_density(f, float(y)) for y in ys])
         worst[closed] = float(np.max(np.abs(got - target) / target))
     elapsed = time.time() - t0
@@ -210,7 +213,7 @@ def test_density_and_measure_verdicts_agree():
     for name, fs in families_fs.items():
         lo = min(f.range_K[0] for f in fs)
         hi = max(f.range_K[1] for f in fs)
-        seq = density_sequence_from_functions(fs, range_K=(lo, hi))
+        seq = DensitySequence(lambda n: young_density_function(fs[n - 1]), (lo, hi), len(fs))
         fam = BorelTestFamily((lo, hi), 4)
         vd = dieudonne_check(seq, fam, 4, 16, tol=1e-2)
         vm = dieudonne_check_measures(

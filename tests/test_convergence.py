@@ -17,7 +17,6 @@ from oscym import (
     weak_continuity_check,
     weak_limit_estimate,
 )
-from oscym.convergence import density_sequence_from_functions
 from oscym.domain import Domain1D, MOscillatingFunction
 from oscym.errors import PreconditionError
 from oscym.families import (
@@ -28,7 +27,7 @@ from oscym.families import (
     tent_map,
     triangular_density,
 )
-from oscym.measures import ScalarMeasureRCA
+from oscym.measures import ScalarMeasureRCA, young_density_function
 
 ARCSINE = DensityFunction(
     support=(-1.0, 1.0),
@@ -214,7 +213,7 @@ def test_converge_young_window_past_the_functions_is_precondition_error():
 def test_monotone_bound_property():
     # nondecreasing slopes: set masses inside the limit support never decrease
     fs = [amplitude_tent(n) for n in range(1, 17)]
-    seq = density_sequence_from_functions(fs, range_K=(0.0, 2.0))
+    seq = DensitySequence(lambda n: young_density_function(fs[n - 1]), (0.0, 2.0), len(fs))
     fam = BorelTestFamily((0.0, 2.0), 3)
     from oscym.convergence import _leaf_masses
 
@@ -227,7 +226,7 @@ def test_monotone_bound_property():
 
 def test_density_measure_verdict_equivalence():
     fs = [amplitude_tent(n) for n in range(1, 33)]
-    seq = density_sequence_from_functions(fs, range_K=(0.0, 2.0))
+    seq = DensitySequence(lambda n: young_density_function(fs[n - 1]), (0.0, 2.0), len(fs))
     fam = BorelTestFamily((0.0, 2.0), 4)
     v_density = dieudonne_check(seq, fam, 8, 32, tol=1e-2)
     v_measure = dieudonne_check_measures(

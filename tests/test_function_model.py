@@ -156,8 +156,8 @@ def test_invert_sine_closed_form():
     assert invert_piece(p, 0.5) == pytest.approx(1.0 / 12.0, abs=1e-12)
 
 
-def test_invert_sine_bisection():
-    p = sine_piece(0.0, 0.25, closed_form=False)
+def test_invert_sine_bisection(bisected_sine):
+    p = bisected_sine(0.0, 0.25)
     x = invert_piece(p, 0.5)
     assert x == pytest.approx(1.0 / 12.0, abs=1e-10)
     assert float(p.forward(x)) == pytest.approx(0.5, abs=1e-10)
@@ -180,23 +180,23 @@ def test_inverse_slope_affine():
 
 
 @pytest.mark.parametrize("closed_form", [True, False])
-def test_inverse_slope_sine(closed_form):
-    p = sine_piece(0.0, 0.25, closed_form=closed_form)
+def test_inverse_slope_sine(closed_form, bisected_sine):
+    p = (sine_piece if closed_form else bisected_sine)(0.0, 0.25)
     assert inverse_slope(p, 0.0) == pytest.approx(1.0 / TWO_PI, rel=1e-8)
 
 
 @pytest.mark.parametrize("closed_form", [True, False])
-def test_inverse_slope_singular_at_extremum(closed_form):
-    p = sine_piece(0.0, 0.25, closed_form=closed_form)
+def test_inverse_slope_singular_at_extremum(closed_form, bisected_sine):
+    p = (sine_piece if closed_form else bisected_sine)(0.0, 0.25)
     with pytest.raises(SingularSlopeError):
         inverse_slope(p, 1.0)
 
 
-def test_round_trip_property():
+def test_round_trip_property(bisected_sine):
     pieces = [
         affine_piece(0.0, 0.5, 2.0, 0.0),
         sine_piece(0.25, 0.75),
-        sine_piece(0.0, 0.25, closed_form=False),
+        bisected_sine(0.0, 0.25),
     ]
     for p in pieces:
         lo, hi = p.image
