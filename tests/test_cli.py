@@ -452,12 +452,31 @@ def test_converge_window_outside_indices_is_input_error(tmp_path, capsys,
     ["weak-cont", "--depth", "-1"],
     ["converge", "--input", "amp", "--depth", "-1"],
     ["density", "--input", "tent", "--grid", "-3"],
+    ["homog", "--tol", "nan"],
+    ["converge", "--input", "amp", "--tol", "-1"],
+    ["weak-cont", "--tol", "inf"],
+    ["bolza", "--quad-tol", "-1", "--n-list", "1"],
+    ["weak-cont", "--quad-tol", "0", "--n-stop", "8", "--depth", "2"],
+    ["homog", "--quad-tol", "nan"],
+    ["verify", "--input", "tent", "--seed", "-1"],
+    ["verify", "--input", "tent", "--seed", str(2 ** 128)],
+    ["YM_SEED=abc", "verify", "--input", "tent"],
+    ["YM_SEED=-5", "verify", "--input", "tent"],
 ], ids=["n-list-empty-item", "n-list-fraction", "n-list-zero", "gradient-n-zero",
         "n-start-zero", "n-start-past-n-stop", "weak-cont-depth-negative",
-        "converge-depth-negative", "grid-negative"])
-def test_out_of_range_option_is_an_input_error(argv, amp_spec, tent_spec, capsys):
+        "converge-depth-negative", "grid-negative", "tol-nan", "tol-negative",
+        "tol-infinite", "quad-tol-negative", "quad-tol-zero", "quad-tol-nan",
+        "seed-negative", "seed-past-128-bits", "seed-env-not-a-number",
+        "seed-env-negative"])
+def test_out_of_range_option_is_an_input_error(argv, amp_spec, tent_spec, capsys,
+                                               monkeypatch):
     from oscym.cli import main
 
+    # a leading NAME=value sets an environment variable, as in a shell
+    while "=" in argv[0]:
+        name, value = argv[0].split("=")
+        monkeypatch.setenv(name, value)
+        argv = argv[1:]
     argv = [{"amp": amp_spec, "tent": tent_spec}.get(a, a) for a in argv]
     try:
         rc = main(argv)
@@ -474,3 +493,70 @@ def test_density_on_an_empty_grid_prints_the_header(tent_spec, capsys):
 
     assert main(["density", "--input", tent_spec, "--grid", "0"]) == 0
     assert capsys.readouterr().out == "y,g\n"
+
+
+def test_seed_range_ends_are_accepted(tent_spec, capsys):
+    from oscym.cli import main
+
+    for seed in ("0", str(2 ** 128 - 1)):
+        assert main(["verify", "--input", tent_spec, "--samples", "1000",
+                     "--seed", seed]) == 0
+    capsys.readouterr()
+
+
+AFFINE = {"interval": [0.0, 1.0], "kind": "affine",
+          "params": {"slope": 1.0, "intercept": 0.0}}
+
+
+def one_piece(kind, **params):
+    return {"domain": [0.0, 1.0],
+            "pieces": [{"interval": [0.0, 1.0], "kind": kind, "params": params}]}
+
+
+@pytest.mark.parametrize("spec", [
+    {"domain": [0.0, 1.0], "pieces": [5]},
+    {"family": "custom", "params": {"functions": [1, 2]}, "indices": [1, 2]},
+    one_piece("affine", slope=None, intercept=0.0),
+    one_piece("power", exponent="x"),
+    {"family": "roubicek", "params": {"teeth": "x"}, "indices": [1, 64]},
+    {"family": "sin", "params": {}, "indices": ["a", 4]},
+    {"domain": [0, "b"], "pieces": [AFFINE]},
+    one_piece("affine", slope=0, intercept=0.5),
+], ids=["piece-not-an-object", "function-not-an-object", "slope-null",
+        "exponent-not-a-number", "teeth-not-a-number", "index-not-a-number",
+        "domain-end-not-a-number", "slope-zero"])
+def test_malformed_spec_value_is_an_input_error(spec, tmp_path, capsys):
+    from oscym.cli import main
+
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    command = "converge" if "family" in spec else "validate"
+    assert main([command, "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: "), err
+    assert len(err.splitlines()) == 1, err
+
+
+def affine_pieces(*pieces):
+    """A function spec on (0, 1) from (lo, hi, slope, intercept) tuples."""
+    return {"domain": [0.0, 1.0], "pieces": [
+        {"interval": [lo, hi], "kind": "affine",
+         "params": {"slope": slope, "intercept": intercept}}
+        for lo, hi, slope, intercept in pieces]}
+
+
+def test_converge_reads_every_slope_cell(tmp_path, capsys):
+    # the identity, alternating with a function of four affine pieces whose
+    # total slope is 2 on [0.5001, 0.5002) and 0 on (0.7001, 0.7002):
+    # neither cell holds a point of the evenly spaced slope grid
+    identity = affine_pieces((0.0, 1.0, 1.0, 0.0))
+    bumpy = affine_pieces((0.0, 0.5002, 1.0, 0.0),
+                          (0.5002, 0.5003, -1.0, 1.0004),
+                          (0.5003, 0.7002, 1.0, -0.0001),
+                          (0.7002, 1.0, 1.0, 0.0))
+    spec = custom_sequence(tmp_path / "alternating.json",
+                           [bumpy if n % 2 else identity for n in range(16)])
+    from oscym.cli import main
+
+    assert main(["converge", "--input", spec, "--window", "2,16"]) == 2
+    assert "monotone" in capsys.readouterr().err

@@ -329,3 +329,8 @@ def test_dieudonne_measures_window_precondition(n_min):
         dieudonne_check_measures(
             lambda n: ScalarMeasureRCA(range_K=(0.0, 2.0), density=seq.generator(n)),
             fam, n_min, 8)
+
+
+def test_weak_continuity_needs_a_point():
+    with pytest.raises(PreconditionError):
+        weak_continuity_check(triangular_family(), [], 0.5, BorelTestFamily((0.0, 2.0), 2))

@@ -274,3 +274,25 @@ def test_quadrature_error_raised_on_nonintegrable_density():
     )
     with pytest.raises(QuadratureError):
         integrate_density(g, (0.0, 1.0))
+
+
+def test_set_mass_of_an_empty_interval_is_zero():
+    m = ScalarMeasureRCA(range_K=(0.0, 1.0), atoms=(Atom(0.5, 1.0),))
+    assert m.set_mass(0.7, 0.5, closed_right=True) == 0.0
+    assert m.set_mass(0.7, 0.5) == 0.0
+
+
+@pytest.mark.parametrize("closed_right", [False, True])
+@pytest.mark.parametrize("density", ["exact", "quadrature"])
+def test_set_mass_adds_the_density_then_the_atoms(density, closed_right):
+    # the density mass, then each atom in [lo, hi) (or [lo, hi]) in order
+    g = (young_measure(half_plateau()).density if density == "exact"
+         else ARCSINE_DENSITY)
+    m = ScalarMeasureRCA((-1.0, 1.0), g,
+                         atoms=(Atom(0.1, 0.3), Atom(0.25, 0.2), Atom(0.5, 0.5)))
+    for lo, hi in [(0.1, 0.5), (0.0, 0.25), (0.25, 0.25), (0.3, 0.7), (0.5, 0.5)]:
+        total = integrate_density(m.density, (lo, hi))
+        for a in m.atoms:
+            if lo <= a.location < hi or (closed_right and a.location == hi):
+                total += a.weight
+        assert m.set_mass(lo, hi, closed_right) == total
