@@ -20,13 +20,14 @@ import math
 import os
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import convergence, families, measures, quadrature, relaxation, sampling
-from .domain import Domain1D, validate
-from .errors import OscymError, PreconditionError, QuadratureError, SingularSlopeError, SpecError
+from .domain import Domain1D, MOscillatingFunction, validate
+from .errors import OscymError, PreconditionError, SpecError
 from .funcspec import SequenceSpec, parse_spec
 from .measures import DensityFunction
 
@@ -56,20 +57,15 @@ def write_output(text: str, out_path):
         raise
 
 
-def emit(args, command: str, result: dict, csv_rows=None, csv_header=None):
+def emit(args, result: dict, csv_rows, csv_header):
     if args.format == "json":
-        config = {
-            k: v for k, v in vars(args).items()
-            if k not in ("func",) and v is not None
-        }
-        payload = {"command": command, "config": config, "result": result}
+        config = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
+        payload = {"command": args.command, "config": config, "result": result}
         write_output(json.dumps(_jsonable(payload), indent=2, allow_nan=False) + "\n",
                      args.out)
     else:
-        lines = []
-        if csv_header:
-            lines.append(",".join(csv_header))
-        for row in csv_rows or []:
+        lines = [",".join(csv_header)]
+        for row in csv_rows:
             lines.append(",".join(
                 str(v) if isinstance(v, bool) or not isinstance(v, (int, float))
                 else fmt(v)
@@ -78,79 +74,52 @@ def emit(args, command: str, result: dict, csv_rows=None, csv_header=None):
 
 
 def _jsonable(obj):
-    """Plain JSON value of obj; non-finite floats become "inf", "-inf" or
-    "nan" (json.dumps passes floats straight through, never to `default`)."""
-    if isinstance(obj, np.generic):
-        obj = obj.item()
+    """Plain JSON value of obj, made of Python values; non-finite floats become
+    "inf", "-inf" or "nan" (json.dumps passes floats straight through)."""
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, np.ndarray)):
+    if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, float) and not math.isfinite(obj):
         return repr(obj)
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj
-    return str(obj)
+    return obj
 
 
-def load_function(path: str):
-    text = Path(path).read_text()
-    parsed = parse_spec(text)
-    if isinstance(parsed, SequenceSpec):
-        raise SpecError(f"{path} holds a sequence spec; a function spec is needed")
-    return parsed
-
-
-def load_sequence(path: str) -> SequenceSpec:
-    text = Path(path).read_text()
-    parsed = parse_spec(text)
-    if not isinstance(parsed, SequenceSpec):
-        raise SpecError(f"{path} holds a function spec; a sequence spec is needed")
+def load_spec(path: str, wanted: type):
+    """The spec in the file at path: a `wanted`, MOscillatingFunction or SequenceSpec."""
+    parsed = parse_spec(Path(path).read_text())
+    if not isinstance(parsed, wanted):
+        kinds = ("function", "sequence") if wanted is SequenceSpec else ("sequence", "function")
+        raise SpecError(f"{path} holds a {kinds[0]} spec; a {kinds[1]} spec is needed")
     return parsed
 
 
 def cmd_validate(args) -> int:
-    f = load_function(args.input)
+    f = load_spec(args.input, MOscillatingFunction)
     report = validate(f)
     rows = [(v.code, "" if v.piece_index is None else v.piece_index,
              v.message, fmt(v.measured)) for v in report.violations]
-    emit(args, "validate",
-         {"valid": report.valid,
-          "violations": [
-              {"code": v.code, "piece": v.piece_index,
-               "message": v.message, "measured": v.measured}
-              for v in report.violations]},
+    emit(args, {"valid": report.valid,
+                "violations": [{"code": v.code, "piece": v.piece_index,
+                                "message": v.message, "measured": v.measured}
+                               for v in report.violations]},
          csv_rows=rows, csv_header=("code", "piece", "message", "measured"))
     return EXIT_OK if report.valid else EXIT_NEGATIVE
 
 
-def _density_rows(f, grid, values_fn):
-    """(y, value) rows over `grid` points of range_K, from one array call
-    of values_fn(f, ys)."""
-    ys = np.linspace(*f.range_K, grid)
-    return list(zip(ys.tolist(), values_fn(f, ys).tolist()))
-
-
-def cmd_density(args) -> int:
-    f = load_function(args.input)
-    rows = _density_rows(f, args.grid, measures.young_density)
-    emit(args, "density",
-         {"grid": [[y, g] for y, g in rows]},
-         csv_rows=rows, csv_header=("y", "g"))
-    return EXIT_OK
-
-
-def cmd_slope(args) -> int:
-    f = load_function(args.input)
-    rows = _density_rows(f, args.grid, measures.total_slope)
-    emit(args, "slope",
-         {"grid": [[y, jt] for y, jt in rows]},
-         csv_rows=rows, csv_header=("y", "Jt"))
+def cmd_grid(args, values_fn, column: str) -> int:
+    """(y, value) rows at `--grid` points of range_K, from one array call
+    of values_fn(f, ys): the density (column g) or the total slope (Jt)."""
+    f = load_spec(args.input, MOscillatingFunction)
+    ys = np.linspace(*f.range_K, args.grid)
+    rows = list(zip(ys.tolist(), values_fn(f, ys).tolist()))
+    emit(args, {"grid": [list(row) for row in rows]},
+         csv_rows=rows, csv_header=("y", column))
     return EXIT_OK
 
 
 def cmd_measure(args) -> int:
-    f = load_function(args.input)
+    f = load_spec(args.input, MOscillatingFunction)
     m = measures.young_measure(f)
     if m.density is not None:
         ys = np.linspace(*m.density.support, args.grid)
@@ -165,12 +134,12 @@ def cmd_measure(args) -> int:
     }
     rows = [(y, g) for y, g in density_grid]
     rows += [("atom", a.location, a.weight) for a in m.atoms]
-    emit(args, "measure", result, csv_rows=rows, csv_header=("y", "g"))
+    emit(args, result, csv_rows=rows, csv_header=("y", "g"))
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    f = load_function(args.input)
+    f = load_spec(args.input, MOscillatingFunction)
     m = measures.young_measure(f)
     h = sampling.pushforward_empirical(f, args.samples, args.seed, args.bins)
     rep = sampling.oracle_report(m, h)
@@ -178,18 +147,17 @@ def cmd_verify(args) -> int:
             for b in rep.bins]
     rows += [("atom", a.location, a.model_weight, a.empirical_mass, a.threshold)
              for a in rep.atoms]
-    emit(args, "verify",
-         {"discrepancy": rep.discrepancy,
-          "within_threshold": rep.within_threshold,
-          "threshold_sigma": rep.n_sigma,
-          "bins": [b._asdict() for b in rep.bins],
-          "atoms": [a._asdict() for a in rep.atoms]},
+    emit(args, {"discrepancy": rep.discrepancy,
+                "within_threshold": rep.within_threshold,
+                "threshold_sigma": rep.n_sigma,
+                "bins": [b._asdict() for b in rep.bins],
+                "atoms": [a._asdict() for a in rep.atoms]},
          csv_rows=rows,
          csv_header=("bin_lo", "bin_hi", "model_mass", "empirical_mass", "threshold"))
     return EXIT_OK if rep.within_threshold else EXIT_NEGATIVE
 
 
-def _verdict_output(args, command, verdict, extra=None):
+def _verdict_output(args, verdict, extra=None):
     rows = [(r.level, r.index, r.lo, r.hi, r.limit, r.residual)
             for r in verdict.per_set]
     result = {
@@ -201,12 +169,12 @@ def _verdict_output(args, command, verdict, extra=None):
     }
     if extra:
         result.update(extra)
-    emit(args, command, result, csv_rows=rows,
+    emit(args, result, csv_rows=rows,
          csv_header=("level", "k", "lo", "hi", "limit", "residual"))
 
 
 def cmd_converge(args) -> int:
-    seq = load_sequence(args.input)
+    seq = load_spec(args.input, SequenceSpec)
     n_min, n_max = args.window
     if n_min < seq.indices[0] or n_max > seq.indices[1]:
         raise SpecError(f"window [{n_min}, {n_max}] lies outside the spec's "
@@ -217,10 +185,9 @@ def cmd_converge(args) -> int:
     fam = convergence.BorelTestFamily((lo, hi), args.depth)
     verdict, limit = convergence.converge_young(
         fs, fam, tol=args.tol, n_min=n_min, n_max=n_max)
-    extra = None
-    if limit is not None:
-        extra = {"limit_atoms": [[a.location, a.weight] for a in limit.atoms]}
-    _verdict_output(args, "converge", verdict, extra)
+    extra = None if limit is None else {
+        "limit_atoms": [[a.location, a.weight] for a in limit.atoms]}
+    _verdict_output(args, verdict, extra)
     return EXIT_OK if verdict.converged else EXIT_NEGATIVE
 
 
@@ -249,7 +216,7 @@ def cmd_weak_cont(args) -> int:
     test = convergence.BorelTestFamily(fam.range_K, args.depth)
     verdict = convergence.weak_continuity_check(
         fam, xs, args.x0, test, tol=args.tol, quad_tol=args.quad_tol)
-    _verdict_output(args, "weak-cont", verdict)
+    _verdict_output(args, verdict)
     return EXIT_OK if verdict.converged else EXIT_NEGATIVE
 
 
@@ -257,7 +224,7 @@ def cmd_homog(args) -> int:
     fam = _builtin_family(args.family)
     homogeneous = convergence.homogeneity_check(
         fam, args.x_samples, args.tol, quad_tol=args.quad_tol)
-    emit(args, "homog", {"homogeneous": homogeneous},
+    emit(args, {"homogeneous": homogeneous},
          csv_rows=[(args.family, homogeneous)], csv_header=("family", "homogeneous"))
     return EXIT_OK if homogeneous else EXIT_NEGATIVE
 
@@ -265,9 +232,7 @@ def cmd_homog(args) -> int:
 def cmd_bolza(args) -> int:
     if args.gradient_ym:
         g = relaxation.gradient_young_measure(relaxation.sawtooth(args.n))
-        emit(args, "bolza",
-             {"n": args.n,
-              "atoms": [[a.location, a.weight] for a in g.atoms]},
+        emit(args, {"n": args.n, "atoms": [[a.location, a.weight] for a in g.atoms]},
              csv_rows=[(a.location, a.weight) for a in g.atoms],
              csv_header=("slope", "weight"))
         return EXIT_OK
@@ -277,28 +242,43 @@ def cmd_bolza(args) -> int:
         J = relaxation.bolza_functional(relaxation.sawtooth(n), quad_tol=args.quad_tol)
         predicted = 1.0 / (48.0 * n * n)
         rows.append((n, J, predicted, abs(J - predicted)))
-    emit(args, "bolza",
-         {"values": [{"n": n, "J_value": J, "predicted": p, "abs_error": e}
-                     for n, J, p, e in rows]},
+    emit(args, {"values": [{"n": n, "J_value": J, "predicted": p, "abs_error": e}
+                           for n, J, p, e in rows]},
          csv_rows=rows, csv_header=("n", "J_value", "predicted", "abs_error"))
     return EXIT_OK
 
 
-def _at_least(low: int, value: int) -> int:
-    if value < low:
-        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {value}")
+def _at_least(low, value, kind: str = "an integer", below=math.inf):
+    """value if low <= value < below, which no NaN is; else an argparse error."""
+    if not low <= value < below:
+        upper = "" if below == math.inf else f" and < {below}"
+        raise argparse.ArgumentTypeError(f"expected {kind} >= {low}{upper}, got {value}")
     return value
 
 
 def _count(text: str) -> int:
-    """argparse type: an integer >= 0; argparse reports a text that int()
-    rejects as an invalid value."""
+    """argparse type: an integer >= 0."""
     return _at_least(0, int(text))
 
 
 def _positive(text: str) -> int:
     """argparse type: an integer >= 1."""
     return _at_least(1, int(text))
+
+
+def _seed(text: str) -> int:
+    """argparse type: an integer in [0, 2**128), a Philox key; reads YM_SEED too."""
+    return _at_least(0, int(text), below=2 ** 128)
+
+
+def _tol(text: str) -> float:
+    """argparse type: a finite number >= 0."""
+    return _at_least(0.0, float(text), "a finite number")
+
+
+def _quad_tol(text: str) -> float:
+    """argparse type: a finite number > 0, the least being 5e-324."""
+    return _at_least(math.ulp(0.0), float(text), "a finite number")
 
 
 def _n_list(text: str) -> str:
@@ -337,10 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid", type=_count, default=measures.GRID_SIZE)
 
     def tol(p):
-        p.add_argument("--tol", type=float, default=measures.DEFAULT_TOL)
+        p.add_argument("--tol", type=_tol, default=measures.DEFAULT_TOL)
 
     def quad_tol(p):
-        p.add_argument("--quad-tol", type=float, default=quadrature.QUAD_TOL)
+        p.add_argument("--quad-tol", type=_quad_tol, default=quadrature.QUAD_TOL)
 
     p = sub.add_parser("validate", help="check the structural invariants")
     common(p)
@@ -349,12 +329,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("density", help="tabulate the Young-measure density")
     common(p)
     grid(p)
-    p.set_defaults(func=cmd_density)
+    p.set_defaults(func=partial(cmd_grid, values_fn=measures.young_density, column="g"))
 
     p = sub.add_parser("slope", help="tabulate the total slope")
     common(p)
     grid(p)
-    p.set_defaults(func=cmd_slope)
+    p.set_defaults(func=partial(cmd_grid, values_fn=measures.total_slope, column="Jt"))
 
     p = sub.add_parser("measure", help="export the Young measure")
     common(p)
@@ -363,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="compare against the Monte-Carlo oracle")
     common(p)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_seed, default=42)
     p.add_argument("--samples", type=int, default=1_000_000)
     p.add_argument("--bins", type=int, default=16)
     p.set_defaults(func=cmd_verify)
@@ -406,18 +386,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if "YM_SEED" in os.environ and hasattr(args, "seed"):
-        args.seed = int(os.environ["YM_SEED"])
+        try:
+            args.seed = _seed(os.environ["YM_SEED"])
+        except (argparse.ArgumentTypeError, ValueError) as exc:
+            parser.error(f"YM_SEED: {exc}")
     try:
         return args.func(args)
-    except (SpecError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (SpecError, FileNotFoundError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (QuadratureError, SingularSlopeError, ArithmeticError) as exc:
+    except ArithmeticError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (PreconditionError, OscymError) as exc:
+    except OscymError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

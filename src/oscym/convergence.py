@@ -229,7 +229,13 @@ def converge_young(
     """
     lo = max(f.range_K[0] for f in fs)
     hi = min(f.range_K[1] for f in fs)
-    if not monotone_slope_check(fs, np.linspace(lo, hi, SLOPE_GRID_POINTS + 2)[1:-1]):
+    # affine total slopes change only at image ends: besides the even grid, test
+    # inside each cell between them wider than twice the slack of an image end
+    ends = np.concatenate([[lo, hi], *(np.r_[f.piece_table.lo, f.piece_table.hi] for f in fs)])
+    ends = np.unique(np.clip(ends, lo, hi))
+    slack = 1e-12 * max(1.0, *(abs(v) for f in fs for v in f.range_K))
+    mids = ((ends[:-1] + ends[1:]) / 2)[np.diff(ends) > 2 * slack]
+    if not monotone_slope_check(fs, np.r_[np.linspace(lo, hi, SLOPE_GRID_POINTS + 2)[1:-1], mids]):
         raise PreconditionError("total slopes do not form a monotone sequence")
     verdict = dieudonne_check_measures(
         lambda n: unvalidated_young_measure(fs[n - 1]), family, n_min, n_max, tol,
@@ -254,6 +260,8 @@ def weak_continuity_check(
 
     The residual per set is the gap at the last element of xs; the limit
     column reports the target integral at x_0."""
+    if len(xs) == 0:
+        raise PreconditionError("xs must hold at least one point")
     for x in list(xs) + [x0]:
         if not fam.domain.contains(x):
             raise PreconditionError(f"x={x} outside the family domain")

@@ -311,15 +311,22 @@ def evaluate_many(f: MOscillatingFunction, xs: np.ndarray,
 
 def forward_values(fn: Callable, xs: np.ndarray) -> np.ndarray:
     """fn on a 1-D array in one call; a function that rejects arrays, or
-    returns another shape, is called once per value instead, with a
-    Python float."""
+    returns another shape, is called once per value instead (`per_value`)."""
     try:
         vals = np.asarray(fn(xs), dtype=float)
         if vals.shape == xs.shape:
             return vals
     except (TypeError, ValueError):
         pass
-    return np.array([float(fn(v)) for v in xs.tolist()])
+    return per_value(fn, xs)
+
+
+def per_value(fn: Callable[[float], float], y) -> np.ndarray:
+    """fn at each value of the array y, called with a Python float: for
+    scalar functions, and for closed forms that must be bitwise the scalar
+    formula, where numpy's arcsin or power can differ in the last bit."""
+    y = np.asarray(y, dtype=float)
+    return np.fromiter(map(fn, y.ravel().tolist()), float, y.size).reshape(y.shape)
 
 
 def _require_in_image(p: Piece, y: float) -> None:

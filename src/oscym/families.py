@@ -13,18 +13,10 @@ from typing import Callable
 
 import numpy as np
 
-from .domain import CONSTANT, DIFFEOMORPHIC, Domain1D, MOscillatingFunction, Piece
+from .domain import (CONSTANT, DIFFEOMORPHIC, Domain1D, MOscillatingFunction, Piece,
+                     per_value)
 
 TWO_PI = 2.0 * math.pi
-
-
-def per_value(fn: Callable[[float], float], y) -> np.ndarray:
-    """fn at each value of the array y, in Python floats: for closed forms
-    whose value must be bitwise that of the scalar formula, where a numpy
-    array function (arcsin, power) can differ from math and float in the
-    last bit."""
-    y = np.asarray(y, dtype=float)
-    return np.fromiter(map(fn, y.ravel().tolist()), float, y.size).reshape(y.shape)
 
 
 def affine_piece(lo: float, hi: float, slope: float, intercept: float) -> Piece:

@@ -4,8 +4,8 @@ Function schema:
     { "domain": [a, b],
       "pieces": [ { "interval": [s, t], "kind": ..., "params": {...} } ] }
 
-kinds and their required params (strict - unknown or missing keys fail):
-    affine   {"slope", "intercept"}
+kinds and their params, numbers but expr (strict - unknown or missing keys fail):
+    affine   {"slope" (nonzero), "intercept"}
     sin      {"amplitude", "frequency", "phase"}
     power    {"exponent"}
     constant {"value"}
@@ -25,7 +25,7 @@ from typing import Callable, Union
 import numpy as np
 
 from . import families
-from .domain import Domain1D, MOscillatingFunction, Piece
+from .domain import Domain1D, MOscillatingFunction, Piece, per_value
 from .errors import SpecError
 from .exprparse import parse_expression
 
@@ -39,6 +39,8 @@ class SequenceSpec:
 
 
 def _require_keys(obj: dict, required: set[str], context: str):
+    if not isinstance(obj, dict):
+        raise SpecError(f"{context} must be an object")
     keys = set(obj.keys())
     unknown = keys - required
     missing = required - keys
@@ -48,10 +50,25 @@ def _require_keys(obj: dict, required: set[str], context: str):
         raise SpecError(f"missing key(s) {sorted(missing)} in {context}")
 
 
+def _number(raw, context: str, kind: type = float):
+    """raw read as a float (or as `kind`), or a SpecError naming the context."""
+    try:
+        return kind(raw)
+    except (TypeError, ValueError, OverflowError):
+        what = "an integer" if kind is int else "a number"
+        raise SpecError(f"{context} must be {what}, got {raw!r}") from None
+
+
+def _number_params(params: dict, keys: tuple[str, ...], context: str) -> list[float]:
+    """The values of params, which must hold exactly `keys`, as floats."""
+    _require_keys(params, set(keys), context)
+    return [_number(params[k], f"{k} in {context}") for k in keys]
+
+
 def _interval(raw, context: str) -> tuple[float, float]:
     if not (isinstance(raw, (list, tuple)) and len(raw) == 2):
         raise SpecError(f"{context} must be a two-element interval")
-    lo, hi = float(raw[0]), float(raw[1])
+    lo, hi = (_number(v, f"interval end in {context}") for v in raw)
     if not lo < hi:
         raise SpecError(f"empty interval [{lo}, {hi}] in {context}")
     return lo, hi
@@ -76,17 +93,15 @@ def _build_piece(raw: dict, index: int) -> Piece:
     if not isinstance(params, dict):
         raise SpecError(f"params of {ctx} must be an object")
     if kind == "affine":
-        _require_keys(params, {"slope", "intercept"}, ctx)
-        return families.affine_piece(lo, hi, float(params["slope"]),
-                                     float(params["intercept"]))
+        slope, intercept = _number_params(params, ("slope", "intercept"), ctx)
+        if slope == 0:
+            raise SpecError(f"affine piece needs a nonzero slope in {ctx}")
+        return families.affine_piece(lo, hi, slope, intercept)
     if kind == "sin":
-        _require_keys(params, {"amplitude", "frequency", "phase"}, ctx)
-        return families.sine_piece(lo, hi, float(params["amplitude"]),
-                                   float(params["frequency"]),
-                                   float(params["phase"]))
+        return families.sine_piece(
+            lo, hi, *_number_params(params, ("amplitude", "frequency", "phase"), ctx))
     if kind == "power":
-        _require_keys(params, {"exponent"}, ctx)
-        p = float(params["exponent"])
+        (p,) = _number_params(params, ("exponent",), ctx)
         if p == 0:
             raise SpecError(f"power piece needs a nonzero exponent in {ctx}")
         if lo < 0:
@@ -97,13 +112,13 @@ def _build_piece(raw: dict, index: int) -> Piece:
         return Piece(
             sub_lower=lo, sub_upper=hi,
             forward=lambda x, _p=p: np.asarray(x, dtype=float) ** _p,
-            inverse=lambda y, _e=1.0 / p: families.per_value(lambda v: v ** _e, y),
-            inverse_derivative=lambda y, _p=p: families.per_value(
+            inverse=lambda y, _e=1.0 / p: per_value(lambda v: v ** _e, y),
+            inverse_derivative=lambda y, _p=p: per_value(
                 lambda v: _power_inverse_slope(v, _p), y),
         )
     if kind == "constant":
-        _require_keys(params, {"value"}, ctx)
-        return families.constant_piece(lo, hi, float(params["value"]))
+        (value,) = _number_params(params, ("value",), ctx)
+        return families.constant_piece(lo, hi, value)
     if kind == "expr":
         _require_keys(params, {"expr"}, ctx)
         fwd = parse_expression(str(params["expr"]))
@@ -120,17 +135,11 @@ def build_function(obj: dict) -> MOscillatingFunction:
     return MOscillatingFunction(domain=Domain1D(lo, hi), pieces=pieces)
 
 
+# family name -> (builder of its n-th function, its integer params with defaults)
 _BUILTIN_FAMILIES = {
-    "sin": lambda n, params: families.sine_wave(n),
-    "roubicek": lambda n, params: families.roubicek(
-        n, teeth=int(params.get("teeth", 64))),
-    "amplitude_tent": lambda n, params: families.amplitude_tent(n),
-}
-
-_FAMILY_PARAM_KEYS = {
-    "sin": set(),
-    "roubicek": {"teeth"},
-    "amplitude_tent": set(),
+    "sin": (families.sine_wave, {}),
+    "roubicek": (families.roubicek, {"teeth": 64}),
+    "amplitude_tent": (families.amplitude_tent, {}),
 }
 
 
@@ -143,7 +152,7 @@ def build_sequence(obj: dict) -> SequenceSpec:
     raw = obj["indices"]
     if not (isinstance(raw, list) and len(raw) == 2):
         raise SpecError("indices must be [n_min, n_max]")
-    n_min, n_max = int(raw[0]), int(raw[1])
+    n_min, n_max = (_number(v, "index", int) for v in raw)
     if not 1 <= n_min < n_max:
         raise SpecError(f"indices must be increasing and positive, got {raw}")
 
@@ -155,11 +164,13 @@ def build_sequence(obj: dict) -> SequenceSpec:
         fns = [build_function(s) for s in specs]
         fn_for = lambda n: fns[n - 1]
     elif name in _BUILTIN_FAMILIES:
-        extra = set(params) - _FAMILY_PARAM_KEYS[name]
+        builder, defaults = _BUILTIN_FAMILIES[name]
+        extra = set(params) - set(defaults)
         if extra:
             raise SpecError(f"unknown param(s) {sorted(extra)} for family {name!r}")
-        builder = _BUILTIN_FAMILIES[name]
-        fn_for = lambda n: builder(n, params)
+        kwargs = {k: _number(params.get(k, v), f"param {k!r} of family {name!r}", int)
+                  for k, v in defaults.items()}
+        fn_for = lambda n: builder(n, **kwargs)
     else:
         raise SpecError(f"unknown family {name!r}")
     return SequenceSpec(family=name, params=params, indices=(n_min, n_max),

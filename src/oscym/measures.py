@@ -129,18 +129,15 @@ class ScalarMeasureRCA:
     atoms: tuple[Atom, ...] = ()
 
     def set_mass(self, lo: float, hi: float, closed_right: bool = False) -> float:
-        """Measure of the interval [lo, hi) (closed on the right on demand)."""
-        total = 0.0
-        if self.density is not None:
-            total += integrate_density(self.density, (lo, hi))
-        for a in self.atoms:
-            if lo <= a.location < hi or (closed_right and a.location == hi):
-                total += a.weight
-        return total
+        """Measure of the interval [lo, hi) (closed on the right on demand), 0
+        if lo > hi: the first of `set_masses`, whose last interval holds hi."""
+        if lo > hi:
+            return 0.0
+        return float(self.set_masses([lo, hi] if closed_right else [lo, hi, hi])[0])
 
     def set_masses(self, edges) -> np.ndarray:
         """Measures of the consecutive intervals [e_i, e_i+1) of the
-        increasing `edges`, the last one closed on the right."""
+        nondecreasing `edges`, the last one closed on the right."""
         edges = np.asarray(edges, dtype=float)
         if self.density is not None:
             masses = self.density.masses(edges)

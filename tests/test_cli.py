@@ -546,6 +546,8 @@ def affine_pieces(*pieces):
 
 
 def test_converge_reads_every_slope_cell(tmp_path, capsys):
+    from oscym.cli import main
+
     # the identity, alternating with a function of four affine pieces whose
     # total slope is 2 on [0.5001, 0.5002) and 0 on (0.7001, 0.7002):
     # neither cell holds a point of the evenly spaced slope grid
@@ -556,7 +558,5 @@ def test_converge_reads_every_slope_cell(tmp_path, capsys):
                           (0.7002, 1.0, 1.0, 0.0))
     spec = custom_sequence(tmp_path / "alternating.json",
                            [bumpy if n % 2 else identity for n in range(16)])
-    from oscym.cli import main
-
     assert main(["converge", "--input", spec, "--window", "2,16"]) == 2
     assert "monotone" in capsys.readouterr().err
