@@ -197,6 +197,13 @@ def weak_limit_estimate(
     return seq.generator(n_ref)
 
 
+def _distinct_sorted(values: np.ndarray) -> np.ndarray:
+    """np.unique of a nonempty float array without NaN, bitwise: the same
+    sort, keeping each value unequal to the one before it."""
+    values = np.sort(values)
+    return values[np.r_[True, values[1:] != values[:-1]]]
+
+
 def monotone_slope_check(
     fs: Sequence[MOscillatingFunction],
     y_grid: Sequence[float],
@@ -232,7 +239,7 @@ def converge_young(
     # affine total slopes change only at image ends: besides the even grid, test
     # inside each cell between them wider than twice the slack of an image end
     ends = np.concatenate([[lo, hi], *(np.r_[f.piece_table.lo, f.piece_table.hi] for f in fs)])
-    ends = np.unique(np.clip(ends, lo, hi))
+    ends = _distinct_sorted(np.clip(ends, lo, hi))  # np.unique would import numpy.ma
     slack = 1e-12 * max(1.0, *(abs(v) for f in fs for v in f.range_K))
     mids = ((ends[:-1] + ends[1:]) / 2)[np.diff(ends) > 2 * slack]
     if not monotone_slope_check(fs, np.r_[np.linspace(lo, hi, SLOPE_GRID_POINTS + 2)[1:-1], mids]):

@@ -105,13 +105,17 @@ class Piece:
         """Closed image [min, max] of the piece (endpoints of a monotone map),
         computed once: every inversion and density scan reads it.  An
         endpoint value that is not a finite real number, as sqrt or log of
-        a negative number gives, raises ConstructionError."""
+        a negative number gives, raises ConstructionError.  An affine map
+        takes the ends as Python floats, whose arithmetic does not warn."""
         if self.kind == CONSTANT:
             c = float(self.constant_value)
             return (c, c)
         ends = (self.sub_lower, self.sub_upper)
-        with np.errstate(all="ignore"):  # a value that is not finite raises below
-            ys = [self.forward(x) for x in ends]
+        if self.affine_slope is not None:
+            ys = [self.forward(float(x)) for x in ends]
+        else:
+            with np.errstate(all="ignore"):  # a value that is not finite raises below
+                ys = [self.forward(x) for x in ends]
         for x, y in zip(ends, ys):
             if isinstance(y, complex) or not math.isfinite(y):
                 raise ConstructionError(
@@ -448,10 +452,12 @@ def validate(f: MOscillatingFunction) -> ValidationReport:
         xs = np.linspace(p.sub_lower, p.sub_upper, VALIDATE_SAMPLES)
         ys = forward_values(p.forward, xs)
         d = np.diff(ys)
-        if (d > 0).any() and (d < 0).any():
+        flat = not (d != 0).any()
+        if flat or ((d > 0).any() and (d < 0).any()):
             violations.append(
                 Violation("non_monotone", i,
-                          f"non-monotone piece {i}: forward differences change sign",
+                          f"non-monotone piece {i}: forward differences "
+                          + ("are all zero" if flat else "change sign"),
                           float(np.min(d) if d[0] > 0 else np.max(d)))
             )
             continue

@@ -20,17 +20,20 @@ TWO_PI = 2.0 * math.pi
 
 
 def affine_piece(lo: float, hi: float, slope: float, intercept: float) -> Piece:
-    """Monotone affine branch with exact closed-form inverse."""
+    """Monotone affine branch with exact closed-form inverse.  A Python float
+    maps in Python arithmetic, numpy's IEEE multiply and add without its cost
+    per call: `Piece.image` reads every piece's ends that way."""
     if slope == 0:
         raise ValueError("use a constant piece for zero slope")
+    slope, intercept = float(slope), float(intercept)
     return Piece(
         sub_lower=lo,
         sub_upper=hi,
         kind=DIFFEOMORPHIC,
-        forward=lambda x: slope * np.asarray(x, dtype=float) + intercept,
+        forward=lambda x: slope * (x if type(x) is float else np.asarray(x, float)) + intercept,
         inverse=lambda y: (y - intercept) / slope,
         inverse_derivative=lambda y: np.full(np.shape(y), 1.0 / slope),
-        affine_slope=float(slope),
+        affine_slope=slope,
     )
 
 

@@ -6,14 +6,15 @@ Function schema:
 
 kinds and their params, numbers but expr (strict - unknown or missing keys fail):
     affine   {"slope" (nonzero), "intercept"}
-    sin      {"amplitude", "frequency", "phase"}
-    power    {"exponent"}
+    sin      {"amplitude" (nonzero), "frequency" (nonzero), "phase"}
+    power    {"exponent" (nonzero)}
     constant {"value"}
     expr     {"expr"}
 
 Sequence schema:
     { "family": "sin"|"roubicek"|"amplitude_tent"|"custom",
       "params": {...}, "indices": [n_min, n_max] }
+    roubicek takes {"teeth" (>= 0, default 64)}; sin and amplitude_tent take none
 """
 from __future__ import annotations
 
@@ -98,8 +99,11 @@ def _build_piece(raw: dict, index: int) -> Piece:
             raise SpecError(f"affine piece needs a nonzero slope in {ctx}")
         return families.affine_piece(lo, hi, slope, intercept)
     if kind == "sin":
-        return families.sine_piece(
-            lo, hi, *_number_params(params, ("amplitude", "frequency", "phase"), ctx))
+        amplitude, frequency, phase = _number_params(
+            params, ("amplitude", "frequency", "phase"), ctx)
+        if amplitude == 0 or frequency == 0:
+            raise SpecError(f"sin piece needs a nonzero amplitude and frequency in {ctx}")
+        return families.sine_piece(lo, hi, amplitude, frequency, phase)
     if kind == "power":
         (p,) = _number_params(params, ("exponent",), ctx)
         if p == 0:
@@ -170,6 +174,9 @@ def build_sequence(obj: dict) -> SequenceSpec:
             raise SpecError(f"unknown param(s) {sorted(extra)} for family {name!r}")
         kwargs = {k: _number(params.get(k, v), f"param {k!r} of family {name!r}", int)
                   for k, v in defaults.items()}
+        for k, v in kwargs.items():  # every family param is a count
+            if v < 0:
+                raise SpecError(f"param {k!r} of family {name!r} must be at least 0, got {v}")
         fn_for = lambda n: builder(n, **kwargs)
     else:
         raise SpecError(f"unknown family {name!r}")

@@ -522,9 +522,14 @@ def one_piece(kind, **params):
     {"family": "sin", "params": {}, "indices": ["a", 4]},
     {"domain": [0, "b"], "pieces": [AFFINE]},
     one_piece("affine", slope=0, intercept=0.5),
+    one_piece("sin", amplitude=0.0, frequency=3.0, phase=0.0),
+    one_piece("sin", amplitude=1.0, frequency=0.0, phase=0.5),
+    {"family": "roubicek", "params": {"teeth": -2}, "indices": [1, 64]},
+    {"family": "roubicek", "params": {"teeth": -1}, "indices": [1, 64]},
 ], ids=["piece-not-an-object", "function-not-an-object", "slope-null",
         "exponent-not-a-number", "teeth-not-a-number", "index-not-a-number",
-        "domain-end-not-a-number", "slope-zero"])
+        "domain-end-not-a-number", "slope-zero", "sin-amplitude-zero",
+        "sin-frequency-zero", "teeth-negative", "teeth-minus-one"])
 def test_malformed_spec_value_is_an_input_error(spec, tmp_path, capsys):
     from oscym.cli import main
 
@@ -535,6 +540,17 @@ def test_malformed_spec_value_is_an_input_error(spec, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("input error: "), err
     assert len(err.splitlines()) == 1, err
+
+
+def test_validate_rejects_a_flat_diffeomorphic_piece(tmp_path, capsys):
+    from oscym.cli import main
+
+    # 0*x + 1 is constant: no forward difference is positive or negative
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps(one_piece("expr", expr="0*x + 1")))
+    assert main(["validate", "--input", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "non_monotone,0,non-monotone piece 0: forward differences are all zero,0"]
 
 
 def affine_pieces(*pieces):

@@ -125,6 +125,12 @@ def test_sin_family_takes_no_params():
         parse_spec(json.dumps(spec))
 
 
+def test_negative_teeth_rejected_by_name():
+    spec = {"family": "roubicek", "params": {"teeth": -1}, "indices": [1, 4]}
+    with pytest.raises(SpecError, match="param 'teeth' of family 'roubicek'"):
+        parse_spec(json.dumps(spec))
+
+
 def test_malformed_json_reports_position():
     with pytest.raises(SpecError) as exc:
         parse_spec('{"domain": [0, 1],\n "pieces": [,]}')

@@ -8,11 +8,12 @@ import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from oscym import cli, convergence, measures
 from oscym.domain import DIFFEOMORPHIC, Domain1D, MOscillatingFunction, inverse_slope
-from oscym.errors import SingularSlopeError
+from oscym.errors import ConstructionError, SingularSlopeError
 from oscym.families import affine_piece, roubicek
 from oscym.funcspec import build_function
 from oscym.measures import total_slope, young_density
@@ -134,3 +135,41 @@ def test_density_command_makes_one_density_call(monkeypatch, tmp_path):
                    "--out", str(tmp_path / "g.csv")])
     assert rc == 0
     assert len(calls) == 1
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def image_ends(draw):
+    """Ends as `converge_young` gathers them: up to 300 drawn from a small
+    pool with both zeros, so they repeat and the sort decides which zero
+    comes first, then clipped onto a range, which repeats its ends too."""
+    pool = [0.0, -0.0, *draw(st.lists(FINITE, max_size=4))]
+    size = draw(st.integers(1, 300))
+    values = draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
+    lo, hi = sorted(draw(st.lists(st.one_of(FINITE, st.sampled_from(pool)),
+                                  min_size=2, max_size=2)))
+    return np.clip(np.array([lo, hi, *values]), lo, hi)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(ends=image_ends())
+def test_distinct_ends_are_bitwise_np_unique(ends):
+    assert convergence._distinct_sorted(ends).tobytes() == np.unique(ends).tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(ends=st.lists(st.one_of(FINITE, st.integers(-10 ** 6, 10 ** 6)),
+                     min_size=2, max_size=2, unique=True),
+       slope=FINITE.filter(bool), intercept=st.one_of(FINITE, st.integers(-9, 9)))
+def test_affine_image_is_bitwise_numpy_arithmetic(ends, slope, intercept):
+    lo, hi = sorted(ends)
+    with np.errstate(all="ignore"):  # numpy on 0-d arrays, as the forward map was
+        ys = [float(slope * np.asarray(x, dtype=float) + intercept) for x in (lo, hi)]
+    p = affine_piece(lo, hi, slope, intercept)
+    if not all(map(math.isfinite, ys)):
+        with pytest.raises(ConstructionError, match="no finite real value"):
+            p.image
+        return
+    assert np.array(p.image).tobytes() == np.array([min(ys), max(ys)]).tobytes()
