@@ -15,6 +15,8 @@ the strings "inf", "-inf" and "nan".
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import math
 import os
@@ -107,33 +109,32 @@ def cmd_validate(args) -> int:
     return EXIT_OK if report.valid else EXIT_NEGATIVE
 
 
+def grid_rows(f, values_fn, interval, n: int) -> list:
+    """(y, value) rows at n points of interval, from one call of values_fn(f, ys)."""
+    ys = np.linspace(*interval, n)
+    return list(zip(ys.tolist(), values_fn(f, ys).tolist()))
+
+
 def cmd_grid(args, values_fn, column: str) -> int:
-    """(y, value) rows at `--grid` points of range_K, from one array call
-    of values_fn(f, ys): the density (column g) or the total slope (Jt)."""
-    f = load_spec(args.input, MOscillatingFunction)
-    ys = np.linspace(*f.range_K, args.grid)
-    rows = list(zip(ys.tolist(), values_fn(f, ys).tolist()))
-    emit(args, {"grid": [list(row) for row in rows]},
-         csv_rows=rows, csv_header=("y", column))
+    """(y, value) rows at `--grid` points of range_K of a valid function:
+    the density (column g) or the total slope (Jt)."""
+    f = measures.validated(load_spec(args.input, MOscillatingFunction))
+    rows = grid_rows(f, values_fn, f.range_K, args.grid)
+    emit(args, {"grid": rows}, csv_rows=rows, csv_header=("y", column))
     return EXIT_OK
 
 
 def cmd_measure(args) -> int:
     f = load_spec(args.input, MOscillatingFunction)
     m = measures.young_measure(f)
-    if m.density is not None:
-        ys = np.linspace(*m.density.support, args.grid)
-        gs = measures.young_density(f, ys)
-        density_grid = [[y, g] for y, g in zip(ys.tolist(), gs.tolist())]
-    else:
-        density_grid = []
+    density_grid = [] if m.density is None else grid_rows(
+        f, measures.young_density, m.density.support, args.grid)
     result = {
         "density_grid": density_grid,
         "atoms": [[a.location, a.weight] for a in m.atoms],
         "range": list(m.range_K),
     }
-    rows = [(y, g) for y, g in density_grid]
-    rows += [("atom", a.location, a.weight) for a in m.atoms]
+    rows = density_grid + [("atom", a.location, a.weight) for a in m.atoms]
     emit(args, result, csv_rows=rows, csv_header=("y", "g"))
     return EXIT_OK
 
@@ -386,6 +387,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # At exit, move every object still tracked to the permanent generation:
+    # interpreter finalization then skips a full collection and the teardown
+    # of numpy's object graph, which the OS reclaims anyway.  Nothing changes
+    # while the process lives; re-registering keeps one handler per process.
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     parser = build_parser()
     args = parser.parse_args(argv)
     if "YM_SEED" in os.environ and hasattr(args, "seed"):

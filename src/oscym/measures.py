@@ -259,15 +259,20 @@ def young_density_function(f: MOscillatingFunction) -> Optional[DensityFunction]
     )
 
 
-def young_measure(f: MOscillatingFunction) -> ScalarMeasureRCA:
-    """Build the Young measure of a validated oscillating function."""
+def validated(f: MOscillatingFunction) -> MOscillatingFunction:
+    """f, if it passes `validate`; else a ConstructionError naming every violation."""
     report = validate(f)
     if not report.valid:
         raise ConstructionError(
             "function failed validation: "
             + "; ".join(v.message for v in report.violations)
         )
-    return unvalidated_young_measure(f)
+    return f
+
+
+def young_measure(f: MOscillatingFunction) -> ScalarMeasureRCA:
+    """Build the Young measure of a validated oscillating function."""
+    return unvalidated_young_measure(validated(f))
 
 
 def unvalidated_young_measure(f: MOscillatingFunction) -> ScalarMeasureRCA:

@@ -553,6 +553,19 @@ def test_validate_rejects_a_flat_diffeomorphic_piece(tmp_path, capsys):
         "non_monotone,0,non-monotone piece 0: forward differences are all zero,0"]
 
 
+@pytest.mark.parametrize("command", ["density", "slope", "measure", "verify"])
+def test_every_spec_reader_rejects_an_invalid_function_alike(command, tmp_path, capsys):
+    from oscym.cli import main
+
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps(one_piece("expr", expr="0*x + 1")))
+    assert main([command, "--input", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: function failed validation: "
+                   "non-monotone piece 0: forward differences are all zero\n")
+
+
 def affine_pieces(*pieces):
     """A function spec on (0, 1) from (lo, hi, slope, intercept) tuples."""
     return {"domain": [0.0, 1.0], "pieces": [
