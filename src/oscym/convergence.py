@@ -296,7 +296,7 @@ def homogeneity_check(
             gi, gj = densities[i], densities[j]
             dist = quadrature.integrate(
                 lambda y: np.abs(gi.evaluator(y) - gj.evaluator(y)),
-                lo, hi, points=gi.cut_points + gj.cut_points,
+                lo, hi, points=gi.breakpoints + gj.breakpoints,
                 tol=max(quad_tol, tol * 1e-3),
             )
             if dist > tol:

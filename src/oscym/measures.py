@@ -9,13 +9,13 @@ mass is a difference.  A test function integrates against it in x, by
 the identity integral of phi dnu_f = (1/M) integral of phi(f(x)) dx, whose
 integrand is bounded.  The in-package adaptive Gauss-Kronrod rule
 (`quadrature`) runs those x-integrals piece by piece, and integrates in y
-only densities that have no function behind them (user-supplied, grid or
-family densities): it cuts at their singular points and breakpoints, maps
-each cut interval so that inverse-square-root singularities at its ends
-become bounded, and bisects until its error estimate is at most
-max(tol, tol |integral|).  Constant pieces carry no density; they
-appear as atoms weighted by their share of the domain.  Nothing is
-tabulated up front: a density is sampled only when output asks for it.
+only densities that have no function behind them (user-supplied or
+family densities): it cuts at their breakpoints, maps each cut interval
+so that inverse-square-root singularities at its ends become bounded,
+and bisects until its error estimate is at most max(tol, tol |integral|).
+Constant pieces carry no density; they appear as atoms weighted by their
+share of the domain.  Nothing is tabulated up front: a density is
+sampled only when output asks for it.
 `young_density` and `total_slope` take a scalar or an array of y and
 evaluate a whole array at once, from the function's piece table.
 """
@@ -61,10 +61,10 @@ class DensityFunction:
     `evaluator` takes an array of y and returns the density at each, an
     array of the same shape; quadrature calls it once per panel.  One that
     accepts only a scalar still works, called once per value with a Python
-    float.  It may return +inf exactly at the listed singular points;
-    quadrature cuts there and never evaluates the cut points themselves.
-    `breakpoints` mark mere kinks, cut points too (`cut_points` lists both).
-    The rule maps each cut interval [lo, hi] by y = lo + w t^2 (3 - 2t),
+    float.  `breakpoints` are where quadrature in y cuts, for kinks and
+    singularities alike; the density may be +inf only at a breakpoint or
+    an end of its support, which quadrature never evaluates.  The rule
+    maps each cut interval [lo, hi] by y = lo + w t^2 (3 - 2t),
     w = hi - lo, so an integrable inverse-square-root singularity at a cut
     point leaves a bounded integrand in t; a non-integrable singularity,
     or a non-finite value at a node, raises QuadratureError.  `cdf`, when
@@ -72,41 +72,19 @@ class DensityFunction:
     below y, taking and returning arrays; set masses are then its
     differences and no quadrature runs.  `expectation`, when set, maps a
     test function phi to the integral of phi against the density without
-    integrating in y.  A Young density sets both, and lists no singular
-    points: its infinite values sit at piece-image endpoints, which are
-    its breakpoints or the ends of its support.
+    integrating in y.  A Young density sets both: its infinite values sit
+    at piece-image endpoints, which are its breakpoints or the ends of its
+    support.
     """
 
     support: tuple[float, float]
     evaluator: Callable
-    singular_points: tuple[float, ...] = ()
     breakpoints: tuple[float, ...] = ()
     cdf: Optional[Callable[[np.ndarray], np.ndarray]] = None
     expectation: Optional[Callable[[Callable[[float], float]], float]] = None
 
-    @classmethod
-    def from_grid(cls, ys: np.ndarray, values: np.ndarray) -> "DensityFunction":
-        ys = np.asarray(ys, dtype=float)
-        values = np.asarray(values, dtype=float)
-        finite = np.isfinite(values)
-        yf, vf = ys[finite], values[finite]
-
-        def ev(y, _ys=yf, _vs=vf):
-            return np.interp(y, _ys, _vs)
-
-        return cls(
-            support=(float(ys[0]), float(ys[-1])),
-            evaluator=ev,
-            singular_points=tuple(ys[~finite]),
-        )
-
     def __call__(self, y: float) -> float:
         return float(self.evaluator(y))
-
-    @property
-    def cut_points(self) -> tuple[float, ...]:
-        """Where quadrature in y cuts: the singular points and breakpoints."""
-        return (*self.singular_points, *self.breakpoints)
 
     def masses(self, edges, quad_tol: float = quadrature.QUAD_TOL) -> np.ndarray:
         """Integrals of the density over the consecutive intervals of the
@@ -115,7 +93,7 @@ class DensityFunction:
         if self.cdf is not None:
             return np.diff(self.cdf(edges))
         return np.array([
-            quadrature.integrate(self.evaluator, a, b, points=self.cut_points, tol=quad_tol)
+            quadrature.integrate(self.evaluator, a, b, points=self.breakpoints, tol=quad_tol)
             for a, b in zip(edges[:-1], edges[1:])
         ])
 
@@ -317,7 +295,7 @@ def integrate_test(m: ScalarMeasureRCA, phi: Callable[[float], float]) -> float:
     elif g is not None:
         total += quadrature.integrate(
             lambda y: phi(y) * g.evaluator(y),
-            g.support[0], g.support[1], points=g.cut_points,
+            g.support[0], g.support[1], points=g.breakpoints,
         )
     for a in m.atoms:
         total += a.weight * phi(a.location)
@@ -325,17 +303,11 @@ def integrate_test(m: ScalarMeasureRCA, phi: Callable[[float], float]) -> float:
 
 
 def tv_norm(m: ScalarMeasureRCA) -> float:
-    """Total variation: integral of |density| plus the absolute atom weights."""
+    """Total variation: the absolute atom weights plus the density's mass,
+    which is its integral of |g|, as a density is nonnegative."""
     total = sum(abs(a.weight) for a in m.atoms)
-    if m.density is not None and m.density.cdf is not None:
-        # F is nondecreasing: |density| integrates to F(hi) - F(lo)
+    if m.density is not None:
         total += integrate_density(m.density, m.density.support)
-    elif m.density is not None:
-        g = m.density
-        total += quadrature.integrate(
-            lambda y: np.abs(g.evaluator(y)),
-            g.support[0], g.support[1], points=g.cut_points,
-        )
     return total
 
 
@@ -347,8 +319,6 @@ def is_probability(m: ScalarMeasureRCA, prob_tol: float = PROB_TOL) -> bool:
     if m.density is not None:
         g = m.density
         ys = np.linspace(*g.support, 257)[1:-1]
-        if g.singular_points:
-            ys = ys[np.abs(ys[:, None] - np.array(g.singular_points)).min(axis=1) >= 1e-9]
         vs = forward_values(g.evaluator, ys)
         if (np.isfinite(vs) & (vs < -prob_tol)).any():
             return False

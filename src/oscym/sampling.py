@@ -135,7 +135,9 @@ def oracle_report(
     n_sigma: float = 3.0,
 ) -> OracleReport:
     """Per-bin and per-atom comparison of a model measure against its
-    empirical histogram, with binomial standard-error thresholds."""
+    empirical histogram, with binomial standard-error thresholds.  Each atom,
+    matched or on one side only (mass 0 on the other), takes the threshold
+    of its model weight: 0 for an empirical atom that the model lacks."""
     n = h.sample_count
     if m.density is not None:
         models = m.density.masses(h.edges)
@@ -148,22 +150,17 @@ def oracle_report(
         bins.append(BinComparison(float(lo), float(hi), float(model),
                                   float(empirical), thresh))
 
-    atoms = []
-    matched_model = set()
+    # (location, model weight, empirical mass)
+    triples, matched = [], set()
     for pm in h.point_masses:
-        match = next((j for j, a in enumerate(m.atoms)
-                      if abs(a.location - pm.location) <= MERGE_SNAP), None)
-        if match is None:
-            # empirical atom with no model counterpart: full-mass discrepancy
-            atoms.append(AtomComparison(pm.location, 0.0, pm.mass, 0.0))
-        else:
-            matched_model.add(match)
-            w = m.atoms[match].weight
-            thresh = n_sigma * float(np.sqrt(w * (1.0 - w) / n))
-            atoms.append(AtomComparison(pm.location, w, pm.mass, thresh))
-    for j, a in enumerate(m.atoms):
-        if j not in matched_model:
-            atoms.append(AtomComparison(a.location, a.weight, 0.0, 0.0))
+        j = next((j for j, a in enumerate(m.atoms)
+                  if abs(a.location - pm.location) <= MERGE_SNAP), None)
+        matched.add(j)
+        triples.append((pm.location, 0.0 if j is None else m.atoms[j].weight, pm.mass))
+    triples += [(a.location, a.weight, 0.0)
+                for j, a in enumerate(m.atoms) if j not in matched]
+    atoms = [AtomComparison(loc, w, mass, n_sigma * float(np.sqrt(w * (1.0 - w) / n)))
+             for loc, w, mass in triples]
 
     disc = 0.0
     for b in bins:

@@ -8,7 +8,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oscym.measures import DensityFunction
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -247,11 +246,11 @@ def test_measure_export_roundtrip(tent_spec, tmp_path):
                 "--out", str(out), "--grid", "257")
     assert r.returncode == 0
     payload = json.loads(out.read_text())
-    grid = np.asarray(payload["result"]["density_grid"], dtype=float)
-    rebuilt = DensityFunction.from_grid(grid[:, 0], grid[:, 1])
-    assert rebuilt.support == tuple(payload["result"]["range"])
+    ys, gs = np.asarray(payload["result"]["density_grid"], dtype=float).T
+    finite = np.isfinite(gs)
+    assert (ys[0], ys[-1]) == tuple(payload["result"]["range"])
     for y in np.linspace(0.05, 0.95, 10):
-        assert rebuilt(float(y)) == pytest.approx(1.0, abs=1e-6)
+        assert np.interp(y, ys[finite], gs[finite]) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_csv_floats_roundtrip_exactly(tent_spec):
@@ -347,6 +346,38 @@ def test_verify_keeps_atoms_apart_as_the_model_does(tmp_path):
     atoms = json.loads(r.stdout)["result"]["atoms"]
     assert [a["model_weight"] for a in atoms] == [0.25, 0.25]
     assert all(abs(a["empirical_mass"] - 0.25) <= a["threshold"] for a in atoms)
+
+
+@pytest.mark.parametrize("seed", ["1", "2"])
+def test_verify_passes_a_model_atom_too_light_to_sample(tmp_path, seed):
+    # the plateau's expected count is 1 of 1M draws, under MIN_ATOM_COUNT, so
+    # the oracle finds no atom: the model weight 1e-6 is within 3 sigma of 0
+    path = tmp_path / "light_atom.json"
+    path.write_text(json.dumps({"domain": [0.0, 1.0], "pieces": [
+        {"interval": [0.0, 0.999999], "kind": "affine",
+         "params": {"slope": 1.0, "intercept": 0.0}},
+        {"interval": [0.999999, 1.0], "kind": "constant", "params": {"value": 0.5}},
+    ]}))
+    r = run_cli("verify", "--input", str(path), "--seed", seed,
+                "--samples", "1000000", "--format", "json")
+    assert r.returncode == 0, r.stdout
+    [atom] = json.loads(r.stdout)["result"]["atoms"]
+    assert (atom["location"], atom["empirical_mass"]) == (0.5, 0.0)
+    assert atom["threshold"] == pytest.approx(3e-6)
+
+
+def test_verify_an_all_constant_function(tmp_path):
+    # no density: every bin's model mass is 0, and both atoms are matched
+    path = tmp_path / "two_plateaus.json"
+    path.write_text(json.dumps({"domain": [0.0, 1.0], "pieces": [
+        {"interval": [0.0, 0.5], "kind": "constant", "params": {"value": 0.25}},
+        {"interval": [0.5, 1.0], "kind": "constant", "params": {"value": 0.75}},
+    ]}))
+    r = run_cli("verify", "--input", str(path), "--format", "json")
+    assert r.returncode == 0, r.stdout
+    result = json.loads(r.stdout)["result"]
+    assert {b["model_mass"] for b in result["bins"]} == {0.0}
+    assert [a["model_weight"] for a in result["atoms"]] == [0.5, 0.5]
 
 
 OPTIONS = {

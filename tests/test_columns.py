@@ -171,6 +171,9 @@ def wild_rows(draw):
 @example(rows=[(0.0, 5e-323, (1.0, 0.0)),
                (1.209060244672734, 1.209060247064072, (9647774049.511053, -11664740053.61325))],
          domain=(-1.0, 2.0), range_K=None)
+# an inverse that misses by 1.3e-4 on a piece 1e-12 wide
+@example(rows=[(0.0, 1.0, (1.0, 0.0)), (1.0, 1.0 + 1e-12, (1e12, -1e12))],
+         domain=(0.0, 1.0), range_K=None)
 def test_validate_reports_as_the_per_piece_checks(rows, domain, range_K):
     f = MOscillatingFunction.from_table(Domain1D(*domain), table_of_rows(rows), range_K)
     g = per_piece(f, range_K)
@@ -180,6 +183,13 @@ def test_validate_reports_as_the_per_piece_checks(rows, domain, range_K):
     ys = y_grid(f, [0.25, 0.5])
     with np.errstate(all="ignore"):
         assert bits(total_slope(f, ys)) == bits(total_slope(g, ys))
+
+
+def test_an_affine_end_that_is_not_finite_names_its_piece():
+    # slope 2e308 overflows to inf, and inf * 0.0 is nan
+    with pytest.raises(ConstructionError) as exc:
+        tent_map(1e308)
+    assert str(exc.value) == "piece on [0.0, 0.5] has no finite real value at x=0.0: nan"
 
 
 def old_affine_piece(lo, hi, slope, intercept):

@@ -32,7 +32,6 @@ from oscym.measures import ScalarMeasureRCA, young_density_function
 ARCSINE = DensityFunction(
     support=(-1.0, 1.0),
     evaluator=lambda y: 1.0 / (math.pi * math.sqrt(1.0 - y * y)) if abs(y) < 1 else math.inf,
-    singular_points=(-1.0, 1.0),
 )
 
 

@@ -51,3 +51,24 @@ def unused_imports(path: Path) -> list[str]:
 def test_every_import_is_used(module):
     # __init__.py imports in order to re-export, so it is not scanned
     assert unused_imports(ROOT / "src" / "oscym" / module) == []
+
+
+def dead_helpers() -> list[str]:
+    """Private functions and classes defined in src/oscym that no module of
+    it reads, by name or as an attribute; dunder methods are called by
+    Python itself and are not counted."""
+    defined, read = set(), set()
+    for path in (ROOT / "src" / "oscym").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defined.add(f"{path.name}:{node.name}")
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(d for d in defined if d.split(":")[1] not in read)
+
+
+def test_every_private_helper_is_read():
+    assert dead_helpers() == []

@@ -35,7 +35,6 @@ def arcsine(y: float) -> float:
 ARCSINE_DENSITY = DensityFunction(
     support=(-1.0, 1.0),
     evaluator=lambda y: arcsine(y) if abs(y) < 1 else math.inf,
-    singular_points=(-1.0, 1.0),
 )
 ARCSINE_MEASURE = ScalarMeasureRCA(range_K=(-1.0, 1.0), density=ARCSINE_DENSITY)
 
@@ -229,6 +228,14 @@ def test_is_probability_rejects_double_mass():
     assert not is_probability(m)
 
 
+def test_is_probability_rejects_a_weightless_atom_and_a_negative_density():
+    assert not is_probability(ScalarMeasureRCA((0.0, 1.0), atoms=(Atom(0.3, 1.0), Atom(0.5, 0.0))))
+    # 2.5 below 0.5 and -0.5 above integrate to 1: only the sampled sign rejects it
+    g = DensityFunction((0.0, 1.0), lambda y: np.where(y < 0.5, 2.5, -0.5), breakpoints=(0.5,))
+    assert integrate_density(g, g.support) == pytest.approx(1.0, abs=1e-12)
+    assert not is_probability(ScalarMeasureRCA((0.0, 1.0), g))
+
+
 def test_is_probability_dirac():
     m = ScalarMeasureRCA(range_K=(0.0, 1.0), atoms=(Atom(0.3, 1.0),))
     assert is_probability(m)
@@ -270,7 +277,6 @@ def test_quadrature_error_raised_on_nonintegrable_density():
     g = DensityFunction(
         support=(0.0, 1.0),
         evaluator=lambda y: 1.0 / y if y > 0 else math.inf,
-        singular_points=(0.0,),
     )
     with pytest.raises(QuadratureError):
         integrate_density(g, (0.0, 1.0))

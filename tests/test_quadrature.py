@@ -138,6 +138,12 @@ def test_non_finite_integral_raises(bad):
         quadrature.integrate(lambda y: bad if y == 0.5 else 1.0, 0.0, 1.0)
 
 
+def test_an_integral_that_does_not_converge_raises():
+    # 2e4 / pi sign changes: MAX_SUBDIVISIONS panels cannot reach tol
+    with pytest.raises(QuadratureError, match="did not converge"):
+        quadrature.integrate(lambda y: np.sign(np.sin(1e4 * y)), 0.0, 1.0, tol=1e-12)
+
+
 def test_cli_exits_3_on_a_non_finite_integral(monkeypatch, capsys):
     nan_density = DensityFunction(support=(0.0, 1.0), evaluator=lambda y: math.nan)
     family = NonhomogeneousDensityFamily(
@@ -199,8 +205,7 @@ def test_a_scalar_only_integrand_receives_python_floats():
     (lambda y: y * y - 3.0 * y, 0.0, 2.0, ()),
     (lambda y: np.abs(y - 0.3), 0.0, 2.0, (0.7,)),
     (triangular_density(0.3), 0.0, 2.0, (0.3, 1.0)),
-    (DensityFunction.from_grid(np.linspace(0.0, 2.0, 9),
-                               np.linspace(0.0, 2.0, 9) ** 2).evaluator, 0.0, 2.0, ()),
+    (lambda y, _ys=np.linspace(0.0, 2.0, 9): np.interp(y, _ys, _ys ** 2), 0.0, 2.0, ()),
     (young_density_function(spec_function("sine")).evaluator, -1.0, 1.0, (0.0,)),
 ], ids=["polynomial", "kink", "triangular", "grid", "arcsine"])
 def test_array_calls_equal_a_call_per_node_bitwise(fn, a, b, points):
