@@ -300,6 +300,30 @@ def _window(text: str) -> tuple[int, int]:
     return a, b
 
 
+# the add_argument keywords of each option, whichever subcommands take it
+_OPTIONS = {
+    "--input": dict(required=True, help="spec file (JSON)"),
+    "--out": dict(help="output path (atomic write)"),
+    "--format": dict(choices=("csv", "json"), default="csv"),
+    "--grid": dict(type=_count, default=measures.GRID_SIZE),
+    "--seed": dict(type=_seed, default=42),
+    "--samples": dict(type=int, default=1_000_000),
+    "--bins": dict(type=int, default=16),
+    "--tol": dict(type=_tol, default=measures.DEFAULT_TOL),
+    "--quad-tol": dict(type=_quad_tol, default=quadrature.QUAD_TOL),
+    "--window": dict(type=_window, default=measures.DEFAULT_WINDOW),
+    "--depth": dict(type=_count, default=measures.DEFAULT_DEPTH),
+    "--family": dict(default="triangular"),
+    "--x0": dict(type=float, default=0.5),
+    "--n-start": dict(type=_positive, default=3),
+    "--n-stop": dict(type=_positive, default=256),
+    "--x-samples": dict(type=int, default=5),
+    "--n-list": dict(type=_n_list, default="1,2,4,8,16"),
+    "--gradient-ym": dict(action="store_true"),
+    "--n": dict(type=_positive, default=4),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     import shutil  # as argparse does; tempfile has loaded it already
 
@@ -314,83 +338,33 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=formatter,
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    add_parser = partial(sub.add_parser, formatter_class=formatter)
-
-    def common(p, input_file=True):
-        if input_file:
-            p.add_argument("--input", required=True, help="spec file (JSON)")
-        p.add_argument("--out", default=None, help="output path (atomic write)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    def grid(p):
-        p.add_argument("--grid", type=_count, default=measures.GRID_SIZE)
-
-    def tol(p):
-        p.add_argument("--tol", type=_tol, default=measures.DEFAULT_TOL)
-
-    def quad_tol(p):
-        p.add_argument("--quad-tol", type=_quad_tol, default=quadrature.QUAD_TOL)
-
-    p = add_parser("validate", help="check the structural invariants")
-    common(p)
-    p.set_defaults(func=cmd_validate)
-
-    p = add_parser("density", help="tabulate the Young-measure density")
-    common(p)
-    grid(p)
-    p.set_defaults(func=partial(cmd_grid, values_fn=measures.young_density, column="g"))
-
-    p = add_parser("slope", help="tabulate the total slope")
-    common(p)
-    grid(p)
-    p.set_defaults(func=partial(cmd_grid, values_fn=measures.total_slope, column="Jt"))
-
-    p = add_parser("measure", help="export the Young measure")
-    common(p)
-    grid(p)
-    p.set_defaults(func=cmd_measure)
-
-    p = add_parser("verify", help="compare against the Monte-Carlo oracle")
-    common(p)
-    p.add_argument("--seed", type=_seed, default=42)
-    p.add_argument("--samples", type=int, default=1_000_000)
-    p.add_argument("--bins", type=int, default=16)
-    p.set_defaults(func=cmd_verify)
-
-    p = add_parser("converge", help="monotone-slope convergence check")
-    common(p)
-    tol(p)
-    p.add_argument("--window", type=_window, default=measures.DEFAULT_WINDOW)
-    p.add_argument("--depth", type=_count, default=measures.DEFAULT_DEPTH)
-    p.set_defaults(func=cmd_converge)
-
-    p = add_parser("weak-cont", help="weak continuity of x -> h_x")
-    common(p, input_file=False)
-    tol(p)
-    quad_tol(p)
-    p.add_argument("--family", default="triangular")
-    p.add_argument("--x0", type=float, default=0.5)
-    p.add_argument("--n-start", type=_positive, default=3)
-    p.add_argument("--n-stop", type=_positive, default=256)
-    p.add_argument("--depth", type=_count, default=measures.DEFAULT_DEPTH)
-    p.set_defaults(func=cmd_weak_cont)
-
-    p = add_parser("homog", help="homogeneity of a density family")
-    common(p, input_file=False)
-    tol(p)
-    quad_tol(p)
-    p.add_argument("--family", default="triangular")
-    p.add_argument("--x-samples", type=int, default=5)
-    p.set_defaults(func=cmd_homog)
-
-    p = add_parser("bolza", help="Bolza functional on the sawtooth sequence")
-    common(p, input_file=False)
-    quad_tol(p)
-    p.add_argument("--n-list", type=_n_list, default="1,2,4,8,16")
-    p.add_argument("--gradient-ym", action="store_true")
-    p.add_argument("--n", type=_positive, default=4)
-    p.set_defaults(func=cmd_bolza)
-
+    # name: (handler, help line, options in help order); made per call, so a
+    # handler binds the measures function the module holds at that time
+    commands = {
+        "validate": (cmd_validate, "check the structural invariants",
+                     "--input --out --format"),
+        "density": (partial(cmd_grid, values_fn=measures.young_density, column="g"),
+                    "tabulate the Young-measure density", "--input --out --format --grid"),
+        "slope": (partial(cmd_grid, values_fn=measures.total_slope, column="Jt"),
+                  "tabulate the total slope", "--input --out --format --grid"),
+        "measure": (cmd_measure, "export the Young measure", "--input --out --format --grid"),
+        "verify": (cmd_verify, "compare against the Monte-Carlo oracle",
+                   "--input --out --format --seed --samples --bins"),
+        "converge": (cmd_converge, "monotone-slope convergence check",
+                     "--input --out --format --tol --window --depth"),
+        "weak-cont": (cmd_weak_cont, "weak continuity of x -> h_x",
+                      "--out --format --tol --quad-tol --family --x0 --n-start --n-stop "
+                      "--depth"),
+        "homog": (cmd_homog, "homogeneity of a density family",
+                  "--out --format --tol --quad-tol --family --x-samples"),
+        "bolza": (cmd_bolza, "Bolza functional on the sawtooth sequence",
+                  "--out --format --quad-tol --n-list --gradient-ym --n"),
+    }
+    for name, (func, help_line, options) in commands.items():
+        p = sub.add_parser(name, help=help_line, formatter_class=formatter)
+        for option in options.split():
+            p.add_argument(option, **_OPTIONS[option])
+        p.set_defaults(func=func)
     return ap
 
 

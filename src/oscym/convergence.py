@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import quadrature
-from .domain import Domain1D, MOscillatingFunction
+from .domain import Domain1D, MOscillatingFunction, image_slack
 from .errors import PreconditionError
 from .measures import (
     DEFAULT_DEPTH,
@@ -239,7 +239,7 @@ def converge_young(
     ends = np.concatenate([[lo, hi], *(e for f in fs
                                        for e in (f.piece_table.lo, f.piece_table.hi))])
     ends = _distinct_sorted(np.clip(ends, lo, hi))  # np.unique would import numpy.ma
-    slack = 1e-12 * max(1.0, *(abs(v) for f in fs for v in f.range_K))
+    slack = image_slack(*(v for f in fs for v in f.range_K))
     mids = ((ends[:-1] + ends[1:]) / 2)[np.diff(ends) > 2 * slack]
     if not monotone_slope_check(fs, np.r_[np.linspace(lo, hi, SLOPE_GRID_POINTS + 2)[1:-1], mids]):
         raise PreconditionError("total slopes do not form a monotone sequence")
@@ -284,7 +284,9 @@ def homogeneity_check(
     quad_tol: float = quadrature.QUAD_TOL,
 ) -> bool:
     """Finite-sample surrogate for the singleton-family characterization:
-    the family is homogeneous iff all sampled slices agree in L1."""
+    the family is homogeneous iff all sampled slices agree in L1.  Each L1
+    distance is integrated to max(quad_tol, 1e-3 * tol), so a quad_tol
+    below 1e-3 * tol changes nothing."""
     if x_samples < 2:
         raise PreconditionError("x_samples must be at least 2")
     dom = fam.domain

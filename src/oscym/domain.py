@@ -100,10 +100,7 @@ class Piece:
             object.__setattr__(self, "affine_slope", 0.0)
         elif self.affine_intercept is not None:
             s, c = float(self.affine_slope), float(self.affine_intercept)
-            # a Python float maps in Python arithmetic: numpy's IEEE multiply
-            # and add without its cost per call
-            object.__setattr__(self, "forward", lambda x: s * (
-                x if type(x) is float else np.asarray(x, float)) + c)
+            object.__setattr__(self, "forward", lambda x: s * np.asarray(x, float) + c)
             object.__setattr__(self, "inverse", lambda y: (y - c) / s)
             object.__setattr__(self, "inverse_derivative",
                                lambda y: np.full(np.shape(y), 1.0 / s))
@@ -494,9 +491,15 @@ def per_value(fn: Callable[[float], float], y) -> np.ndarray:
     return np.fromiter(map(fn, y.ravel().tolist()), float, y.size).reshape(y.shape)
 
 
+def image_slack(*bounds: float) -> float:
+    """Rounding slack of a value against image ends bounded by these values:
+    1e-12 relative to the largest magnitude, absolute below 1."""
+    return 1e-12 * max(1.0, *map(abs, bounds))
+
+
 def _require_in_image(p: Piece, y: float) -> None:
     lo, hi = p.image
-    slack = 1e-12 * max(1.0, abs(lo), abs(hi))
+    slack = image_slack(lo, hi)
     if not (lo - slack <= y <= hi + slack):
         raise RangeError(f"y={y} outside piece image [{lo}, {hi}]")
 

@@ -34,6 +34,7 @@ from .domain import (
     DIFFEOMORPHIC,
     MOscillatingFunction,
     forward_values,
+    image_slack,
     invert_piece,
     validate,
 )
@@ -158,7 +159,7 @@ def _slope_sum(f: MOscillatingFunction, y):
     ys = np.asarray(y, dtype=float)
     row = ys.reshape(1, -1)
     top = f.range_K[1]
-    slack = 1e-12 * max(1.0, abs(f.range_K[0]), abs(top))
+    slack = image_slack(f.range_K[0], top)
     hit = (t.lo[:, None] - slack <= row) & (row < t.hi[:, None] - slack)
     # an image reaching the top is closed there; only values within a few
     # slacks of the top can sit on such an image end

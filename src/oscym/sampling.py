@@ -3,7 +3,7 @@
 Draws uniform samples from the domain with a counter-based Philox
 generator (bit-for-bit reproducible for a fixed seed), evaluates the
 function and reads atoms and bins off one sorted pass over the values.
-Repeated values - the signature of constant pieces - are atoms, merged by
+Repeated values, and the values of constant pieces, are atoms, merged by
 the model's rule, `measures.merge_atoms`.
 """
 from __future__ import annotations
@@ -55,10 +55,12 @@ def pushforward_empirical(
     draws and then sorted in place, so the call holds one n-sized float
     array, plus temporaries of O(`domain.EVAL_BLOCK`) floats and the atom
     scan's n-sized boolean arrays.
-    A run of at least MIN_ATOM_COUNT equal values is an atom; atoms within
+    A run of at least MIN_ATOM_COUNT equal values is an atom, and so is
+    each constant piece's value that at least one draw takes; an atom's
+    mass is its exact count of draws, and atoms within
     `measures.MERGE_SNAP` merge, as the model's do.  Bin k holds
     edges[k] <= v < edges[k+1], the last bin closed; values that stray
-    outside range_K by rounding fall into the end bins, and atom runs are
+    outside range_K by rounding fall into the end bins, and atom values are
     left out.  Edges are `np.histogram_bin_edges`, so a one-value range
     widens to +-0.5.
     """
@@ -77,17 +79,24 @@ def pushforward_empirical(
     k = MIN_ATOM_COUNT - 1
     run = values[k:] == values[:-k]
     starts = np.flatnonzero(np.diff(run, prepend=False))[::2]
+    # a constant piece's value is an atom from its first draw on: a light
+    # atom's few draws are counted, not compared with mass 0
+    plateau = f.piece_table.value
+    firsts = np.searchsorted(values, plateau, side="left")
+    hit = firsts < np.searchsorted(values, plateau, side="right")
+    starts = np.sort(np.concatenate([starts, firsts[hit]]))
+    starts = starts[np.diff(starts, prepend=-1) > 0]  # np.unique would import numpy.ma
     locations = values[starts]
-    run_counts = np.searchsorted(values, locations, side="right") - starts
+    atom_counts = np.searchsorted(values, locations, side="right") - starts
     point_masses = tuple(
         PointMass(*a) for a in merge_atoms(zip(locations.tolist(),
-                                               (run_counts / n_samples).tolist())))
+                                               (atom_counts / n_samples).tolist())))
 
     edges = np.histogram_bin_edges(values, n_bins, f.range_K)
     inner = edges[1:-1]
     counts = np.diff(np.searchsorted(values, inner, side="left"),
                      prepend=0, append=n_samples)
-    np.subtract.at(counts, np.searchsorted(inner, locations, side="right"), run_counts)
+    np.subtract.at(counts, np.searchsorted(inner, locations, side="right"), atom_counts)
     return Histogram(
         range=tuple(f.range_K),
         edges=edges,

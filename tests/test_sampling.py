@@ -99,16 +99,33 @@ def test_oracle_report_atom_matching():
     assert abs(atom.empirical_mass - 0.5) <= atom.threshold
 
 
+@pytest.mark.parametrize("seed", [32, 45, 71])
+def test_a_light_atom_counts_every_draw(seed):
+    # expected count 10 of 100k draws: seeds where fewer than MIN_ATOM_COUNT
+    # draws fall on the plateau, which 3 sigma (9.5 draws) no longer covers
+    n, w = 100_000, 1e-4
+    f = MOscillatingFunction(domain=Domain1D(0.0, 1.0), pieces=(
+        affine_piece(0.0, 1.0 - w, 1.0, 0.0), constant_piece(1.0 - w, 1.0, 0.5)))
+    xs = np.random.Generator(np.random.Philox(key=seed)).uniform(0.0, 1.0, n)
+    drawn = np.count_nonzero(xs > 1.0 - w)
+    assert 0 < drawn < MIN_ATOM_COUNT
+    rep = oracle_report(young_measure(f), pushforward_empirical(f, n, seed, 16))
+    [atom] = rep.atoms
+    assert (atom.location, atom.empirical_mass) == (0.5, drawn / n)
+    assert rep.within_threshold
+
+
 def unique_histogram(f, n_samples, seed, n_bins):
     """The `np.unique` pipeline `pushforward_empirical` replaced, kept as its
-    reference: atoms from `np.unique` counts merged at MERGE_SNAP, the rest
-    of the values binned by `np.histogram`, strays added to the end bins."""
+    reference: atoms from `np.unique` counts (at least MIN_ATOM_COUNT, or any
+    count of a constant piece's value) merged at MERGE_SNAP, the rest of the
+    values binned by `np.histogram`, strays added to the end bins."""
     rng = np.random.Generator(np.random.Philox(key=seed))
     xs = rng.uniform(f.domain.lower, f.domain.upper, n_samples)
     xs.sort()
     values = evaluate_many(f, xs)
     uniq, counts = np.unique(values, return_counts=True)
-    atom_idx = counts >= MIN_ATOM_COUNT
+    atom_idx = (counts >= MIN_ATOM_COUNT) | np.isin(uniq, f.piece_table.value)
     point_masses = []
     for loc, cnt in zip(uniq[atom_idx], counts[atom_idx]):
         if point_masses and abs(loc - point_masses[-1].location) <= MERGE_SNAP:
@@ -159,7 +176,10 @@ def ramp_with(*constants, range_K=None):
                          pieces=(constant_piece(0.0, 1.0, 0.3),)),
     # a range narrower than the images: the ramp and the atom at 0.9 stray
     ramp_with(0.9, 0.4, range_K=(0.25, 0.75)),
-], ids=["end_and_edge_atoms", "one_value", "narrow_range"])
+    # a plateau that 4 draws take, under MIN_ATOM_COUNT
+    MOscillatingFunction(domain=Domain1D(0.0, 1.0), pieces=(
+        affine_piece(0.0, 1.0 - 5e-5, 1.0, 0.0), constant_piece(1.0 - 5e-5, 1.0, 0.5))),
+], ids=["end_and_edge_atoms", "one_value", "narrow_range", "light_atom"])
 def test_edge_cases_equal_unique_histogram(f):
     h = assert_matches_unique_histogram(f, 20_000, SEED, 16)
     assert h.point_masses
