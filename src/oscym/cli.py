@@ -324,7 +324,10 @@ _OPTIONS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The `oscym` parser.  When argv[0] names a subcommand, only that one
+    gets its options, the only ones parse_args(argv) can read; otherwise
+    (no argv, --help, an unknown name) every subcommand gets them."""
     import shutil  # as argparse does; tempfile has loaded it already
 
     # argparse reads the terminal size for every formatter it makes, one per
@@ -360,10 +363,12 @@ def build_parser() -> argparse.ArgumentParser:
         "bolza": (cmd_bolza, "Bolza functional on the sawtooth sequence",
                   "--out --format --quad-tol --n-list --gradient-ym --n"),
     }
+    named = argv[0] if argv and argv[0] in commands else None
     for name, (func, help_line, options) in commands.items():
         p = sub.add_parser(name, help=help_line, formatter_class=formatter)
-        for option in options.split():
-            p.add_argument(option, **_OPTIONS[option])
+        if named in (None, name):
+            for option in options.split():
+                p.add_argument(option, **_OPTIONS[option])
         p.set_defaults(func=func)
     return ap
 
@@ -381,7 +386,8 @@ def main(argv=None) -> int:
     if not _freeze_registered:
         atexit.register(gc.freeze)
         _freeze_registered = True
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
     args = parser.parse_args(argv)
     if "YM_SEED" in os.environ and hasattr(args, "seed"):
         try:

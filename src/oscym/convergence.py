@@ -7,7 +7,7 @@ surrogate - evidence at the tested resolution, not a proof.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import partial
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -37,9 +37,9 @@ class DyadicSet(NamedTuple):
     hi: float
 
 
-@dataclass(frozen=True)
-class BorelTestFamily:
-    """All dyadic subintervals of range_K at levels 0..depth."""
+class BorelTestFamily(NamedTuple):
+    """All dyadic subintervals of range_K at levels 0..depth.  `len` counts
+    them, not the two fields, so `_make` and `_replace` refuse it."""
 
     range_K: tuple[float, float]
     depth: int = DEFAULT_DEPTH
@@ -68,8 +68,7 @@ class SetRecord(NamedTuple):
     residual: float
 
 
-@dataclass(frozen=True)
-class ConvergenceVerdict:
+class ConvergenceVerdict(NamedTuple):
     converged: bool
     per_set: tuple[SetRecord, ...]
     worst_residual: float
@@ -77,8 +76,7 @@ class ConvergenceVerdict:
     tol: float
 
 
-@dataclass(frozen=True)
-class DensitySequence:
+class DensitySequence(NamedTuple):
     """Lazy family n -> density on a common range."""
 
     generator: Callable[[int], DensityFunction]
@@ -86,8 +84,7 @@ class DensitySequence:
     max_index: int
 
 
-@dataclass(frozen=True)
-class NonhomogeneousDensityFamily:
+class NonhomogeneousDensityFamily(NamedTuple):
     """Family x -> density on a fixed range, indexed by the spatial point."""
 
     domain: Domain1D

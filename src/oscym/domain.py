@@ -31,7 +31,7 @@ H_FD_SCALE = 1e-6          # finite-difference step, scaled by piece length
 DERIVATIVE_FLOOR = 1e-10   # below this the inverse slope counts as singular
 VALIDATE_SAMPLES = 64      # grid points per monotone piece in `validate`
 VALIDATE_TOL = 1e-6        # slack of `validate`'s structural and inverse checks
-EVAL_BLOCK = 1 << 16       # points per forward call in `evaluate_many` (512 KiB of float64)
+EVAL_BLOCK = 1 << 14       # points per forward call in `evaluate_many` (128 KiB of float64)
 
 DIFFEOMORPHIC = "diffeomorphic"
 CONSTANT = "constant"
@@ -183,16 +183,14 @@ class Piece:
             return np.where(d < floor, math.inf, 1.0 / d)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     code: str
     piece_index: Optional[int]
     message: str
     measured: float
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     valid: bool
     violations: tuple[Violation, ...]
 
@@ -435,8 +433,9 @@ def evaluate_many(f: MOscillatingFunction, xs: np.ndarray,
     The points are sorted (input that is already sorted is used as it is),
     and each piece is evaluated on the contiguous run of points that falls
     to it, in blocks of at most EVAL_BLOCK points: a run no longer than a
-    block is one forward call.  On sorted input no temporary holds more
-    than a block; other input costs a sorted copy and its permutation.
+    block is one forward call.  Sortedness is tested a block at a time too,
+    so on sorted input no temporary holds more than a block; other input
+    costs a sorted copy and its permutation.
     A shared endpoint and a gap point go to the piece on their left,
     clipped into its interval; points outside the domain go to the first
     or last piece.
@@ -455,7 +454,9 @@ def evaluate_many(f: MOscillatingFunction, xs: np.ndarray,
                          "1-D or C-contiguous")
     flat = xs.ravel()
     order = None
-    if not np.all(flat[1:] >= flat[:-1]):
+    # sorted?  Tested a block at a time, each sharing its last point with the next
+    blocks = (flat[s:s + EVAL_BLOCK + 1] for s in range(0, flat.size - 1, EVAL_BLOCK))
+    if not all(np.all(block[1:] >= block[:-1]) for block in blocks):
         order = np.argsort(flat)
         flat = flat[order]
     # the values in sorted order: straight into out, or over the sorted copy

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -31,8 +30,7 @@ from .errors import SpecError
 from .exprparse import parse_expression
 
 
-@dataclass(frozen=True)
-class SequenceSpec:
+class SequenceSpec(NamedTuple):
     """A sequence of functions: `functions(ns)` builds the n-th of each n
     of ns at once, so a built-in family computes them together."""
 

@@ -8,11 +8,11 @@ the model's rule, `measures.merge_atoms`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from . import domain
 from .domain import MOscillatingFunction, evaluate_many
 from .errors import PreconditionError
 from .measures import MERGE_SNAP, ScalarMeasureRCA, merge_atoms
@@ -27,8 +27,7 @@ class PointMass(NamedTuple):
     mass: float
 
 
-@dataclass(frozen=True)
-class Histogram:
+class Histogram(NamedTuple):
     range: tuple[float, float]
     edges: np.ndarray
     masses: np.ndarray
@@ -53,8 +52,7 @@ def pushforward_empirical(
     piece's points as one contiguous run; a draw on a shared endpoint takes
     the value of the piece on its left.  The values are written over the
     draws and then sorted in place, so the call holds one n-sized float
-    array, plus temporaries of O(`domain.EVAL_BLOCK`) floats and the atom
-    scan's n-sized boolean arrays.
+    array, plus temporaries of O(`domain.EVAL_BLOCK`) values.
     A run of at least MIN_ATOM_COUNT equal values is an atom, and so is
     each constant piece's value that at least one draw takes; an atom's
     mass is its exact count of draws, and atoms within
@@ -74,11 +72,7 @@ def pushforward_empirical(
     values = evaluate_many(f, xs, out=xs)  # the sorted draws become the values
     values.sort()
 
-    # run[i]: values[i:i + MIN_ATOM_COUNT] are equal; each stretch of True
-    # is one atom run and starts where that run starts
-    k = MIN_ATOM_COUNT - 1
-    run = values[k:] == values[:-k]
-    starts = np.flatnonzero(np.diff(run, prepend=False))[::2]
+    starts = _run_starts(values)
     # a constant piece's value is an atom from its first draw on: a light
     # atom's few draws are counted, not compared with mass 0
     plateau = f.piece_table.value
@@ -107,6 +101,25 @@ def pushforward_empirical(
     )
 
 
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Where each run of at least MIN_ATOM_COUNT equal sorted values starts.
+
+    run[i] says values[i:i + MIN_ATOM_COUNT] are equal, and a run starts
+    where a flag is set and the one before it (unset before the first) is
+    not.  The flags are made one `domain.EVAL_BLOCK` at a time; the last
+    flag of a block is the one before the next block's first.
+    """
+    k = MIN_ATOM_COUNT - 1
+    n = values.size - k  # the number of run flags
+    starts, before = [np.empty(0, np.intp)], False
+    for s in range(0, n, domain.EVAL_BLOCK):
+        e = min(s + domain.EVAL_BLOCK, n)
+        run = values[s + k:e + k] == values[s:e]
+        starts.append(np.flatnonzero(run > np.append(before, run[:-1])) + s)
+        before = run[-1]
+    return np.concatenate(starts)
+
+
 class BinComparison(NamedTuple):
     lo: float
     hi: float
@@ -122,8 +135,7 @@ class AtomComparison(NamedTuple):
     threshold: float
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(NamedTuple):
     bins: tuple[BinComparison, ...]
     atoms: tuple[AtomComparison, ...]
     discrepancy: float

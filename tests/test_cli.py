@@ -416,6 +416,26 @@ def test_each_subcommand_declares_only_the_options_it_reads():
     assert sum(len(v) for v in declared.values()) == 48
 
 
+def test_named_subcommand_alone_gets_its_options():
+    import argparse
+
+    from oscym.cli import build_parser
+
+    def declared(argv):
+        (sub,) = [a for a in build_parser(argv)._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        return {name: {s for a in p._actions if not isinstance(a, argparse._HelpAction)
+                       for s in a.option_strings}
+                for name, p in sub.choices.items()}
+
+    every = declared(None)
+    for argv in ([], ["--help"], ["nosuch", "--input", "x"], ["--input", "verify"]):
+        assert declared(argv) == every
+    for name in every:
+        assert declared([name, "--help"]) == {
+            other: opts if other == name else set() for other, opts in every.items()}
+
+
 def test_readme_option_table_matches_the_parser():
     import argparse
     import re

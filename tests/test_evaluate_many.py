@@ -7,6 +7,7 @@ size, written to a fresh array or back into the input, with a shared
 endpoint given to the left piece.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from oscym import domain
 from oscym.domain import Domain1D, MOscillatingFunction, Piece, evaluate_many
-from oscym.families import affine_piece, constant_piece, sine_piece
+from oscym.families import affine_piece, constant_piece, sine_piece, sine_wave, tent_map
 from oscym.funcspec import build_function
 
 EXPRESSIONS = ("x^3 - x", "exp(x) / 2", "log(x + 1)", "sin(3*x) + x", "2", "pi")
@@ -198,6 +199,25 @@ def test_out_may_be_the_input(monkeypatch, block, order):
     out = np.empty((4, 6))
     assert evaluate_many(f, grid, out=out) is out
     assert_same_bits(out, evaluate_many(f, grid))
+
+
+@pytest.mark.parametrize("make", [tent_map, lambda: sine_wave(3), all_kinds],
+                         ids=["affine", "sine", "all_kinds"])
+def test_sorted_input_written_over_holds_under_a_mib(make):
+    # 1M sorted points take 7.63 MiB; the sortedness test and each forward
+    # call work on blocks of EVAL_BLOCK points, so nothing point-sized is made
+    f = make()
+    lo, hi = f.domain.lower, f.domain.upper
+    evaluate_many(f, np.linspace(lo, hi, 100))  # build the table and pieces first
+    xs = np.linspace(lo, hi, 1_000_000)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        evaluate_many(f, xs, out=xs)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("out", [np.empty((3, 2)), np.empty((2, 3), dtype=np.float32),

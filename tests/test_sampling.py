@@ -5,16 +5,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from oscym import compare_histogram, oracle_report, pushforward_empirical, young_measure
+from oscym import (compare_histogram, domain, oracle_report, pushforward_empirical,
+                   young_measure)
 from oscym.domain import Domain1D, MOscillatingFunction, evaluate_many
 from oscym.errors import PreconditionError
 from oscym.families import (affine_piece, constant_piece, half_plateau, identity_map,
                             sine_wave, tent_map)
 from oscym.funcspec import build_function
 from oscym.measures import MERGE_SNAP
-from oscym.sampling import MIN_ATOM_COUNT, PointMass
+from oscym.sampling import MIN_ATOM_COUNT, PointMass, _run_starts
 from test_evaluate_many import assert_same_bits, mixed_specs
 
 SEED = 42
@@ -159,6 +160,33 @@ def test_sorted_pass_equals_unique_histogram(spec, n_samples, seed, n_bins):
     assert_matches_unique_histogram(build_function(spec), n_samples, seed, n_bins)
 
 
+def whole_array_run_starts(values):
+    """Where each run of MIN_ATOM_COUNT or more equal sorted values starts,
+    from the run flags of the whole array at once."""
+    k = MIN_ATOM_COUNT - 1
+    run = values[k:] == values[:-k]
+    return np.flatnonzero(np.diff(run, prepend=False))[::2]
+
+
+@pytest.mark.parametrize("block", [1, 3, 7, 64])
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(lengths=st.lists(st.integers(1, 12), max_size=40))
+@example(lengths=[3, 9, 1])      # flags 3-7 set: cut at 3 and 6 (block 3), at 7 (block 7)
+@example(lengths=[2, 1, 5])      # a run that ends at the last value
+@example(lengths=[5, 6, 5])      # runs back to back
+@example(lengths=[4])            # fewer values than MIN_ATOM_COUNT
+@example(lengths=[1, 1])
+@example(lengths=[])
+def test_blocked_run_starts_equal_whole_array(block, lengths):
+    values = np.repeat(np.arange(len(lengths), dtype=float), lengths)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(domain, "EVAL_BLOCK", block)
+        got = _run_starts(values)
+    want = whole_array_run_starts(values)
+    assert got.dtype == want.dtype
+    assert got.tolist() == want.tolist()
+
+
 def ramp_with(*constants, range_K=None):
     """2x on (0, 0.5), then each constant on an equal share of (0.5, 1)."""
     cuts = np.linspace(0.5, 1.0, len(constants) + 1)
@@ -203,8 +231,9 @@ def expr_spec():
                               "expr"])
 def test_pushforward_holds_one_sample_array(f):
     # 1M float64 values take 7.63 MiB; evaluation writes them over the
-    # sorted draws, so only block-sized temporaries and the atom scan's
-    # three 1 MB boolean arrays come on top
+    # sorted draws, and the sortedness test, the forward calls and the atom
+    # scan each work a block at a time, so only block-sized temporaries come
+    # on top
     f = f()
     pushforward_empirical(f, 1000, SEED, 16)  # build the piece table first
     tracemalloc.start()
@@ -214,7 +243,7 @@ def test_pushforward_holds_one_sample_array(f):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 12 * 2**20
+    assert peak <= 9 * 2**20
 
 
 @st.composite
