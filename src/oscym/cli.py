@@ -268,7 +268,8 @@ def _positive(text: str) -> int:
 
 
 def _seed(text: str) -> int:
-    """argparse type: an integer in [0, 2**128), a Philox key; reads YM_SEED too."""
+    """argparse type: an integer in [0, 2**128), the seed of `verify`'s
+    SplitMix64 stream (`sampling._uniform`); reads YM_SEED too."""
     return _at_least(0, int(text), below=2 ** 128)
 
 
@@ -377,13 +378,16 @@ _freeze_registered = False
 
 
 def main(argv=None) -> int:
-    # At exit, move every object still tracked to the permanent generation:
-    # interpreter finalization then skips a full collection and the teardown
-    # of numpy's object graph, which the OS reclaims anyway.  Nothing changes
-    # while the process lives.  The handler is registered once per process:
-    # atexit.unregister empties a slot without freeing it (Python 3.11).
+    # Move every object the imports left tracked to the permanent
+    # generation, so the collections a call triggers scan only the call's
+    # own objects.  At exit, do the same with what the call left: interpreter
+    # finalization then skips a full collection and the teardown of numpy's
+    # object graph, which the OS reclaims anyway.  Both happen once per
+    # process: atexit.unregister empties a slot without freeing it (Python
+    # 3.11).
     global _freeze_registered
     if not _freeze_registered:
+        gc.freeze()
         atexit.register(gc.freeze)
         _freeze_registered = True
     argv = sys.argv[1:] if argv is None else argv

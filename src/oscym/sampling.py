@@ -1,8 +1,10 @@
 """Empirical pushforward oracle.
 
-Draws uniform samples from the domain with a counter-based Philox
-generator (bit-for-bit reproducible for a fixed seed), evaluates the
-function and reads atoms and bins off one sorted pass over the values.
+Draws uniform samples from the domain with a counter-based SplitMix64
+stream (Steele, Lea & Flood, OOPSLA 2014), made of numpy integer
+arithmetic alone, so a fixed seed gives the same draws bit for bit on every
+numpy version; evaluates the function and reads atoms and bins off one
+sorted pass over the values.
 Repeated values, and the values of constant pieces, are atoms, merged by
 the model's rule, `measures.merge_atoms`.
 """
@@ -48,7 +50,8 @@ def pushforward_empirical(
 ) -> Histogram:
     """Histogram of f under uniform sampling of the domain.
 
-    The draws are sorted before evaluation, so `evaluate_many` takes each
+    The draws are `_uniform`'s stream of seed, an integer in [0, 2**128).
+    They are sorted before evaluation, so `evaluate_many` takes each
     piece's points as one contiguous run; a draw on a shared endpoint takes
     the value of the piece on its left.  The values are written over the
     draws and then sorted in place, so the call holds one n-sized float
@@ -66,8 +69,9 @@ def pushforward_empirical(
         raise PreconditionError("n_samples must be at least 1000")
     if n_bins < 8:
         raise PreconditionError("n_bins must be at least 8")
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    xs = rng.uniform(f.domain.lower, f.domain.upper, n_samples)
+    if not 0 <= seed < 1 << 128:
+        raise PreconditionError("seed must be an integer in [0, 2**128)")
+    xs = _uniform(f.domain.lower, f.domain.upper, n_samples, seed)
     xs.sort()
     values = evaluate_many(f, xs, out=xs)  # the sorted draws become the values
     values.sort()
@@ -99,6 +103,54 @@ def pushforward_empirical(
         sample_count=n_samples,
         seed=seed,
     )
+
+
+_GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's increment, 2**64 over the golden ratio
+_MASK64 = (1 << 64) - 1
+
+
+def _mix(z: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """SplitMix64's finalizer, in place on the uint64 array z, with t as
+    scratch of z's shape.  It is a bijection of the 64-bit words, and
+    mix(0) = 0; the multiplies wrap mod 2**64."""
+    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        np.right_shift(z, shift, out=t)
+        z ^= t
+        z *= np.uint64(factor)
+    np.right_shift(z, 31, out=t)
+    z ^= t
+    return z
+
+
+def _uniform(lo: float, hi: float, n: int, seed: int) -> np.ndarray:
+    """n draws uniform on [lo, hi] from the SplitMix64 stream of seed.
+
+    With lo64, hi64 the low and high 64 bits of seed, the state is
+    mix(lo64 ^ mix(hi64 + GAMMA)), one-to-one on seeds below 2**64; draw i
+    is lo + (hi - lo) * u with u = (mix(state + (i + 1) * GAMMA) >> 11) / 2**53,
+    all integer sums and products mod 2**64.  The words are made one
+    `domain.EVAL_BLOCK` at a time, so beside the n-sized output only
+    block-sized uint64 buffers are held.
+    """
+    word = np.array([((seed >> 64) + _GAMMA) & _MASK64], np.uint64)
+    scratch = np.empty_like(word)
+    _mix(word, scratch)
+    word ^= np.uint64(seed & _MASK64)
+    state = _mix(word, scratch)
+    counters = np.arange(1, min(n, domain.EVAL_BLOCK) + 1, dtype=np.uint64)
+    counters *= np.uint64(_GAMMA)
+    counters += state  # state + (i + 1) * GAMMA, i counted from the block's start
+    z, t = np.empty_like(counters), np.empty_like(counters)
+    out = np.empty(n)
+    for s in range(0, n, domain.EVAL_BLOCK):
+        e = min(s + domain.EVAL_BLOCK, n)
+        zb = np.add(counters[:e - s], np.uint64(s * _GAMMA & _MASK64), out=z[:e - s])
+        _mix(zb, t[:e - s])
+        zb >>= np.uint64(11)
+        ob = np.multiply(zb, 2.0 ** -53, out=out[s:e])
+        ob *= hi - lo
+        ob += lo
+    return out
 
 
 def _run_starts(values: np.ndarray) -> np.ndarray:

@@ -348,11 +348,11 @@ def test_verify_keeps_atoms_apart_as_the_model_does(tmp_path):
     assert all(abs(a["empirical_mass"] - 0.25) <= a["threshold"] for a in atoms)
 
 
-@pytest.mark.parametrize("seed", ["1", "2"])
+@pytest.mark.parametrize("seed", ["2", "10"])
 def test_verify_passes_a_model_atom_too_light_to_sample(tmp_path, seed):
     # the plateau's expected count is 1 of 1M draws, under MIN_ATOM_COUNT: the
-    # oracle counts the draws that take its value, one for seed 1 and none
-    # for seed 2, and the model weight 1e-6 is within 3 sigma of either
+    # oracle counts the draws that take its value, one for seed 2 and none
+    # for seed 10, and the model weight 1e-6 is within 3 sigma of either
     path = tmp_path / "light_atom.json"
     path.write_text(json.dumps({"domain": [0.0, 1.0], "pieces": [
         {"interval": [0.0, 0.999999], "kind": "affine",
@@ -363,7 +363,7 @@ def test_verify_passes_a_model_atom_too_light_to_sample(tmp_path, seed):
                 "--samples", "1000000", "--format", "json")
     assert r.returncode == 0, r.stdout
     [atom] = json.loads(r.stdout)["result"]["atoms"]
-    assert (atom["location"], atom["empirical_mass"]) == (0.5, {"1": 1e-6, "2": 0.0}[seed])
+    assert (atom["location"], atom["empirical_mass"]) == (0.5, {"2": 1e-6, "10": 0.0}[seed])
     assert atom["threshold"] == pytest.approx(3e-6)
 
 

@@ -1,10 +1,12 @@
-"""`cli.main` freezes the garbage collector at interpreter exit, and only then.
+"""`cli.main` freezes the garbage collector on its first call and at
+interpreter exit, and an import alone does not.
 
-`main` registers `gc.freeze` with `atexit`, so finalization skips a full
-collection and the teardown of every object still tracked.  Each case runs
-in a fresh interpreter: an `atexit` handler registered before `main` runs
-after the CLI's (handlers run last in, first out) and reports the freeze
-count that finalization sees.
+The first `main` freezes what the imports left, so the collections a call
+triggers scan only the call's objects, and registers `gc.freeze` with
+`atexit`, so finalization skips a full collection and the teardown of every
+object still tracked.  Each case runs in a fresh interpreter: an `atexit`
+handler registered before `main` runs after the CLI's (handlers run last
+in, first out) and reports the freeze count that finalization sees.
 """
 import json
 import os
@@ -56,9 +58,9 @@ def test_an_import_alone_does_not_freeze(module):
     assert count_at_exit(r) == 0
 
 
-def test_main_leaves_the_gc_unfrozen_while_the_process_lives(tmp_path):
+def test_main_freezes_the_gc_once_per_process(tmp_path):
     # gc.freeze is read at each call, so a counting stand-in shows that the
-    # second call replaced the handler instead of adding another
+    # second call neither froze again nor added a second exit handler
     r = python("""
 import atexit, gc, sys
 freeze, calls = gc.freeze, []
@@ -68,9 +70,9 @@ import oscym.cli
 for _ in range(2):
     assert oscym.cli.main(["density", "--input", sys.argv[1], "--grid", "5",
                            "--out", sys.argv[2]]) == 0
-    print(gc.get_freeze_count())
+    print(len(calls), gc.get_freeze_count() > 0)
 """, DATA / "sine.json", tmp_path / "out.csv")
-    assert r.stdout.splitlines() == ["0", "0", "freeze calls at exit: 1 True"]
+    assert r.stdout.splitlines() == ["1 True", "1 True", "freeze calls at exit: 2 True"]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -49,14 +49,17 @@ COMMANDS = {
 
 @pytest.mark.parametrize("command", COMMANDS)
 def test_a_cold_call_imports_no_module_it_does_not_use(command):
-    # numpy.ma, which np.unique imports, would be start-up cost for nothing;
-    # numpy.random is the oracle's, and scipy no command's
+    # numpy.ma, which np.unique imports, would be start-up cost for nothing,
+    # and scipy is no command's; the oracle draws from its own SplitMix64
+    # stream, so no command loads numpy.random or, through its seeding,
+    # secrets and OpenSSL's _hashlib either
     code = """
 import sys
 import oscym.cli
 rc = oscym.cli.main(sys.argv[1:])
 print(rc, sorted(name for name in sys.modules
-                 if name in ("numpy.ma", "numpy.random") or name.split(".")[0] == "scipy"))
+                 if name in ("numpy.ma", "numpy.random", "secrets", "_hashlib")
+                 or name.split(".")[0] == "scipy"))
 """
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src") + (os.pathsep + path if path else ""))
@@ -65,7 +68,7 @@ print(rc, sorted(name for name in sys.modules
     assert r.returncode == 0, r.stderr
     rc, loaded = r.stdout.splitlines()[-1].split(" ", 1)
     assert rc in ("0", "1"), r.stdout
-    assert loaded == str(["numpy.random"] if command == "verify" else [])
+    assert loaded == "[]"
 
 
 def test_every_exported_name_resolves_to_its_module_object():

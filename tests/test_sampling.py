@@ -15,7 +15,7 @@ from oscym.families import (affine_piece, constant_piece, half_plateau, identity
                             sine_wave, tent_map)
 from oscym.funcspec import build_function
 from oscym.measures import MERGE_SNAP
-from oscym.sampling import MIN_ATOM_COUNT, PointMass, _run_starts
+from oscym.sampling import MIN_ATOM_COUNT, PointMass, _run_starts, _uniform
 from test_evaluate_many import assert_same_bits, mixed_specs
 
 SEED = 42
@@ -66,6 +66,76 @@ def test_precondition_errors():
         pushforward_empirical(tent_map(), 10, SEED, 16)
     with pytest.raises(PreconditionError):
         pushforward_empirical(tent_map(), 10_000, SEED, 4)
+    for seed in (-1, 2**128):
+        with pytest.raises(PreconditionError):
+            pushforward_empirical(tent_map(), 10_000, seed, 16)
+
+
+MASK64, GAMMA = 2**64 - 1, 0x9E3779B97F4A7C15
+
+
+def splitmix64_mix(z):
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & MASK64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB & MASK64
+    return z ^ z >> 31
+
+
+def splitmix64_words(n, seed):
+    """The first n 53-bit words of seed's stream, in Python integers."""
+    state = splitmix64_mix(seed & MASK64 ^ splitmix64_mix((seed >> 64) + GAMMA & MASK64))
+    return [splitmix64_mix(state + (i + 1) * GAMMA & MASK64) >> 11 for i in range(n)]
+
+
+BLOCK = domain.EVAL_BLOCK
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, 2**64, 2**128 - 1])
+@pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5],
+                         ids=["1", "block-1", "block", "block+1", "3block+5"])
+def test_draws_equal_a_python_int_splitmix64(n, seed):
+    words = splitmix64_words(n, seed)
+    for lo, hi in [(0.0, 1.0), (-0.3, 2.7)]:
+        want = np.array([lo + (hi - lo) * (k * 2.0**-53) for k in words])
+        assert_same_bits(_uniform(lo, hi, n, seed), want)
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-0.1, 0.3), (1.0, 1.0 + 2**-40),
+                                    (-1e300, 1e300), (5.0, 5.5)])
+def test_every_draw_lies_in_the_domain(lo, hi):
+    xs = _uniform(lo, hi, 3 * BLOCK + 5, SEED)
+    assert lo <= xs.min() and xs.max() <= hi
+
+
+def chi_square_z(cells, n_cells):
+    """(chi-square - df) / sqrt(2 df) of cell counts against a flat law."""
+    expected = cells.size / n_cells
+    stat = ((np.bincount(cells, minlength=n_cells) - expected) ** 2 / expected).sum()
+    return (stat - (n_cells - 1)) / math.sqrt(2 * (n_cells - 1))
+
+
+def test_draws_and_successive_pairs_are_flat_by_chi_square():
+    # two-sided: a lattice-like stream is too flat, a biased one too rough;
+    # a sound stream leaves the 5 sigma band for under one seed in 10**6
+    xs = _uniform(0.0, 1.0, 1_000_000, SEED)
+    assert abs(chi_square_z((xs * 1024).astype(np.intp), 1024)) < 5
+    pairs = (xs[0::2] * 32).astype(np.intp) * 32 + (xs[1::2] * 32).astype(np.intp)
+    assert abs(chi_square_z(pairs, 1024)) < 5
+
+
+@pytest.mark.parametrize("block", [1 << 10, BLOCK])
+def test_the_draws_hold_block_sized_buffers_beside_their_output(block):
+    # three block-sized uint64 buffers (counters, words, scratch) and the
+    # ufunc's cast buffer of at most 8192 values come on top of the output
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(domain, "EVAL_BLOCK", block)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            xs = _uniform(0.0, 1.0, 1_000_000, SEED)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    assert peak - xs.nbytes <= 3 * 8 * block + 8 * 8192 + 16384
 
 
 def test_compare_histogram_tent():
@@ -100,14 +170,14 @@ def test_oracle_report_atom_matching():
     assert abs(atom.empirical_mass - 0.5) <= atom.threshold
 
 
-@pytest.mark.parametrize("seed", [32, 45, 71])
+@pytest.mark.parametrize("seed", [32, 77, 147])
 def test_a_light_atom_counts_every_draw(seed):
     # expected count 10 of 100k draws: seeds where fewer than MIN_ATOM_COUNT
     # draws fall on the plateau, which 3 sigma (9.5 draws) no longer covers
     n, w = 100_000, 1e-4
     f = MOscillatingFunction(domain=Domain1D(0.0, 1.0), pieces=(
         affine_piece(0.0, 1.0 - w, 1.0, 0.0), constant_piece(1.0 - w, 1.0, 0.5)))
-    xs = np.random.Generator(np.random.Philox(key=seed)).uniform(0.0, 1.0, n)
+    xs = _uniform(0.0, 1.0, n, seed)
     drawn = np.count_nonzero(xs > 1.0 - w)
     assert 0 < drawn < MIN_ATOM_COUNT
     rep = oracle_report(young_measure(f), pushforward_empirical(f, n, seed, 16))
@@ -121,8 +191,7 @@ def unique_histogram(f, n_samples, seed, n_bins):
     reference: atoms from `np.unique` counts (at least MIN_ATOM_COUNT, or any
     count of a constant piece's value) merged at MERGE_SNAP, the rest of the
     values binned by `np.histogram`, strays added to the end bins."""
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    xs = rng.uniform(f.domain.lower, f.domain.upper, n_samples)
+    xs = _uniform(f.domain.lower, f.domain.upper, n_samples, seed)
     xs.sort()
     values = evaluate_many(f, xs)
     uniq, counts = np.unique(values, return_counts=True)
@@ -204,7 +273,7 @@ def ramp_with(*constants, range_K=None):
                          pieces=(constant_piece(0.0, 1.0, 0.3),)),
     # a range narrower than the images: the ramp and the atom at 0.9 stray
     ramp_with(0.9, 0.4, range_K=(0.25, 0.75)),
-    # a plateau that 4 draws take, under MIN_ATOM_COUNT
+    # a plateau that 1 draw takes, under MIN_ATOM_COUNT
     MOscillatingFunction(domain=Domain1D(0.0, 1.0), pieces=(
         affine_piece(0.0, 1.0 - 5e-5, 1.0, 0.0), constant_piece(1.0 - 5e-5, 1.0, 0.5))),
 ], ids=["end_and_edge_atoms", "one_value", "narrow_range", "light_atom"])
