@@ -73,11 +73,6 @@ def identity_map() -> MOscillatingFunction:
                                            affine_table([0.0], [1.0], [1.0], [0.0]))
 
 
-def constant_map(value: float = 0.0) -> MOscillatingFunction:
-    return MOscillatingFunction.from_table(Domain1D(0.0, 1.0),
-                                           table_of_rows([(0.0, 1.0, float(value))]))
-
-
 def tent_map(amplitude: float = 1.0) -> MOscillatingFunction:
     """Tent of height `amplitude` on (0, 1): up with slope 2A, down with -2A."""
     A = float(amplitude)
@@ -89,15 +84,6 @@ def tent_map(amplitude: float = 1.0) -> MOscillatingFunction:
 def amplitude_tent(n: int) -> MOscillatingFunction:
     """Tent with height 1 + 1/n; its Young density is n/(n+1) on [0, 1+1/n]."""
     return tent_map(1.0 + 1.0 / n)
-
-
-def rising_sawtooth(teeth: int = 2) -> MOscillatingFunction:
-    """`teeth` rising ramps, each spanning [0, 1]; same total slope as the
-    tent map, hence the same Young measure."""
-    j = np.arange(teeth)
-    return MOscillatingFunction.from_table(
-        Domain1D(0.0, 1.0),
-        affine_table(j / teeth, (j + 1) / teeth, np.full(j.size, float(teeth)), -j.astype(float)))
 
 
 def sine_wave(n: int = 1) -> MOscillatingFunction:

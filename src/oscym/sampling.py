@@ -3,25 +3,23 @@
 Draws uniform samples from the domain with a counter-based SplitMix64
 stream (Steele, Lea & Flood, OOPSLA 2014), made of numpy integer
 arithmetic alone, so a fixed seed gives the same draws bit for bit on every
-numpy version; evaluates the function and reads atoms and bins off one
-sorted pass over the values.
-Repeated values, and the values of constant pieces, are atoms, merged by
-the model's rule, `measures.merge_atoms`.
+numpy version.  The draws stream through one block at a time: each block
+is evaluated and sorted, and its bin and atom counts are added to running
+totals, so memory does not grow with the sample count.  The atoms are the
+values of constant pieces, as in the model, merged by the model's rule,
+`measures.merge_atoms`.
 """
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from . import domain
-from .domain import MOscillatingFunction, evaluate_many
+from .domain import EVAL_BLOCK, MOscillatingFunction, evaluate_many
 from .errors import PreconditionError
 from .measures import MERGE_SNAP, ScalarMeasureRCA, merge_atoms
 
-# minimum multiplicity before an exactly repeated value counts as an atom;
-# continuous sampling essentially never repeats a 53-bit double
-MIN_ATOM_COUNT = 5
+_DRAW_BLOCK = 4 * EVAL_BLOCK  # draws per block of the stream, 512 KiB of float64
 
 
 class PointMass(NamedTuple):
@@ -50,20 +48,21 @@ def pushforward_empirical(
 ) -> Histogram:
     """Histogram of f under uniform sampling of the domain.
 
-    The draws are `_uniform`'s stream of seed, an integer in [0, 2**128).
-    They are sorted before evaluation, so `evaluate_many` takes each
-    piece's points as one contiguous run; a draw on a shared endpoint takes
-    the value of the piece on its left.  The values are written over the
-    draws and then sorted in place, so the call holds one n-sized float
-    array, plus temporaries of O(`domain.EVAL_BLOCK`) values.
-    A run of at least MIN_ATOM_COUNT equal values is an atom, and so is
-    each constant piece's value that at least one draw takes; an atom's
-    mass is its exact count of draws, and atoms within
-    `measures.MERGE_SNAP` merge, as the model's do.  Bin k holds
-    edges[k] <= v < edges[k+1], the last bin closed; values that stray
-    outside range_K by rounding fall into the end bins, and atom values are
-    left out.  Edges are `np.histogram_bin_edges`, so a one-value range
-    widens to +-0.5.
+    The draws are `_uniform`'s stream of seed, an integer in [0, 2**128),
+    taken one block of `_DRAW_BLOCK` draws at a time.  Each block is sorted
+    before evaluation, so `evaluate_many` takes each piece's points as one
+    contiguous run; a draw on a shared endpoint takes the value of the
+    piece on its left.  The values are written over the block's draws and
+    sorted in place, and the block's bin and atom counts are read off them
+    by binary search and added to running totals, so the call holds no
+    array of the sample count, only temporaries of O(`_DRAW_BLOCK`) values.
+    The atoms are the constant pieces' values that at least one draw
+    takes, as in the model; an atom's mass is its exact count of draws,
+    and atoms within `measures.MERGE_SNAP` merge, as the model's do.  Bin
+    k holds edges[k] <= v < edges[k+1], the last bin closed; values that
+    stray outside range_K by rounding fall into the end bins, and atom
+    values are left out.  Edges are `np.histogram_bin_edges` of range_K,
+    so a one-value range widens to +-0.5.
     """
     if n_samples < 1000:
         raise PreconditionError("n_samples must be at least 1000")
@@ -71,29 +70,25 @@ def pushforward_empirical(
         raise PreconditionError("n_bins must be at least 8")
     if not 0 <= seed < 1 << 128:
         raise PreconditionError("seed must be an integer in [0, 2**128)")
-    xs = _uniform(f.domain.lower, f.domain.upper, n_samples, seed)
-    xs.sort()
-    values = evaluate_many(f, xs, out=xs)  # the sorted draws become the values
-    values.sort()
+    edges = np.histogram_bin_edges(f.range_K, n_bins, f.range_K)
+    inner = edges[1:-1]
+    plateau = np.sort(f.piece_table.value)
+    plateau = plateau[np.diff(plateau, prepend=-np.inf) > 0]  # np.unique would import numpy.ma
+    counts = np.zeros(n_bins, np.intp)
+    atom_counts = np.zeros(plateau.size, np.intp)
+    for values in _uniform(f.domain.lower, f.domain.upper, n_samples, seed):
+        values.sort()
+        evaluate_many(f, values, out=values)  # the sorted draws become the values
+        values.sort()
+        counts += np.diff(np.searchsorted(values, inner), prepend=0, append=values.size)
+        atom_counts += np.searchsorted(values, plateau, side="right")
+        atom_counts -= np.searchsorted(values, plateau)
 
-    starts = _run_starts(values)
-    # a constant piece's value is an atom from its first draw on: a light
-    # atom's few draws are counted, not compared with mass 0
-    plateau = f.piece_table.value
-    firsts = np.searchsorted(values, plateau, side="left")
-    hit = firsts < np.searchsorted(values, plateau, side="right")
-    starts = np.sort(np.concatenate([starts, firsts[hit]]))
-    starts = starts[np.diff(starts, prepend=-1) > 0]  # np.unique would import numpy.ma
-    locations = values[starts]
-    atom_counts = np.searchsorted(values, locations, side="right") - starts
+    hit = atom_counts > 0
+    locations, atom_counts = plateau[hit], atom_counts[hit]
     point_masses = tuple(
         PointMass(*a) for a in merge_atoms(zip(locations.tolist(),
                                                (atom_counts / n_samples).tolist())))
-
-    edges = np.histogram_bin_edges(values, n_bins, f.range_K)
-    inner = edges[1:-1]
-    counts = np.diff(np.searchsorted(values, inner, side="left"),
-                     prepend=0, append=n_samples)
     np.subtract.at(counts, np.searchsorted(inner, locations, side="right"), atom_counts)
     return Histogram(
         range=tuple(f.range_K),
@@ -122,14 +117,15 @@ def _mix(z: np.ndarray, t: np.ndarray) -> np.ndarray:
     return z
 
 
-def _uniform(lo: float, hi: float, n: int, seed: int) -> np.ndarray:
-    """n draws uniform on [lo, hi] from the SplitMix64 stream of seed.
+def _uniform(lo: float, hi: float, n: int, seed: int) -> Iterator[np.ndarray]:
+    """n draws uniform on [lo, hi] from the SplitMix64 stream of seed, in
+    blocks of `_DRAW_BLOCK` draws, the last one shorter.
 
     With lo64, hi64 the low and high 64 bits of seed, the state is
     mix(lo64 ^ mix(hi64 + GAMMA)), one-to-one on seeds below 2**64; draw i
     is lo + (hi - lo) * u with u = (mix(state + (i + 1) * GAMMA) >> 11) / 2**53,
-    all integer sums and products mod 2**64.  The words are made one
-    `domain.EVAL_BLOCK` at a time, so beside the n-sized output only
+    all integer sums and products mod 2**64.  Each block is a view of one
+    float buffer, which the next block overwrites; beside it only
     block-sized uint64 buffers are held.
     """
     word = np.array([((seed >> 64) + _GAMMA) & _MASK64], np.uint64)
@@ -137,39 +133,20 @@ def _uniform(lo: float, hi: float, n: int, seed: int) -> np.ndarray:
     _mix(word, scratch)
     word ^= np.uint64(seed & _MASK64)
     state = _mix(word, scratch)
-    counters = np.arange(1, min(n, domain.EVAL_BLOCK) + 1, dtype=np.uint64)
+    block = min(n, _DRAW_BLOCK)
+    counters = np.arange(1, block + 1, dtype=np.uint64)
     counters *= np.uint64(_GAMMA)
     counters += state  # state + (i + 1) * GAMMA, i counted from the block's start
-    z, t = np.empty_like(counters), np.empty_like(counters)
-    out = np.empty(n)
-    for s in range(0, n, domain.EVAL_BLOCK):
-        e = min(s + domain.EVAL_BLOCK, n)
-        zb = np.add(counters[:e - s], np.uint64(s * _GAMMA & _MASK64), out=z[:e - s])
-        _mix(zb, t[:e - s])
+    z, t, out = np.empty_like(counters), np.empty_like(counters), np.empty(block)
+    for s in range(0, n, block):
+        m = min(block, n - s)
+        zb = np.add(counters[:m], np.uint64(s * _GAMMA & _MASK64), out=z[:m])
+        _mix(zb, t[:m])
         zb >>= np.uint64(11)
-        ob = np.multiply(zb, 2.0 ** -53, out=out[s:e])
+        ob = np.multiply(zb, 2.0 ** -53, out=out[:m])
         ob *= hi - lo
         ob += lo
-    return out
-
-
-def _run_starts(values: np.ndarray) -> np.ndarray:
-    """Where each run of at least MIN_ATOM_COUNT equal sorted values starts.
-
-    run[i] says values[i:i + MIN_ATOM_COUNT] are equal, and a run starts
-    where a flag is set and the one before it (unset before the first) is
-    not.  The flags are made one `domain.EVAL_BLOCK` at a time; the last
-    flag of a block is the one before the next block's first.
-    """
-    k = MIN_ATOM_COUNT - 1
-    n = values.size - k  # the number of run flags
-    starts, before = [np.empty(0, np.intp)], False
-    for s in range(0, n, domain.EVAL_BLOCK):
-        e = min(s + domain.EVAL_BLOCK, n)
-        run = values[s + k:e + k] == values[s:e]
-        starts.append(np.flatnonzero(run > np.append(before, run[:-1])) + s)
-        before = run[-1]
-    return np.concatenate(starts)
+        yield ob
 
 
 class BinComparison(NamedTuple):

@@ -350,9 +350,9 @@ def test_verify_keeps_atoms_apart_as_the_model_does(tmp_path):
 
 @pytest.mark.parametrize("seed", ["2", "10"])
 def test_verify_passes_a_model_atom_too_light_to_sample(tmp_path, seed):
-    # the plateau's expected count is 1 of 1M draws, under MIN_ATOM_COUNT: the
-    # oracle counts the draws that take its value, one for seed 2 and none
-    # for seed 10, and the model weight 1e-6 is within 3 sigma of either
+    # the plateau's expected count is 1 of 1M draws: the oracle counts the
+    # draws that take its value, one for seed 2 and none for seed 10, and
+    # the model weight 1e-6 is within 3 sigma of either
     path = tmp_path / "light_atom.json"
     path.write_text(json.dumps({"domain": [0.0, 1.0], "pieces": [
         {"interval": [0.0, 0.999999], "kind": "affine",
@@ -365,6 +365,53 @@ def test_verify_passes_a_model_atom_too_light_to_sample(tmp_path, seed):
     [atom] = json.loads(r.stdout)["result"]["atoms"]
     assert (atom["location"], atom["empirical_mass"]) == (0.5, {"2": 1e-6, "10": 0.0}[seed])
     assert atom["threshold"] == pytest.approx(3e-6)
+
+
+@pytest.mark.parametrize("seed", ["1", "2", "3"])
+@pytest.mark.parametrize("piece", [
+    # 1 + 1e-9 x takes about 4.5M doubles, so 1M draws repeat some of them
+    {"kind": "affine", "params": {"slope": 1e-9, "intercept": 1.0}},
+    # x^200 underflows to 0.0 below x = 0.024, on 2.4% of the draws
+    {"kind": "power", "params": {"exponent": 200}},
+], ids=["flat_affine", "power_200"])
+def test_verify_takes_no_atom_from_repeated_values(tmp_path, piece, seed):
+    # only a constant piece makes an atom, in the model and in the oracle:
+    # values repeated by rounding are binned, not compared at threshold 0
+    path = tmp_path / "diffuse.json"
+    path.write_text(json.dumps({"domain": [0.0, 1.0],
+                                "pieces": [{"interval": [0.0, 1.0], **piece}]}))
+    r = run_cli("verify", "--input", str(path), "--seed", seed, "--format", "json")
+    assert r.returncode == 0, r.stdout
+    assert json.loads(r.stdout)["result"]["atoms"] == []
+
+
+HIGH_WATER = """
+import sys
+import oscym.cli
+if sys.argv[1:]:
+    assert oscym.cli.main(sys.argv[1:]) == 0
+print(next(int(line.split()[1]) for line in open("/proc/self/status")
+           if line.startswith("VmHWM:")))
+"""
+
+
+def test_verify_memory_does_not_hold_the_samples(tmp_path):
+    # the peak RSS of a child that runs `verify` at 1M samples, less that of
+    # one that only imports the CLI: 8 MB of samples held at once would show
+    status = Path("/proc/self/status")
+    if not status.exists() or "VmHWM:" not in status.read_text():
+        pytest.skip("no VmHWM in /proc/self/status")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
+    tent = Path(__file__).resolve().parent / "data" / "tent.json"
+    peaks = []
+    for argv in ([], ["verify", "--input", str(tent), "--samples", "1000000",
+                      "--out", str(tmp_path / "verify.csv")]):
+        r = subprocess.run([sys.executable, "-c", HIGH_WATER, *argv],
+                           capture_output=True, text=True, env=env)
+        assert r.returncode == 0, r.stderr
+        peaks.append(int(r.stdout))  # kB
+    assert peaks[1] - peaks[0] <= 6 * 1024
 
 
 def test_verify_an_all_constant_function(tmp_path):

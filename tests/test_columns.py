@@ -18,11 +18,12 @@ from hypothesis import example, given, settings, strategies as st
 from oscym.domain import (CONSTANT, Domain1D, MOscillatingFunction, Piece, affine_table,
                           table_of_rows, validate)
 from oscym.errors import ConstructionError
-from oscym.families import (affine_piece, constant_piece, half_plateau, rising_sawtooth,
-                            roubicek, roubicek_family, sine_piece, tent_map)
+from oscym.families import (affine_piece, constant_piece, half_plateau, roubicek,
+                            roubicek_family, sine_piece, tent_map)
 from oscym.funcspec import build_function
 from oscym.measures import merge_atoms, total_slope, unvalidated_young_measure
 
+from conftest import rising_sawtooth
 from test_exact_masses import affine_or_sine_specs
 from test_piece_table import y_grid
 

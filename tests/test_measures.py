@@ -17,15 +17,15 @@ from oscym import (
 from oscym.errors import ConstructionError, QuadratureError
 from oscym.families import (
     amplitude_tent,
-    constant_map,
     half_plateau,
     identity_map,
-    rising_sawtooth,
     roubicek,
     sine_wave,
     tent_map,
 )
 from oscym.measures import Atom, ScalarMeasureRCA
+
+from conftest import constant_map, rising_sawtooth
 
 
 def arcsine(y: float) -> float:

@@ -5,9 +5,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from oscym import (compare_histogram, domain, oracle_report, pushforward_empirical,
+from oscym import (compare_histogram, oracle_report, pushforward_empirical, sampling,
                    young_measure)
 from oscym.domain import Domain1D, MOscillatingFunction, evaluate_many
 from oscym.errors import PreconditionError
@@ -15,7 +15,7 @@ from oscym.families import (affine_piece, constant_piece, half_plateau, identity
                             sine_wave, tent_map)
 from oscym.funcspec import build_function
 from oscym.measures import MERGE_SNAP
-from oscym.sampling import MIN_ATOM_COUNT, PointMass, _run_starts, _uniform
+from oscym.sampling import PointMass, _uniform
 from test_evaluate_many import assert_same_bits, mixed_specs
 
 SEED = 42
@@ -86,7 +86,13 @@ def splitmix64_words(n, seed):
     return [splitmix64_mix(state + (i + 1) * GAMMA & MASK64) >> 11 for i in range(n)]
 
 
-BLOCK = domain.EVAL_BLOCK
+BLOCK = sampling._DRAW_BLOCK
+
+
+def draws(lo, hi, n, seed):
+    """The stream's n draws as one array; each block is copied, as the
+    stream writes the next block over it."""
+    return np.concatenate([block.copy() for block in _uniform(lo, hi, n, seed)])
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, 2**64, 2**128 - 1])
@@ -96,13 +102,24 @@ def test_draws_equal_a_python_int_splitmix64(n, seed):
     words = splitmix64_words(n, seed)
     for lo, hi in [(0.0, 1.0), (-0.3, 2.7)]:
         want = np.array([lo + (hi - lo) * (k * 2.0**-53) for k in words])
-        assert_same_bits(_uniform(lo, hi, n, seed), want)
+        assert_same_bits(draws(lo, hi, n, seed), want)
+
+
+@pytest.mark.parametrize("block", [1, 3, 1000, BLOCK])
+def test_draw_blocks_joined_equal_a_python_int_splitmix64(block, monkeypatch):
+    # two whole blocks and a short one: the counter runs on across blocks
+    n = 2 * block + 5
+    monkeypatch.setattr(sampling, "_DRAW_BLOCK", block)
+    blocks = [b.copy() for b in _uniform(-0.3, 2.7, n, 2**64 + 1)]
+    assert {b.size for b in blocks[:-1]} == {block} and 0 < blocks[-1].size <= block
+    want = np.array([-0.3 + 3.0 * (k * 2.0**-53) for k in splitmix64_words(n, 2**64 + 1)])
+    assert_same_bits(np.concatenate(blocks), want)
 
 
 @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-0.1, 0.3), (1.0, 1.0 + 2**-40),
                                     (-1e300, 1e300), (5.0, 5.5)])
 def test_every_draw_lies_in_the_domain(lo, hi):
-    xs = _uniform(lo, hi, 3 * BLOCK + 5, SEED)
+    xs = draws(lo, hi, 3 * BLOCK + 5, SEED)
     assert lo <= xs.min() and xs.max() <= hi
 
 
@@ -116,26 +133,28 @@ def chi_square_z(cells, n_cells):
 def test_draws_and_successive_pairs_are_flat_by_chi_square():
     # two-sided: a lattice-like stream is too flat, a biased one too rough;
     # a sound stream leaves the 5 sigma band for under one seed in 10**6
-    xs = _uniform(0.0, 1.0, 1_000_000, SEED)
+    xs = draws(0.0, 1.0, 1_000_000, SEED)
     assert abs(chi_square_z((xs * 1024).astype(np.intp), 1024)) < 5
     pairs = (xs[0::2] * 32).astype(np.intp) * 32 + (xs[1::2] * 32).astype(np.intp)
     assert abs(chi_square_z(pairs, 1024)) < 5
 
 
-@pytest.mark.parametrize("block", [1 << 10, BLOCK])
+@pytest.mark.parametrize("block", [1 << 10, 1 << 14, BLOCK])
 def test_the_draws_hold_block_sized_buffers_beside_their_output(block):
-    # three block-sized uint64 buffers (counters, words, scratch) and the
-    # ufunc's cast buffer of at most 8192 values come on top of the output
+    # the output block and three block-sized uint64 buffers (counters,
+    # words, scratch), and the ufunc's cast buffer of at most 8192 values:
+    # nothing grows with the number of draws
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(domain, "EVAL_BLOCK", block)
+        mp.setattr(sampling, "_DRAW_BLOCK", block)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            xs = _uniform(0.0, 1.0, 1_000_000, SEED)
+            n = sum(xs.size for xs in _uniform(0.0, 1.0, 1_000_000, SEED))
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-    assert peak - xs.nbytes <= 3 * 8 * block + 8 * 8192 + 16384
+    assert n == 1_000_000
+    assert peak <= 4 * 8 * block + 8 * 8192 + 16384
 
 
 def test_compare_histogram_tent():
@@ -172,14 +191,15 @@ def test_oracle_report_atom_matching():
 
 @pytest.mark.parametrize("seed", [32, 77, 147])
 def test_a_light_atom_counts_every_draw(seed):
-    # expected count 10 of 100k draws: seeds where fewer than MIN_ATOM_COUNT
-    # draws fall on the plateau, which 3 sigma (9.5 draws) no longer covers
+    # expected count 10 of 100k draws: seeds where 1 to 4 draws fall on the
+    # plateau, fewer than the 5 equal values that once made a run an atom;
+    # its mass is its exact count, where mass 0 would be 10 draws off,
+    # outside 3 sigma (9.5 draws)
     n, w = 100_000, 1e-4
     f = MOscillatingFunction(domain=Domain1D(0.0, 1.0), pieces=(
         affine_piece(0.0, 1.0 - w, 1.0, 0.0), constant_piece(1.0 - w, 1.0, 0.5)))
-    xs = _uniform(0.0, 1.0, n, seed)
-    drawn = np.count_nonzero(xs > 1.0 - w)
-    assert 0 < drawn < MIN_ATOM_COUNT
+    drawn = np.count_nonzero(draws(0.0, 1.0, n, seed) > 1.0 - w)
+    assert 0 < drawn < 5
     rep = oracle_report(young_measure(f), pushforward_empirical(f, n, seed, 16))
     [atom] = rep.atoms
     assert (atom.location, atom.empirical_mass) == (0.5, drawn / n)
@@ -188,14 +208,14 @@ def test_a_light_atom_counts_every_draw(seed):
 
 def unique_histogram(f, n_samples, seed, n_bins):
     """The `np.unique` pipeline `pushforward_empirical` replaced, kept as its
-    reference: atoms from `np.unique` counts (at least MIN_ATOM_COUNT, or any
-    count of a constant piece's value) merged at MERGE_SNAP, the rest of the
+    reference, over all the draws at once: atoms from `np.unique` counts of
+    the constant pieces' values merged at MERGE_SNAP, the rest of the
     values binned by `np.histogram`, strays added to the end bins."""
-    xs = _uniform(f.domain.lower, f.domain.upper, n_samples, seed)
+    xs = draws(f.domain.lower, f.domain.upper, n_samples, seed)
     xs.sort()
     values = evaluate_many(f, xs)
     uniq, counts = np.unique(values, return_counts=True)
-    atom_idx = (counts >= MIN_ATOM_COUNT) | np.isin(uniq, f.piece_table.value)
+    atom_idx = np.isin(uniq, f.piece_table.value)
     point_masses = []
     for loc, cnt in zip(uniq[atom_idx], counts[atom_idx]):
         if point_masses and abs(loc - point_masses[-1].location) <= MERGE_SNAP:
@@ -229,33 +249,6 @@ def test_sorted_pass_equals_unique_histogram(spec, n_samples, seed, n_bins):
     assert_matches_unique_histogram(build_function(spec), n_samples, seed, n_bins)
 
 
-def whole_array_run_starts(values):
-    """Where each run of MIN_ATOM_COUNT or more equal sorted values starts,
-    from the run flags of the whole array at once."""
-    k = MIN_ATOM_COUNT - 1
-    run = values[k:] == values[:-k]
-    return np.flatnonzero(np.diff(run, prepend=False))[::2]
-
-
-@pytest.mark.parametrize("block", [1, 3, 7, 64])
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(lengths=st.lists(st.integers(1, 12), max_size=40))
-@example(lengths=[3, 9, 1])      # flags 3-7 set: cut at 3 and 6 (block 3), at 7 (block 7)
-@example(lengths=[2, 1, 5])      # a run that ends at the last value
-@example(lengths=[5, 6, 5])      # runs back to back
-@example(lengths=[4])            # fewer values than MIN_ATOM_COUNT
-@example(lengths=[1, 1])
-@example(lengths=[])
-def test_blocked_run_starts_equal_whole_array(block, lengths):
-    values = np.repeat(np.arange(len(lengths), dtype=float), lengths)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(domain, "EVAL_BLOCK", block)
-        got = _run_starts(values)
-    want = whole_array_run_starts(values)
-    assert got.dtype == want.dtype
-    assert got.tolist() == want.tolist()
-
-
 def ramp_with(*constants, range_K=None):
     """2x on (0, 0.5), then each constant on an equal share of (0.5, 1)."""
     cuts = np.linspace(0.5, 1.0, len(constants) + 1)
@@ -273,13 +266,23 @@ def ramp_with(*constants, range_K=None):
                          pieces=(constant_piece(0.0, 1.0, 0.3),)),
     # a range narrower than the images: the ramp and the atom at 0.9 stray
     ramp_with(0.9, 0.4, range_K=(0.25, 0.75)),
-    # a plateau that 1 draw takes, under MIN_ATOM_COUNT
+    # a plateau that 1 draw takes
     MOscillatingFunction(domain=Domain1D(0.0, 1.0), pieces=(
         affine_piece(0.0, 1.0 - 5e-5, 1.0, 0.0), constant_piece(1.0 - 5e-5, 1.0, 0.5))),
 ], ids=["end_and_edge_atoms", "one_value", "narrow_range", "light_atom"])
 def test_edge_cases_equal_unique_histogram(f):
     h = assert_matches_unique_histogram(f, 20_000, SEED, 16)
     assert h.point_masses
+
+
+@pytest.mark.parametrize("block", [1, 7, 1000, BLOCK])
+def test_blocked_pass_equals_unique_histogram_at_any_stream_block(block, monkeypatch):
+    # the plateau at 0.4 takes a quarter of the draws, so it is hit in many
+    # blocks; the ramp and the atom at 0.9 stray outside range_K
+    f = ramp_with(0.9, 0.4, range_K=(0.25, 0.75))
+    monkeypatch.setattr(sampling, "_DRAW_BLOCK", block)
+    h = assert_matches_unique_histogram(f, 3001, SEED, 16)
+    assert [p.location for p in h.point_masses] == [0.4, 0.9]
 
 
 def power_then_ramp(exponent):
@@ -298,11 +301,10 @@ def expr_spec():
                                lambda: power_then_ramp(2.5), half_plateau, expr_spec],
                          ids=["affine", "sine", "power_below_1", "power_above_1", "atom",
                               "expr"])
-def test_pushforward_holds_one_sample_array(f):
-    # 1M float64 values take 7.63 MiB; evaluation writes them over the
-    # sorted draws, and the sortedness test, the forward calls and the atom
-    # scan each work a block at a time, so only block-sized temporaries come
-    # on top
+def test_pushforward_holds_no_sample_sized_array(f):
+    # 1M float64 values would take 7.63 MiB; the draws stream through in
+    # blocks of 64K (four 512 KiB buffers), evaluated over themselves, and
+    # `evaluate_many`'s temporaries hold at most one 16K block each
     f = f()
     pushforward_empirical(f, 1000, SEED, 16)  # build the piece table first
     tracemalloc.start()
@@ -312,7 +314,7 @@ def test_pushforward_holds_one_sample_array(f):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 9 * 2**20
+    assert peak <= 4 * 2**20
 
 
 @st.composite
