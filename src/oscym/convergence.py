@@ -7,7 +7,6 @@ surrogate - evidence at the tested resolution, not a proof.
 """
 from __future__ import annotations
 
-from dataclasses import replace
 from functools import partial
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -204,12 +203,16 @@ def monotone_slope_check(
     y_grid: Sequence[float],
     tol: float = 1e-9,
 ) -> bool:
-    """True iff the total slopes are monotone in n in one common direction
-    at every grid point: all steps are >= -tol, or all are <= tol.  Steps
-    within tol, as at a point outside every image, fit either direction."""
+    """True iff the Young densities T_n/M_n, the total slopes over the domain
+    measures, are monotone in n in one common direction at every grid point:
+    all steps are >= -tol * s, or all are <= tol * s, where s is the largest
+    finite density on the grid.  Steps within that, as at a point outside
+    every image, fit either direction.  Densities and a tol relative to them
+    carry no unit of x, so scaling x leaves the verdict as it is."""
     ys = np.asarray(y_grid, dtype=float)
-    slopes = np.array([total_slope(f, ys) for f in fs])
-    diffs = np.diff(slopes, axis=0)
+    densities = np.array([total_slope(f, ys) / f.measure_M for f in fs])
+    tol *= densities[np.isfinite(densities)].max(initial=0.0)
+    diffs = np.diff(densities, axis=0)
     return bool((diffs >= -tol).all() or (diffs <= tol).all())
 
 
@@ -248,7 +251,7 @@ def converge_young(
     # the limit representative is the last tail element, as in
     # weak_limit_estimate; it is the one measure returned, so the one validated
     limit = young_measure(fs[n_max - 1])
-    return verdict, replace(limit, range_K=family.range_K)
+    return verdict, limit._replace(range_K=family.range_K)
 
 
 def weak_continuity_check(

@@ -8,7 +8,6 @@ boundary points belong to the left-adjacent piece by convention.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
@@ -37,18 +36,26 @@ DIFFEOMORPHIC = "diffeomorphic"
 CONSTANT = "constant"
 
 
-@dataclass(frozen=True)
-class Domain1D:
+class _ReadOnly:
+    """Fields set once, by the constructor writing to `__dict__`: assigning
+    or deleting an attribute afterwards raises AttributeError."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Domain1D(_ReadOnly):
     """Open interval (lower, upper) carrying the Lebesgue measure."""
 
-    lower: float
-    upper: float
-
-    def __post_init__(self):
-        if not self.lower < self.upper:
+    def __init__(self, lower: float, upper: float):
+        if not lower < upper:
             raise ConstructionError(
-                f"domain requires lower < upper, got [{self.lower}, {self.upper}]"
+                f"domain requires lower < upper, got [{lower}, {upper}]"
             )
+        vars(self).update(lower=lower, upper=upper)
 
     @property
     def measure_M(self) -> float:
@@ -58,8 +65,7 @@ class Domain1D:
         return self.lower < x < self.upper
 
 
-@dataclass(frozen=True)
-class Piece:
+class Piece(_ReadOnly):
     """One branch of an oscillating function on the open subinterval
     (sub_lower, sub_upper).
 
@@ -74,38 +80,37 @@ class Piece:
     from `constant_value`.
     """
 
-    sub_lower: float
-    sub_upper: float
-    kind: str = DIFFEOMORPHIC
-    forward: Optional[Callable] = None
-    inverse: Optional[Callable] = None
-    inverse_derivative: Optional[Callable] = None
-    constant_value: Optional[float] = None
-    affine_slope: Optional[float] = None
-    affine_intercept: Optional[float] = None
-
-    def __post_init__(self):
-        if not self.sub_lower < self.sub_upper:
+    def __init__(self, sub_lower: float, sub_upper: float, kind: str = DIFFEOMORPHIC,
+                 forward: Optional[Callable] = None, inverse: Optional[Callable] = None,
+                 inverse_derivative: Optional[Callable] = None,
+                 constant_value: Optional[float] = None,
+                 affine_slope: Optional[float] = None,
+                 affine_intercept: Optional[float] = None):
+        if not sub_lower < sub_upper:
             raise ConstructionError(
-                f"empty piece interval [{self.sub_lower}, {self.sub_upper}]"
+                f"empty piece interval [{sub_lower}, {sub_upper}]"
             )
-        if self.kind not in (DIFFEOMORPHIC, CONSTANT):
-            raise ConstructionError(f"unknown piece kind {self.kind!r}")
-        if self.kind == CONSTANT:
-            if self.constant_value is None:
+        if kind not in (DIFFEOMORPHIC, CONSTANT):
+            raise ConstructionError(f"unknown piece kind {kind!r}")
+        if kind == CONSTANT:
+            if constant_value is None:
                 raise ConstructionError("constant piece needs constant_value")
-            c = float(self.constant_value)
-            object.__setattr__(self, "forward", lambda x, _c=c: np.full_like(
-                np.asarray(x, dtype=float), _c) if np.ndim(x) else _c)
-            object.__setattr__(self, "affine_slope", 0.0)
-        elif self.affine_intercept is not None:
-            s, c = float(self.affine_slope), float(self.affine_intercept)
-            object.__setattr__(self, "forward", lambda x: s * np.asarray(x, float) + c)
-            object.__setattr__(self, "inverse", lambda y: (y - c) / s)
-            object.__setattr__(self, "inverse_derivative",
-                               lambda y: np.full(np.shape(y), 1.0 / s))
-        elif self.forward is None:
+            c = float(constant_value)
+            forward = (lambda x, _c=c: np.full_like(np.asarray(x, dtype=float), _c)
+                       if np.ndim(x) else _c)
+            affine_slope = 0.0
+        elif affine_intercept is not None:
+            s, c = float(affine_slope), float(affine_intercept)
+            forward = lambda x: s * np.asarray(x, float) + c
+            inverse = lambda y: (y - c) / s
+            inverse_derivative = lambda y: np.full(np.shape(y), 1.0 / s)
+        elif forward is None:
             raise ConstructionError("diffeomorphic piece needs a forward map")
+        vars(self).update(sub_lower=sub_lower, sub_upper=sub_upper, kind=kind,
+                          forward=forward, inverse=inverse,
+                          inverse_derivative=inverse_derivative,
+                          constant_value=constant_value, affine_slope=affine_slope,
+                          affine_intercept=affine_intercept)
 
     @property
     def length(self) -> float:
@@ -362,8 +367,7 @@ def _row(p: Piece) -> tuple:
     return p.sub_lower, p.sub_upper, p
 
 
-@dataclass(frozen=True)
-class MOscillatingFunction:
+class MOscillatingFunction(_ReadOnly):
     """Sum of monotone/constant branches over a partition of the domain.
 
     Its pieces are kept sorted by their left endpoint, and as the per-kind
@@ -374,39 +378,31 @@ class MOscillatingFunction:
     images unless supplied explicitly.
     """
 
-    domain: Domain1D
-    pieces: tuple[Piece, ...]
-    range_K: tuple[float, float] = None
-
-    def __post_init__(self):
-        pieces = tuple(sorted(self.pieces, key=lambda p: p.sub_lower))
+    def __init__(self, domain: Domain1D, pieces: tuple[Piece, ...],
+                 range_K: Optional[tuple[float, float]] = None):
+        pieces = tuple(sorted(pieces, key=lambda p: p.sub_lower))
         if not pieces:
             raise ConstructionError("need at least one piece")
-        object.__setattr__(self, "pieces", pieces)
-        self._set_range(self.range_K)
+        vars(self).update(domain=domain, pieces=pieces)  # `pieces`: the cached_property's slot
+        self._set_range(range_K)
 
     @classmethod
     def from_table(cls, domain: Domain1D, table: PieceTable,
                    range_K: Optional[tuple[float, float]] = None) -> "MOscillatingFunction":
         """The function of a table, such as `affine_table` or `table_of_rows` give."""
         f = object.__new__(cls)
-        object.__setattr__(f, "domain", domain)
-        f.__dict__["piece_table"] = table  # the cached_property's slot
+        vars(f).update(domain=domain, piece_table=table)  # the cached_property's slot
         f._set_range(range_K)
         return f
 
     def _set_range(self, range_K):
-        object.__setattr__(self, "range_K", self.piece_table.hull() if range_K is None
-                           else tuple(float(v) for v in range_K))
+        vars(self)["range_K"] = (self.piece_table.hull() if range_K is None
+                                 else tuple(float(v) for v in range_K))
 
-    def __getattr__(self, name):
-        # called only for an attribute not found: `pieces` of a function
-        # built from a table, made on first read
-        if name != "pieces":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        pieces = self.piece_table.pieces()
-        object.__setattr__(self, "pieces", pieces)
-        return pieces
+    @cached_property
+    def pieces(self) -> tuple[Piece, ...]:
+        """The Piece objects, made on first read for a function built from a table."""
+        return self.piece_table.pieces()
 
     @property
     def measure_M(self) -> float:

@@ -28,10 +28,11 @@ from .errors import SpecError
 
 MAX_DEPTH = 200  # evaluation recurses once per node on the deepest path
 
-_ALPHABET = re.compile(r"[\s\dA-Za-z.+\-*/^(),]*")
+# patterns as strings: `re` compiles each on first use, not at import, and caches it
+_ALPHABET = r"[\s\dA-Za-z.+\-*/^(),]*"
 # read by Python, not by the grammar: **, a trailing comma, a function name without "("
-_PYTHON_ONLY = re.compile(r"\*\*|,\s*\)|\b(?:sin|cos|exp|log|pow)\b(?!\s*\()")
-_NUMBER = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+_PYTHON_ONLY = r"\*\*|,\s*\)|\b(?:sin|cos|exp|log|pow)\b(?!\s*\()"
+_NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _BINARY = {
     ast.Add: lambda a, b: lambda x: a(x) + b(x),
     ast.Sub: lambda a, b: lambda x: a(x) - b(x),
@@ -45,7 +46,7 @@ _FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log}
 def parse_expression(text: str) -> Callable:
     """Compile the expression to a callable of x: a float at a scalar x,
     an array of the shape of x at an ndarray."""
-    if not _ALPHABET.fullmatch(text) or _PYTHON_ONLY.search(text):
+    if not re.fullmatch(_ALPHABET, text) or re.search(_PYTHON_ONLY, text):
         raise SpecError(f"invalid expression {text!r}")
     names = {"x": lambda x: x, "pi": lambda x, _pi=np.array([math.pi]): _pi}
 
@@ -72,7 +73,7 @@ def parse_expression(text: str) -> Callable:
                 return _BINARY[ast.Pow](*args)
         raise SpecError(f"invalid expression {text!r}")
 
-    source = _NUMBER.sub(number, re.sub(r"\s+", " ", text)).replace("^", "**").strip()
+    source = re.sub(_NUMBER, number, re.sub(r"\s+", " ", text)).replace("^", "**").strip()
     try:  # no number literal reaches Python's tokenizer, nor any of its warnings
         tree = ast.parse(source, mode="eval")
     except (SyntaxError, MemoryError, RecursionError):

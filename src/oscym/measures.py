@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -55,8 +54,7 @@ class Atom(NamedTuple):
     weight: float
 
 
-@dataclass(frozen=True)
-class DensityFunction:
+class DensityFunction(NamedTuple):
     """Nonnegative density on a closed support interval.
 
     `evaluator` takes an array of y and returns the density at each, an
@@ -99,8 +97,7 @@ class DensityFunction:
         ])
 
 
-@dataclass(frozen=True)
-class ScalarMeasureRCA:
+class ScalarMeasureRCA(NamedTuple):
     """Element of the regular measures on range_K: density part plus atoms."""
 
     range_K: tuple[float, float]

@@ -23,7 +23,6 @@ Bolza functional.
 """
 from __future__ import annotations
 
-import heapq
 import math
 from typing import Callable, Iterable
 
@@ -100,6 +99,8 @@ def integrate(
     when after MAX_SUBDIVISIONS panels the summed error estimate stays
     above 100 times the requested max(tol, tol |integral|).
     """
+    import heapq  # here, not at the top: only the calls that integrate load it
+
     if b <= a:
         return 0.0
     cuts = sorted({float(p) for p in points if a < p < b})

@@ -747,3 +747,26 @@ def test_converge_reads_every_slope_cell(tmp_path, capsys):
                            [bumpy if n % 2 else identity for n in range(16)])
     assert main(["converge", "--input", spec, "--window", "2,16"]) == 2
     assert "monotone" in capsys.readouterr().err
+
+
+def rising_halves(length, cut):
+    """Two rising affine pieces on (0, length) that meet at 1/2 at x = cut:
+    (0, cut) onto [0, 1/2] and (cut, length) onto [1/2, 1]."""
+    s1, s2 = 0.5 / cut, 0.5 / (length - cut)
+    return {"domain": [0.0, length], "pieces": [
+        {"interval": [0.0, cut], "kind": "affine", "params": {"slope": s1, "intercept": 0.0}},
+        {"interval": [cut, length], "kind": "affine",
+         "params": {"slope": s2, "intercept": 0.5 - s2 * cut}}]}
+
+
+@pytest.mark.parametrize("length", [1.0, 1e-10, 2.0 ** -40])
+def test_converge_slope_check_is_free_of_the_scale_of_x(tmp_path, capsys, length):
+    from oscym.cli import main
+
+    # densities 1 for the cut at length/2; 1/2 below y = 1/2 and 3/2 above
+    # it for the cut at length/4: one falls and one rises at every length
+    spec = custom_sequence(tmp_path / "halves.json", [rising_halves(length, length / 2),
+                                                      rising_halves(length, length / 4)])
+    assert main(["converge", "--input", spec, "--window", "1,2", "--depth", "2",
+                 "--tol", "1"]) == 2
+    assert "monotone" in capsys.readouterr().err

@@ -17,7 +17,7 @@ from oscym import (
     weak_continuity_check,
     weak_limit_estimate,
 )
-from oscym.domain import Domain1D, MOscillatingFunction
+from oscym.domain import Domain1D, MOscillatingFunction, affine_table
 from oscym.errors import PreconditionError
 from oscym.families import (
     affine_piece,
@@ -27,7 +27,7 @@ from oscym.families import (
     tent_map,
     triangular_density,
 )
-from oscym.measures import ScalarMeasureRCA, young_density_function
+from oscym.measures import ScalarMeasureRCA, young_density, young_density_function
 
 ARCSINE = DensityFunction(
     support=(-1.0, 1.0),
@@ -161,6 +161,29 @@ def test_monotone_slope_check_direction_over_all_points():
     assert monotone_slope_check(rising, y_grid, tol=1e-9)
     mixed = [tent_map(a) for a in (1.0, 1.5, 1.2)]
     assert not monotone_slope_check(mixed, y_grid, tol=1e-9)
+
+
+def scaled_in_x(f: MOscillatingFunction, k: int) -> MOscillatingFunction:
+    """x -> f(x / 2^k) on the domain scaled by 2^k, for an affine f: powers
+    of two scale exactly, so its densities are bitwise those of f."""
+    t, d, a = f.piece_table, f.domain, 2.0 ** k
+    return MOscillatingFunction.from_table(
+        Domain1D(d.lower * a, d.upper * a),
+        affine_table(t.sub_lower * a, t.sub_upper * a, t.slope / a, t.intercept))
+
+
+@pytest.mark.parametrize("k", [-40, -20, 20])
+@pytest.mark.parametrize("fs, monotone", [
+    ([amplitude_tent(n) for n in range(1, 9)], True),
+    ([tent_map(1.0), triple_tent(2.0), tent_map(1.0), triple_tent(2.0)], False),
+], ids=["amplitude-tent", "alternating"])
+def test_monotone_slope_check_is_unchanged_by_scaling_x(fs, monotone, k):
+    y_grid = np.linspace(0.05, 0.95, 19)
+    scaled = [scaled_in_x(f, k) for f in fs]
+    for f, g in zip(fs, scaled):
+        assert (young_density(g, y_grid) == young_density(f, y_grid)).all()
+    assert monotone_slope_check(fs, y_grid) is monotone
+    assert monotone_slope_check(scaled, y_grid) is monotone
 
 
 def test_converge_young_amplitude_tent():

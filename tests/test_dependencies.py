@@ -10,9 +10,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def third_party_imports() -> list[str]:
+def imported_modules() -> set[str]:
     """Top-level names of every module imported anywhere in src/oscym,
-    function bodies included, less the standard library and oscym."""
+    function bodies included, less its relative imports."""
     found = set()
     for path in (ROOT / "src" / "oscym").rglob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -20,7 +20,12 @@ def third_party_imports() -> list[str]:
                 found.update(a.name.split(".")[0] for a in node.names)
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 found.add(node.module.split(".")[0])
-    return sorted(found - set(sys.stdlib_module_names) - {"oscym"})
+    return found
+
+
+def third_party_imports() -> list[str]:
+    """`imported_modules`, less the standard library and oscym."""
+    return sorted(imported_modules() - set(sys.stdlib_module_names) - {"oscym"})
 
 
 def test_imports_match_declared_dependencies():
@@ -29,6 +34,12 @@ def test_imports_match_declared_dependencies():
         deps = tomllib.load(fh)["project"]["dependencies"]
     declared = sorted(re.match(r"[A-Za-z0-9_.-]+", d).group(0).lower() for d in deps)
     assert third_party_imports() == declared
+
+
+def test_no_module_imports_dataclasses():
+    # a dataclass decorator generates and execs its methods at import time,
+    # and dataclasses imports inspect and copy: start-up paid by every call
+    assert "dataclasses" not in imported_modules()
 
 
 def unused_imports(path: Path) -> list[str]:

@@ -13,7 +13,7 @@ from oscym import (
     invert_piece,
     validate,
 )
-from oscym.domain import forward_derivative
+from oscym.domain import CONSTANT, DIFFEOMORPHIC, forward_derivative
 from oscym.errors import (
     ConstructionError,
     DomainError,
@@ -88,6 +88,78 @@ def test_bad_closed_form_inverse_flagged():
 def test_empty_interval_rejected_at_construction():
     with pytest.raises(ConstructionError):
         Piece(sub_lower=0.5, sub_upper=0.2, forward=lambda x: x)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Domain1D(1.0, 1.0), "domain requires lower < upper, got [1.0, 1.0]"),
+    (lambda: Domain1D(lower=2.0, upper=1.0), "domain requires lower < upper, got [2.0, 1.0]"),
+    (lambda: Piece(0.5, 0.2, forward=abs), "empty piece interval [0.5, 0.2]"),
+    (lambda: Piece(0.0, 1.0, "linear", abs), "unknown piece kind 'linear'"),
+    (lambda: Piece(0.0, 1.0, kind=CONSTANT), "constant piece needs constant_value"),
+    (lambda: Piece(0.0, 1.0), "diffeomorphic piece needs a forward map"),
+    (lambda: MOscillatingFunction(Domain1D(0.0, 1.0), ()), "need at least one piece"),
+], ids=["domain-empty", "domain-reversed", "piece-empty", "piece-kind",
+        "constant-without-value", "piece-without-forward", "function-without-pieces"])
+def test_constructors_raise_their_messages(make, message):
+    with pytest.raises(ConstructionError) as exc:
+        make()
+    assert str(exc.value) == message
+
+
+def test_constructors_take_positional_and_keyword_fields():
+    def forward(x):
+        return 2.0 * x
+
+    def inverse(y):
+        return y / 2.0
+
+    def slope(y):
+        return np.full(np.shape(y), 0.5)
+
+    assert vars(Domain1D(0.0, 2.0)) == vars(Domain1D(lower=0.0, upper=2.0)) == {
+        "lower": 0.0, "upper": 2.0}
+    by_position = Piece(0.0, 1.0, DIFFEOMORPHIC, forward, inverse, slope, None, 2.0, None)
+    by_name = Piece(sub_lower=0.0, sub_upper=1.0, kind=DIFFEOMORPHIC, forward=forward,
+                    inverse=inverse, inverse_derivative=slope, constant_value=None,
+                    affine_slope=2.0, affine_intercept=None)
+    assert vars(by_position) == vars(by_name)
+    assert vars(Piece(0.0, 1.0, forward=forward)) == {
+        "sub_lower": 0.0, "sub_upper": 1.0, "kind": DIFFEOMORPHIC, "forward": forward,
+        "inverse": None, "inverse_derivative": None, "constant_value": None,
+        "affine_slope": None, "affine_intercept": None}
+    # an affine or constant piece makes its maps from its numbers
+    affine = Piece(0.0, 1.0, affine_slope=2.0, affine_intercept=1.0)
+    assert affine.forward(0.5) == 2.0 and affine.inverse(2.0) == 0.5
+    constant = Piece(0.0, 1.0, CONSTANT, constant_value=3.0)
+    assert constant.forward(0.5) == 3.0 and constant.affine_slope == 0.0
+
+    domain, pieces = Domain1D(0.0, 2.0), (Piece(1.0, 2.0, forward=forward), by_position)
+    for f in (MOscillatingFunction(domain, pieces, (0.0, 4.0)),
+              MOscillatingFunction(domain=domain, pieces=pieces, range_K=(0, 4))):
+        assert f.domain is domain
+        assert f.pieces == pieces[::-1]  # sorted by left end
+        assert f.range_K == (0.0, 4.0)
+    assert MOscillatingFunction(domain, pieces).range_K == (0.0, 4.0)  # the hull
+
+
+@pytest.mark.parametrize("obj, field", [
+    (Domain1D(0.0, 1.0), "lower"),
+    (affine_piece(0.0, 1.0, 2.0, 0.0), "forward"),
+    (affine_piece(0.0, 1.0, 2.0, 0.0), "image"),
+    (sawtooth(2), "pieces"),
+    (tent_map(1.0), "pieces"),  # built from a table: pieces not made yet
+    (tent_map(1.0), "range_K"),
+    (tent_map(1.0), "piece_table"),
+], ids=["domain", "piece", "piece-image", "function", "table-function-pieces",
+        "table-function-range", "table-function-table"])
+def test_fields_are_read_only(obj, field):
+    with pytest.raises(AttributeError):
+        setattr(obj, field, None)
+    with pytest.raises(AttributeError):
+        delattr(obj, field)
+    with pytest.raises(AttributeError):
+        obj.extra = 1
+    assert getattr(obj, field) is not None
 
 
 def test_evaluate_tent():

@@ -32,6 +32,21 @@ for name in {LAZY!r}:
     assert r.stdout.split("\n")[:-1] == [f"{name} True False" for name in LAZY]
 
 
+def test_importing_the_cli_loads_neither_dataclasses_nor_heapq():
+    # both are start-up cost for every call: oscym defines no dataclass, and
+    # only `quadrature.integrate` needs heapq, which it imports when called
+    code = """
+import sys
+import oscym.cli
+print(sorted(name for name in ("dataclasses", "heapq") if name in sys.modules))
+"""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src") + (os.pathsep + path if path else ""))
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == "[]"
+
+
 DATA = ROOT / "tests" / "data"
 # one short call per subcommand, each in a fresh interpreter
 COMMANDS = {
@@ -91,8 +106,8 @@ import sys
 import oscym.cli
 from oscym.domain import Piece
 made = []
-post_init = Piece.__post_init__
-Piece.__post_init__ = lambda self: (made.append(self), post_init(self))[1]
+init = Piece.__init__
+Piece.__init__ = lambda self, *args, **kwargs: (made.append(self), init(self, *args, **kwargs))[1]
 rc = oscym.cli.main(sys.argv[1:])
 print(rc, len(made), sorted(name for name in sys.modules
                             if name == "numpy.ma" or name.split(".")[0] == "scipy"))

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -249,7 +248,7 @@ def test_is_probability_samples_a_young_density_in_one_call():
         calls.append(np.shape(y))
         return m.density.evaluator(y)
 
-    assert is_probability(replace(m, density=replace(m.density, evaluator=counted)))
+    assert is_probability(m._replace(density=m.density._replace(evaluator=counted)))
     assert calls == [(255,)]
 
 
@@ -302,3 +301,15 @@ def test_set_mass_adds_the_density_then_the_atoms(density, closed_right):
             if lo <= a.location < hi or (closed_right and a.location == hi):
                 total += a.weight
         assert m.set_mass(lo, hi, closed_right) == total
+
+
+def test_density_and_measure_records_replace_their_fields():
+    m = young_measure(tent_map(1.0))
+    g = m.density._replace(cdf=None)
+    assert (g.support, g.evaluator, g.breakpoints, g.cdf, g.expectation) == (
+        m.density.support, m.density.evaluator, m.density.breakpoints, None,
+        m.density.expectation)
+    wider = m._replace(range_K=(-1.0, 3.0))
+    assert (wider.range_K, wider.density, wider.atoms) == ((-1.0, 3.0), m.density, m.atoms)
+    with pytest.raises(AttributeError):
+        m.range_K = (-1.0, 3.0)
