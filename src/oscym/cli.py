@@ -326,22 +326,15 @@ _OPTIONS = {
 
 
 def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The `oscym` parser.  When argv[0] names a subcommand, only that one
-    gets its options, the only ones parse_args(argv) can read; otherwise
-    (no argv, --help, an unknown name) every subcommand gets them."""
+    """The `oscym` parser.  When argv[0] names a subcommand, only that
+    subcommand's parser is built, the only one parse_args(argv) can reach;
+    otherwise (no argv, --help, an unknown name) every subcommand's is."""
     import shutil  # as argparse does; tempfile has loaded it already
 
     # argparse reads the terminal size for every formatter it makes, one per
     # argument; the width argparse would read (columns less 2), read once
     formatter = partial(argparse.HelpFormatter,
                         width=shutil.get_terminal_size().columns - 2)
-    ap = argparse.ArgumentParser(
-        prog="oscym",
-        description="Young measures of oscillating functions: densities, "
-                    "pushforward verification, weak-convergence checks",
-        formatter_class=formatter,
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
     # name: (handler, help line, options in help order); made per call, so a
     # handler binds the measures function the module holds at that time
     commands = {
@@ -365,12 +358,22 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
                   "--out --format --quad-tol --n-list --gradient-ym --n"),
     }
     named = argv[0] if argv and argv[0] in commands else None
+    ap = argparse.ArgumentParser(
+        prog="oscym",
+        description="Young measures of oscillating functions: densities, "
+                    "pushforward verification, weak-convergence checks",
+        formatter_class=formatter,
+    )
+    # with one subcommand built, the metavar keeps every name in the usage
+    # line; unset otherwise, since it would also rename `command` in errors
+    sub = ap.add_subparsers(dest="command", required=True,
+                            metavar=named and "{%s}" % ",".join(commands))
     for name, (func, help_line, options) in commands.items():
-        p = sub.add_parser(name, help=help_line, formatter_class=formatter)
         if named in (None, name):
+            p = sub.add_parser(name, help=help_line, formatter_class=formatter)
             for option in options.split():
                 p.add_argument(option, **_OPTIONS[option])
-        p.set_defaults(func=func)
+            p.set_defaults(func=func)
     return ap
 
 

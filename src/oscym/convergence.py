@@ -207,12 +207,14 @@ def monotone_slope_check(
     measures, are monotone in n in one common direction at every grid point:
     all steps are >= -tol * s, or all are <= tol * s, where s is the largest
     finite density on the grid.  Steps within that, as at a point outside
-    every image, fit either direction.  Densities and a tol relative to them
-    carry no unit of x, so scaling x leaves the verdict as it is."""
+    every image, fit either direction; a step between equal densities, inf
+    to inf included, is 0.  Densities and a tol relative to them carry no
+    unit of x, so scaling x leaves the verdict as it is."""
     ys = np.asarray(y_grid, dtype=float)
     densities = np.array([total_slope(f, ys) / f.measure_M for f in fs])
     tol *= densities[np.isfinite(densities)].max(initial=0.0)
-    diffs = np.diff(densities, axis=0)
+    a, b = densities[:-1], densities[1:]
+    diffs = np.subtract(b, a, out=np.zeros_like(a), where=b != a)
     return bool((diffs >= -tol).all() or (diffs <= tol).all())
 
 

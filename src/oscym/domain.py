@@ -30,7 +30,6 @@ H_FD_SCALE = 1e-6          # finite-difference step, scaled by piece length
 DERIVATIVE_FLOOR = 1e-10   # below this the inverse slope counts as singular
 VALIDATE_SAMPLES = 64      # grid points per monotone piece in `validate`
 VALIDATE_TOL = 1e-6        # slack of `validate`'s structural and inverse checks
-EVAL_BLOCK = 1 << 14       # points per forward call in `evaluate_many` (128 KiB of float64)
 
 DIFFEOMORPHIC = "diffeomorphic"
 CONSTANT = "constant"
@@ -422,49 +421,27 @@ def evaluate(f: MOscillatingFunction, x: float) -> float:
     return float(evaluate_many(f, np.array([x]))[0])
 
 
-def evaluate_many(f: MOscillatingFunction, xs: np.ndarray,
-                  out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Vectorized evaluate over an array of points, of any shape and order.
+def piece_runs(f: MOscillatingFunction, xs: np.ndarray):
+    """(piece, start, stop) of each piece's run in the sorted 1-D points xs,
+    all cut before the first is read, so a run may be written over.  A
+    shared endpoint and a gap point go to the piece on their left; points
+    outside the domain, and NaN, go to the first or last piece."""
+    cuts = np.searchsorted(xs, f.piece_table.sub_lower[1:], side="right").tolist()
+    return zip(f.pieces, [0, *cuts], [*cuts, xs.size])
 
-    The points are sorted (input that is already sorted is used as it is),
-    and each piece is evaluated on the contiguous run of points that falls
-    to it, in blocks of at most EVAL_BLOCK points: a run no longer than a
-    block is one forward call.  Sortedness is tested a block at a time too,
-    so on sorted input no temporary holds more than a block; other input
-    costs a sorted copy and its permutation.
-    A shared endpoint and a gap point go to the piece on their left,
-    clipped into its interval; points outside the domain go to the first
-    or last piece.
 
-    `out`, a float64 array of the shape of `xs` (1-D or C-contiguous),
-    receives the values and is returned.  It may be `xs` itself, as each
-    block is read into its clipped copy before its values are written.
-    Without `out` the values go to a fresh array and `xs` is left as it was.
-    """
+def evaluate_many(f: MOscillatingFunction, xs: np.ndarray) -> np.ndarray:
+    """Vectorized evaluate over an array of points, of any shape and order,
+    into a fresh array.  The points are sorted, each piece is called once on
+    its run (`piece_runs`), clipped into its interval, and the values go
+    back to the points' places."""
     xs = np.asarray(xs, dtype=float)
-    if out is None:
-        out = np.empty(xs.shape)
-    elif (out.shape != xs.shape or out.dtype != np.float64
-          or (out.ndim > 1 and not out.flags.c_contiguous)):
-        raise ValueError("out must be a float64 array of the shape of xs, "
-                         "1-D or C-contiguous")
-    flat = xs.ravel()
-    order = None
-    # sorted?  Tested a block at a time, each sharing its last point with the next
-    blocks = (flat[s:s + EVAL_BLOCK + 1] for s in range(0, flat.size - 1, EVAL_BLOCK))
-    if not all(np.all(block[1:] >= block[:-1]) for block in blocks):
-        order = np.argsort(flat)
-        flat = flat[order]
-    # the values in sorted order: straight into out, or over the sorted copy
-    values = out.reshape(-1) if order is None else flat
-    cuts = np.searchsorted(flat, f.piece_table.sub_lower[1:], side="right").tolist()
-    for p, a, b in zip(f.pieces, [0, *cuts], [*cuts, flat.size]):
-        for s in range(a, b, EVAL_BLOCK):
-            e = min(s + EVAL_BLOCK, b)
-            values[s:e] = forward_values(p.forward,
-                                         np.clip(flat[s:e], p.sub_lower, p.sub_upper))
-    if order is not None:
-        out.reshape(-1)[order] = values
+    order = np.argsort(xs, axis=None)
+    flat = xs.ravel()[order]
+    for p, a, b in piece_runs(f, flat):
+        flat[a:b] = forward_values(p.forward, np.clip(flat[a:b], p.sub_lower, p.sub_upper))
+    out = np.empty(xs.shape)
+    out.reshape(-1)[order] = flat
     return out
 
 

@@ -4,10 +4,11 @@ Draws uniform samples from the domain with a counter-based SplitMix64
 stream (Steele, Lea & Flood, OOPSLA 2014), made of numpy integer
 arithmetic alone, so a fixed seed gives the same draws bit for bit on every
 numpy version.  The draws stream through one block at a time: each block
-is evaluated and sorted, and its bin and atom counts are added to running
-totals, so memory does not grow with the sample count.  The atoms are the
-values of constant pieces, as in the model, merged by the model's rule,
-`measures.merge_atoms`.
+is sorted and evaluated piece by piece, and its bin and atom counts are
+added to running totals, so memory does not grow with the sample count.
+A piece is monotone, so its values on sorted draws come out in order and
+need no second sort.  The atoms are the values of constant pieces, as in
+the model, merged by the model's rule, `measures.merge_atoms`.
 """
 from __future__ import annotations
 
@@ -15,10 +16,11 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .domain import EVAL_BLOCK, MOscillatingFunction, evaluate_many
+from .domain import MOscillatingFunction, forward_values, piece_runs
 from .errors import PreconditionError
 from .measures import MERGE_SNAP, ScalarMeasureRCA, merge_atoms
 
+EVAL_BLOCK = 1 << 14          # values per forward call, 128 KiB of float64
 _DRAW_BLOCK = 4 * EVAL_BLOCK  # draws per block of the stream, 512 KiB of float64
 
 
@@ -50,12 +52,14 @@ def pushforward_empirical(
 
     The draws are `_uniform`'s stream of seed, an integer in [0, 2**128),
     taken one block of `_DRAW_BLOCK` draws at a time.  Each block is sorted
-    before evaluation, so `evaluate_many` takes each piece's points as one
-    contiguous run; a draw on a shared endpoint takes the value of the
-    piece on its left.  The values are written over the block's draws and
-    sorted in place, and the block's bin and atom counts are read off them
-    by binary search and added to running totals, so the call holds no
-    array of the sample count, only temporaries of O(`_DRAW_BLOCK`) values.
+    and cut into each piece's run (`piece_runs`; a draw on a shared
+    endpoint takes the value of the piece on its left), and each run's
+    values are written over its draws, `EVAL_BLOCK` at a time.  A falling
+    run is read reversed; a run that is still not ascending (rounding, NaN,
+    a piece that is not monotone) is sorted as a copy.  Each run's count
+    of values below each inner bin edge and on each atom is read off by
+    binary search and added to running totals, so the call holds no array
+    of the sample count, only temporaries of O(`_DRAW_BLOCK`) values.
     The atoms are the constant pieces' values that at least one draw
     takes, as in the model; an atom's mass is its exact count of draws,
     and atoms within `measures.MERGE_SNAP` merge, as the model's do.  Bin
@@ -74,15 +78,24 @@ def pushforward_empirical(
     inner = edges[1:-1]
     plateau = np.sort(f.piece_table.value)
     plateau = plateau[np.diff(plateau, prepend=-np.inf) > 0]  # np.unique would import numpy.ma
-    counts = np.zeros(n_bins, np.intp)
+    below = np.zeros(inner.size, np.intp)  # values below each inner edge
     atom_counts = np.zeros(plateau.size, np.intp)
     for values in _uniform(f.domain.lower, f.domain.upper, n_samples, seed):
         values.sort()
-        evaluate_many(f, values, out=values)  # the sorted draws become the values
-        values.sort()
-        counts += np.diff(np.searchsorted(values, inner), prepend=0, append=values.size)
-        atom_counts += np.searchsorted(values, plateau, side="right")
-        atom_counts -= np.searchsorted(values, plateau)
+        for p, a, b in piece_runs(f, values):
+            for s in range(a, b, EVAL_BLOCK):  # the sorted draws become the values
+                e = min(s + EVAL_BLOCK, b)
+                values[s:e] = forward_values(p.forward,
+                                             np.clip(values[s:e], p.sub_lower, p.sub_upper))
+            run = values[a:b]
+            if run.size and run[0] > run[-1]:  # a falling piece
+                run = run[::-1]
+            if not np.all(run[1:] >= run[:-1]):  # rounding, NaN or a non-monotone piece
+                run = np.sort(run)
+            below += np.searchsorted(run, inner)
+            atom_counts += np.searchsorted(run, plateau, side="right")
+            atom_counts -= np.searchsorted(run, plateau)
+    counts = np.diff(below, prepend=0, append=n_samples)
 
     hit = atom_counts > 0
     locations, atom_counts = plateau[hit], atom_counts[hit]

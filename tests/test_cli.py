@@ -479,8 +479,24 @@ def test_named_subcommand_alone_gets_its_options():
     for argv in ([], ["--help"], ["nosuch", "--input", "x"], ["--input", "verify"]):
         assert declared(argv) == every
     for name in every:
-        assert declared([name, "--help"]) == {
-            other: opts if other == name else set() for other, opts in every.items()}
+        assert declared([name, "--help"]) == {name: every[name]}
+
+
+@pytest.mark.parametrize("argv", [["verify", "--input", "x.json", "--nosuch"],
+                                  ["bolza", "extra"]])
+def test_named_subcommand_errors_show_every_subcommand(argv, monkeypatch, capsys):
+    # argparse reports an unread argument with the top-level usage line,
+    # which names every subcommand though only argv[0]'s parser is built
+    from oscym.cli import main
+
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    assert capsys.readouterr().err == (
+        "usage: oscym [-h] {validate,density,slope,measure,verify,converge,weak-cont,"
+        "homog,bolza} ...\n"
+        f"oscym: error: unrecognized arguments: {argv[-1]}\n")
 
 
 def test_readme_option_table_matches_the_parser():
@@ -770,3 +786,13 @@ def test_converge_slope_check_is_free_of_the_scale_of_x(tmp_path, capsys, length
     assert main(["converge", "--input", spec, "--window", "1,2", "--depth", "2",
                  "--tol", "1"]) == 2
     assert "monotone" in capsys.readouterr().err
+
+
+def test_converge_takes_equal_infinite_densities_as_a_flat_step(tmp_path):
+    # x / 2**40 on (0, 2**40), cut into two affine halves, twice: the inverse
+    # slope 2**40 passes 1 / DERIVATIVE_FLOOR, so both densities are inf at
+    # every grid point, and inf - inf must count as no step, not as NaN
+    halves = rising_halves(2.0 ** 40, 2.0 ** 39)
+    spec = custom_sequence(tmp_path / "halves.json", [halves, halves])
+    r = run_cli("converge", "--input", spec, "--window", "1,2", "--depth", "2", "--tol", "1")
+    assert (r.returncode, r.stderr) == (0, "")

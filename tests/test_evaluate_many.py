@@ -1,21 +1,18 @@
 """`evaluate_many` on sorted runs against the per-piece mask loop.
 
-Each piece is evaluated on one contiguous run of sorted points, in blocks
-of at most `domain.EVAL_BLOCK` points.  The values must be bitwise those
-of the mask loop it replaced, in any input order and shape, for any block
-size, written to a fresh array or back into the input, with a shared
-endpoint given to the left piece.
+Each piece is evaluated in one call on the contiguous run of sorted points
+that falls to it.  The values must be bitwise those of the mask loop it
+replaced, in any input order and shape, with the input left as it was and
+a shared endpoint given to the left piece.
 """
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oscym import domain
 from oscym.domain import Domain1D, MOscillatingFunction, Piece, evaluate_many
-from oscym.families import affine_piece, constant_piece, sine_piece, sine_wave, tent_map
+from oscym.families import affine_piece, constant_piece, sine_piece
 from oscym.funcspec import build_function
 
 EXPRESSIONS = ("x^3 - x", "exp(x) / 2", "log(x + 1)", "sin(3*x) + x", "2", "pi")
@@ -103,17 +100,6 @@ def test_sorted_runs_equal_mask_loop(spec, fractions, order, repeats, with_nan, 
     assert_matches_mask_loop(spec, fractions, order, repeats, with_nan, seed)
 
 
-@pytest.mark.parametrize("block", [1, 7, 64])
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(**POINTS)
-def test_blocked_runs_equal_mask_loop(block, spec, fractions, order, repeats, with_nan,
-                                      seed):
-    # blocks this small cut nearly every piece's run, most at many places
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(domain, "EVAL_BLOCK", block)
-        assert_matches_mask_loop(spec, fractions, order, repeats, with_nan, seed)
-
-
 def assert_matches_mask_loop(spec, fractions, order, repeats, with_nan, seed):
     f = build_function(spec)
     lo, hi = f.domain.lower, f.domain.upper
@@ -173,76 +159,3 @@ def test_forward_that_rejects_arrays_is_called_per_value():
     assert evaluate_many(f, xs).tolist() == [
         math.sin(0.4), 1.8, math.sin(0.1), math.sin(0.5), math.sin(0.3)]
 
-
-def all_kinds():
-    return build_function({"domain": [0.0, 3.0], "pieces": [
-        {"interval": [0.0, 0.5], "kind": "power", "params": {"exponent": 0.5}},
-        {"interval": [0.5, 1.0], "kind": "affine", "params": {"slope": -2.0, "intercept": 3.0}},
-        {"interval": [1.0, 1.5], "kind": "constant", "params": {"value": 0.25}},
-        {"interval": [1.5, 2.0], "kind": "sin",
-         "params": {"amplitude": 1.0, "frequency": 3.0, "phase": 0.1}},
-        {"interval": [2.0, 3.0], "kind": "expr", "params": {"expr": "exp(x) / 2"}}]})
-
-
-@pytest.mark.parametrize("block", [7, None], ids=["block7", "default"])
-@pytest.mark.parametrize("order", ["sorted", "reversed", "shuffled"])
-def test_out_may_be_the_input(monkeypatch, block, order):
-    if block:
-        monkeypatch.setattr(domain, "EVAL_BLOCK", block)
-    f = all_kinds()
-    xs = arrange(np.linspace(-0.5, 3.5, 1001), order, seed=3)
-    fresh = evaluate_many(f, xs)
-    assert evaluate_many(f, xs, out=xs) is xs
-    assert_same_bits(xs, fresh)
-
-    grid = arrange(np.linspace(0.0, 3.0, 24), order, seed=5).reshape(4, 6)
-    out = np.empty((4, 6))
-    assert evaluate_many(f, grid, out=out) is out
-    assert_same_bits(out, evaluate_many(f, grid))
-
-
-@pytest.mark.parametrize("make", [tent_map, lambda: sine_wave(3), all_kinds],
-                         ids=["affine", "sine", "all_kinds"])
-def test_sorted_input_written_over_holds_under_a_mib(make):
-    # 1M sorted points take 7.63 MiB; the sortedness test and each forward
-    # call work on blocks of EVAL_BLOCK points, so nothing point-sized is made
-    f = make()
-    lo, hi = f.domain.lower, f.domain.upper
-    evaluate_many(f, np.linspace(lo, hi, 100))  # build the table and pieces first
-    xs = np.linspace(lo, hi, 1_000_000)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        evaluate_many(f, xs, out=xs)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
-
-
-@pytest.mark.parametrize("out", [np.empty((3, 2)), np.empty((2, 3), dtype=np.float32),
-                                 np.empty((2, 6))[:, ::2]],
-                         ids=["shape", "dtype", "strided_2d"])
-def test_out_must_match_the_input(out):
-    with pytest.raises(ValueError):
-        evaluate_many(two_jumps(), np.linspace(0.1, 1.4, 6).reshape(2, 3), out=out)
-
-
-def test_run_is_cut_into_blocks(monkeypatch):
-    sizes = []
-
-    def ramp(x):
-        sizes.append(np.size(x))
-        return 2.0 * x
-
-    f = MOscillatingFunction(domain=Domain1D(0.0, 1.0),
-                             pieces=(Piece(sub_lower=0.0, sub_upper=1.0, forward=ramp),))
-    xs = np.linspace(0.05, 0.95, 10)
-    f.piece_table  # the image calls ramp at both ends
-    sizes.clear()
-    evaluate_many(f, xs)
-    assert sizes == [10]  # a run no longer than a block is one call
-    monkeypatch.setattr(domain, "EVAL_BLOCK", 4)
-    sizes.clear()
-    assert_same_bits(evaluate_many(f, xs), 2.0 * xs)
-    assert sizes == [4, 4, 2]

@@ -12,7 +12,7 @@ from oscym import (compare_histogram, oracle_report, pushforward_empirical, samp
 from oscym.domain import Domain1D, MOscillatingFunction, evaluate_many
 from oscym.errors import PreconditionError
 from oscym.families import (affine_piece, constant_piece, half_plateau, identity_map,
-                            sine_wave, tent_map)
+                            sine_piece, sine_wave, tent_map)
 from oscym.funcspec import build_function
 from oscym.measures import MERGE_SNAP
 from oscym.sampling import PointMass, _uniform
@@ -269,7 +269,14 @@ def ramp_with(*constants, range_K=None):
     # a plateau that 1 draw takes
     MOscillatingFunction(domain=Domain1D(0.0, 1.0), pieces=(
         affine_piece(0.0, 1.0 - 5e-5, 1.0, 0.0), constant_piece(1.0 - 5e-5, 1.0, 0.5))),
-], ids=["end_and_edge_atoms", "one_value", "narrow_range", "light_atom"])
+    # a falling run, counted reversed, with an atom on the inner edge 0.5
+    MOscillatingFunction(domain=Domain1D(0.0, 1.0), pieces=(
+        affine_piece(0.0, 0.5, -2.0, 1.0), constant_piece(0.5, 1.0, 0.5))),
+    # sin over 3/4 of a period rises, then falls: a run counted from a sorted copy
+    MOscillatingFunction(domain=Domain1D(0.0, 1.0), pieces=(
+        sine_piece(0.0, 0.75), constant_piece(0.75, 1.0, 0.25))),
+], ids=["end_and_edge_atoms", "one_value", "narrow_range", "light_atom", "falling_edge_atom",
+        "not_monotone"])
 def test_edge_cases_equal_unique_histogram(f):
     h = assert_matches_unique_histogram(f, 20_000, SEED, 16)
     assert h.point_masses
@@ -303,8 +310,9 @@ def expr_spec():
                               "expr"])
 def test_pushforward_holds_no_sample_sized_array(f):
     # 1M float64 values would take 7.63 MiB; the draws stream through in
-    # blocks of 64K (four 512 KiB buffers), evaluated over themselves, and
-    # `evaluate_many`'s temporaries hold at most one 16K block each
+    # blocks of 64K (four 512 KiB buffers), evaluated over themselves, each
+    # forward call's temporaries hold at most 16K values, and a run's
+    # fallback sort copies at most one block
     f = f()
     pushforward_empirical(f, 1000, SEED, 16)  # build the piece table first
     tracemalloc.start()
