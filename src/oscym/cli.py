@@ -31,7 +31,6 @@ from . import convergence, families, measures, quadrature, relaxation, sampling
 from .domain import Domain1D, MOscillatingFunction, validate
 from .errors import OscymError, PreconditionError, SpecError
 from .funcspec import SequenceSpec, parse_spec
-from .measures import DensityFunction
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -193,20 +192,18 @@ def cmd_converge(args) -> int:
 
 
 def _builtin_family(name: str) -> convergence.NonhomogeneousDensityFamily:
+    """The family x -> Young density of the triangular quantile map Q_x on
+    range [0, 2], or of the identity, the same uniform slice at every x."""
     if name == "triangular":
-        return convergence.NonhomogeneousDensityFamily(
-            domain=Domain1D(0.0, 1.0),
-            evaluator=lambda x: DensityFunction(
-                support=(0.0, 2.0),
-                evaluator=families.triangular_density(x),
-                breakpoints=(x, 1.0)),
-            range_K=(0.0, 2.0),
-        )
-    if name == "uniform":
-        u = DensityFunction(support=(0.0, 1.0), evaluator=np.ones_like)
-        return convergence.NonhomogeneousDensityFamily(
-            domain=Domain1D(0.0, 1.0), evaluator=lambda x: u, range_K=(0.0, 1.0))
-    raise SpecError(f"unknown density family {name!r}")
+        slice_at, range_K = families.triangular_quantile, (0.0, 2.0)
+    elif name == "uniform":
+        u = families.identity_map()
+        slice_at, range_K = (lambda x: u), (0.0, 1.0)
+    else:
+        raise SpecError(f"unknown density family {name!r}")
+    return convergence.NonhomogeneousDensityFamily(
+        domain=Domain1D(0.0, 1.0), range_K=range_K,
+        evaluator=lambda x: measures.young_density_function(slice_at(x)))
 
 
 def cmd_weak_cont(args) -> int:
@@ -216,7 +213,7 @@ def cmd_weak_cont(args) -> int:
     xs = [args.x0 + 1.0 / n for n in range(args.n_start, args.n_stop + 1)]
     test = convergence.BorelTestFamily(fam.range_K, args.depth)
     verdict = convergence.weak_continuity_check(
-        fam, xs, args.x0, test, tol=args.tol, quad_tol=args.quad_tol)
+        fam, xs, args.x0, test, tol=args.tol)
     _verdict_output(args, verdict)
     return EXIT_OK if verdict.converged else EXIT_NEGATIVE
 

@@ -7,7 +7,6 @@ surrogate - evidence at the tested resolution, not a proof.
 """
 from __future__ import annotations
 
-from functools import partial
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -84,7 +83,8 @@ class DensitySequence(NamedTuple):
 
 
 class NonhomogeneousDensityFamily(NamedTuple):
-    """Family x -> density on a fixed range, indexed by the spatial point."""
+    """Family x -> density on a fixed range, indexed by the spatial point;
+    the CLI's families give the Young density of a monotone map at each x."""
 
     domain: Domain1D
     evaluator: Callable[[float], DensityFunction]
@@ -267,15 +267,15 @@ def weak_continuity_check(
     """Check that the set integrals of h_{x_n} approach those of h_{x_0}.
 
     The residual per set is the gap at the last element of xs; the limit
-    column reports the target integral at x_0."""
+    column reports the target integral at x_0.  Set masses are differences
+    of each density's exact `cdf`, so `quad_tol` has no effect; it stays
+    accepted, as the CLI's --quad-tol does."""
     if len(xs) == 0:
         raise PreconditionError("xs must hold at least one point")
     for x in list(xs) + [x0]:
         if not fam.domain.contains(x):
             raise PreconditionError(f"x={x} outside the family domain")
-    leaves = [_leaf_masses(partial(fam.evaluator(x).masses, quad_tol=quad_tol),
-                           family)
-              for x in (xs[-1], x0)]
+    leaves = [_leaf_masses(fam.evaluator(x).masses, family) for x in (xs[-1], x0)]
     return _setwise_verdict(leaves, family, (0, len(xs) - 1), tol)
 
 
@@ -287,8 +287,9 @@ def homogeneity_check(
 ) -> bool:
     """Finite-sample surrogate for the singleton-family characterization:
     the family is homogeneous iff all sampled slices agree in L1.  Each L1
-    distance is integrated to max(quad_tol, 1e-3 * tol), so a quad_tol
-    below 1e-3 * tol changes nothing."""
+    distance is integrated in y, cut at both densities' breakpoints and
+    support ends, to max(quad_tol, 1e-3 * tol), so a quad_tol below
+    1e-3 * tol changes nothing."""
     if x_samples < 2:
         raise PreconditionError("x_samples must be at least 2")
     dom = fam.domain
@@ -300,7 +301,7 @@ def homogeneity_check(
             gi, gj = densities[i], densities[j]
             dist = quadrature.integrate(
                 lambda y: np.abs(gi.evaluator(y) - gj.evaluator(y)),
-                lo, hi, points=gi.breakpoints + gj.breakpoints,
+                lo, hi, points=gi.breakpoints + gj.breakpoints + gi.support + gj.support,
                 tol=max(quad_tol, tol * 1e-3),
             )
             if dist > tol:

@@ -1,7 +1,8 @@
 """Built-in oscillating functions and density families used across the
 package: canonical sine waves, tent maps, the nonperiodic sawtooth family
 with unit total slope, the half-plateau function whose Young measure has an
-atom, and the triangular nonhomogeneous density family.
+atom, and the quantile maps whose Young densities form the triangular
+nonhomogeneous density family.
 
 Everything here is constructed from closed forms so the numeric layers can
 be tested against exact values.
@@ -9,8 +10,6 @@ be tested against exact values.
 from __future__ import annotations
 
 import math
-from typing import Callable
-
 import numpy as np
 
 from .domain import (CONSTANT, DIFFEOMORPHIC, Domain1D, MOscillatingFunction, Piece,
@@ -147,16 +146,19 @@ def half_plateau() -> MOscillatingFunction:
         range_K=(0.0, 1.0))
 
 
-def triangular_density(x: float) -> Callable:
-    """Density 2*h_x on K = [0, 2], at a scalar or at each value of an
-    array: rises like 2y/x on [0, x), falls like 2(1-y)/(1-x) on [x, 1),
-    and vanishes on [1, 2].  Integrates to 1 for every x in (0, 1)."""
+def triangular_quantile(x: float) -> MOscillatingFunction:
+    """Quantile map Q_x on (0, 1) of the triangular law with mode x on
+    [0, 1], whose Young density is h_x: 2y/x on [0, x), 2(1-y)/(1-x) on
+    [x, 1).  Its two monotone pieces invert in closed form: sqrt(x u) on
+    (0, x) by y^2/x, and 1 - sqrt((1-x)(1-u)) on (x, 1) by
+    1 - (1-y)^2/(1-x)."""
     if not 0.0 < x < 1.0:
         raise ValueError("x must lie in (0, 1)")
-
-    def h(y, _x=float(x)):
-        y = np.asarray(y, dtype=float)
-        return np.where((0.0 <= y) & (y < _x), 2.0 * y / _x,
-                        np.where((_x <= y) & (y < 1.0), 2.0 * (1.0 - y) / (1.0 - _x), 0.0))
-
-    return h
+    x = float(x)
+    s = 1.0 - x
+    rising = Piece(0.0, x, forward=lambda u: np.sqrt(x * np.asarray(u, dtype=float)),
+                   inverse=lambda y: y * y / x, inverse_derivative=lambda y: 2.0 * y / x)
+    falling = Piece(x, 1.0, forward=lambda u: 1.0 - np.sqrt(s * (1.0 - np.asarray(u, float))),
+                    inverse=lambda y: 1.0 - (1.0 - y) * (1.0 - y) / s,
+                    inverse_derivative=lambda y: 2.0 * (1.0 - y) / s)
+    return MOscillatingFunction(Domain1D(0.0, 1.0), (rising, falling))

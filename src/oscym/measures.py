@@ -7,14 +7,11 @@ absolute inverse slopes, divided by M; and as a distribution function, the
 summed preimage lengths |inv(y) - inv(lo)| over M, from which every set
 mass is a difference.  A test function integrates against it in x, by
 the identity integral of phi dnu_f = (1/M) integral of phi(f(x)) dx, whose
-integrand is bounded.  The in-package adaptive Gauss-Kronrod rule
-(`quadrature`) runs those x-integrals piece by piece, and integrates in y
-only densities that have no function behind them (user-supplied or
-family densities): it cuts at their breakpoints, maps each cut interval
-so that inverse-square-root singularities at its ends become bounded,
-and bisects until its error estimate is at most max(tol, tol |integral|).
-Constant pieces carry no density; they appear as atoms weighted by their
-share of the domain.  Nothing is tabulated up front: a density is
+integrand is bounded; the in-package adaptive Gauss-Kronrod rule
+(`quadrature`) runs those x-integrals piece by piece.  Every density the
+package makes is the density of a Young measure, so nothing integrates in
+y here.  Constant pieces carry no density; they appear as atoms weighted
+by their share of the domain.  Nothing is tabulated up front: a density is
 sampled only when output asks for it.
 `young_density` and `total_slope` take a scalar or an array of y and
 evaluate a whole array at once, from the function's piece table.
@@ -55,46 +52,34 @@ class Atom(NamedTuple):
 
 
 class DensityFunction(NamedTuple):
-    """Nonnegative density on a closed support interval.
+    """Nonnegative density on a closed support interval, with its exact
+    distribution function and expectation.
 
     `evaluator` takes an array of y and returns the density at each, an
-    array of the same shape; quadrature calls it once per panel.  One that
-    accepts only a scalar still works, called once per value with a Python
-    float.  `breakpoints` are where quadrature in y cuts, for kinks and
-    singularities alike; the density may be +inf only at a breakpoint or
-    an end of its support, which quadrature never evaluates.  The rule
-    maps each cut interval [lo, hi] by y = lo + w t^2 (3 - 2t),
-    w = hi - lo, so an integrable inverse-square-root singularity at a cut
-    point leaves a bounded integrand in t; a non-integrable singularity,
-    or a non-finite value at a node, raises QuadratureError.  `cdf`, when
-    set, is the exact distribution function y -> integral of the density
-    below y, taking and returning arrays; set masses are then its
-    differences and no quadrature runs.  `expectation`, when set, maps a
-    test function phi to the integral of phi against the density without
-    integrating in y.  A Young density sets both: its infinite values sit
-    at piece-image endpoints, which are its breakpoints or the ends of its
-    support.
+    array of the same shape; one that accepts only a scalar still works,
+    called once per value with a Python float.  `cdf` is the distribution
+    function y -> integral of the density below y, taking and returning
+    arrays; set masses are its differences.  `expectation` maps a test
+    function phi to the integral of phi against the density.
+    `breakpoints` are the interior points where the density may kink,
+    jump or be +inf.  A Young density (`young_density_function`) sets them
+    all: its cdf sums preimage lengths, its expectation integrates in x,
+    and its breakpoints are its interior piece-image ends.
     """
 
     support: tuple[float, float]
     evaluator: Callable
+    cdf: Callable[[np.ndarray], np.ndarray]
+    expectation: Callable[[Callable[[float], float]], float]
     breakpoints: tuple[float, ...] = ()
-    cdf: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    expectation: Optional[Callable[[Callable[[float], float]], float]] = None
 
     def __call__(self, y: float) -> float:
         return float(self.evaluator(y))
 
-    def masses(self, edges, quad_tol: float = quadrature.QUAD_TOL) -> np.ndarray:
+    def masses(self, edges) -> np.ndarray:
         """Integrals of the density over the consecutive intervals of the
         nondecreasing `edges`, each clipped to the support."""
-        edges = np.clip(np.asarray(edges, dtype=float), *self.support)
-        if self.cdf is not None:
-            return np.diff(self.cdf(edges))
-        return np.array([
-            quadrature.integrate(self.evaluator, a, b, points=self.breakpoints, tol=quad_tol)
-            for a, b in zip(edges[:-1], edges[1:])
-        ])
+        return np.diff(self.cdf(np.clip(np.asarray(edges, dtype=float), *self.support)))
 
 
 class ScalarMeasureRCA(NamedTuple):
@@ -244,9 +229,9 @@ def young_density_function(f: MOscillatingFunction) -> Optional[DensityFunction]
     return DensityFunction(
         support=support,
         evaluator=lambda y: young_density(f, y),
-        breakpoints=breakpoints,
         cdf=cdf,
         expectation=expectation,
+        breakpoints=breakpoints,
     )
 
 
@@ -284,17 +269,11 @@ def integrate_density(g: DensityFunction, A: tuple[float, float]) -> float:
 
 
 def integrate_test(m: ScalarMeasureRCA, phi: Callable[[float], float]) -> float:
-    """Integral of a bounded test function against the measure: in x when
-    the density carries an `expectation` (Young measures), in y otherwise."""
+    """Integral of a bounded test function against the measure: the
+    density's `expectation`, in x for a Young density, plus the atoms."""
     total = 0.0
-    g = m.density
-    if g is not None and g.expectation is not None:
-        total += g.expectation(phi)
-    elif g is not None:
-        total += quadrature.integrate(
-            lambda y: phi(y) * g.evaluator(y),
-            g.support[0], g.support[1], points=g.breakpoints,
-        )
+    if m.density is not None:
+        total += m.density.expectation(phi)
     for a in m.atoms:
         total += a.weight * phi(a.location)
     return total

@@ -39,9 +39,11 @@ from oscym.families import (
     roubicek,
     sine_wave,
     tent_map,
-    triangular_density,
+    triangular_quantile,
 )
-from oscym.measures import DensityFunction, ScalarMeasureRCA, young_density_function
+from oscym.measures import ScalarMeasureRCA, young_density_function
+
+from conftest import ramp_density
 
 SUITE = {
     "identity": identity_map(),
@@ -141,9 +143,7 @@ def test_monotone_slope_convergence():
 
 def test_setwise_negative_control():
     def gen(n):
-        hi = 1.0 if n % 2 else 2.0
-        return DensityFunction(support=(0.0, hi),
-                               evaluator=lambda y, _h=hi: 1.0 / _h)
+        return ramp_density(1.0 if n % 2 else 2.0)
 
     seq = DensitySequence(generator=gen, range_K=(0.0, 2.0), max_index=64)
     fam = BorelTestFamily((0.0, 2.0), 6)
@@ -177,10 +177,7 @@ def test_oscillation_functional_decay():
 def triangular_family() -> NonhomogeneousDensityFamily:
     return NonhomogeneousDensityFamily(
         domain=Domain1D(0.0, 1.0),
-        evaluator=lambda x: DensityFunction(
-            support=(0.0, 2.0),
-            evaluator=triangular_density(x),
-            breakpoints=(x, 1.0)),
+        evaluator=lambda x: young_density_function(triangular_quantile(x)),
         range_K=(0.0, 2.0),
     )
 

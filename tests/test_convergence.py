@@ -5,7 +5,6 @@ import pytest
 
 from oscym import (
     BorelTestFamily,
-    DensityFunction,
     DensitySequence,
     NonhomogeneousDensityFamily,
     converge_young,
@@ -25,23 +24,19 @@ from oscym.families import (
     roubicek,
     sine_wave,
     tent_map,
-    triangular_density,
+    triangular_quantile,
 )
 from oscym.measures import ScalarMeasureRCA, young_density, young_density_function
 
-ARCSINE = DensityFunction(
-    support=(-1.0, 1.0),
-    evaluator=lambda y: 1.0 / (math.pi * math.sqrt(1.0 - y * y)) if abs(y) < 1 else math.inf,
-)
+from conftest import ramp_density
 
-
-def uniform_density(hi: float) -> DensityFunction:
-    return DensityFunction(support=(0.0, hi), evaluator=lambda y, _h=hi: 1.0 / _h)
+# the arcsine law 1/(pi sqrt(1 - y^2)) on [-1, 1]
+ARCSINE = young_density_function(sine_wave(1))
 
 
 def alternating_sequence(max_index=64) -> DensitySequence:
     def gen(n):
-        return uniform_density(1.0) if n % 2 else uniform_density(2.0)
+        return ramp_density(1.0) if n % 2 else ramp_density(2.0)
 
     return DensitySequence(generator=gen, range_K=(0.0, 2.0), max_index=max_index)
 
@@ -49,7 +44,7 @@ def alternating_sequence(max_index=64) -> DensitySequence:
 def amplitude_tent_density_sequence(max_index=64) -> DensitySequence:
     # closed form: density 1/A_n on [0, A_n] with A_n = 1 + 1/n
     def gen(n):
-        return uniform_density(1.0 + 1.0 / n)
+        return ramp_density(1.0 + 1.0 / n)
 
     return DensitySequence(generator=gen, range_K=(0.0, 2.0), max_index=max_index)
 
@@ -263,11 +258,7 @@ def test_density_measure_verdict_equivalence():
 def triangular_family() -> NonhomogeneousDensityFamily:
     return NonhomogeneousDensityFamily(
         domain=Domain1D(0.0, 1.0),
-        evaluator=lambda x: DensityFunction(
-            support=(0.0, 2.0),
-            evaluator=triangular_density(x),
-            breakpoints=(x, 1.0),
-        ),
+        evaluator=lambda x: young_density_function(triangular_quantile(x)),
         range_K=(0.0, 2.0),
     )
 
@@ -293,7 +284,7 @@ def test_weak_continuity_triangular():
 
 
 def test_weak_continuity_constant_family():
-    u = uniform_density(2.0)
+    u = ramp_density(2.0)
     fam = NonhomogeneousDensityFamily(
         domain=Domain1D(0.0, 1.0), evaluator=lambda x: u, range_K=(0.0, 2.0))
     test_sets = BorelTestFamily((0.0, 2.0), 4)
@@ -303,11 +294,9 @@ def test_weak_continuity_constant_family():
 
 
 def test_weak_continuity_discontinuous_family_fails():
-    # uniform below 1/2, a rescaled arcsine-like ramp at and above 1/2
+    # uniform on [0, 1] below x = 1/2, uniform on [0, 2] from x = 1/2 on
     def ev(x):
-        if x < 0.5:
-            return uniform_density(1.0)
-        return DensityFunction(support=(0.0, 2.0), evaluator=lambda y: 0.5)
+        return ramp_density(1.0 if x < 0.5 else 2.0)
 
     fam = NonhomogeneousDensityFamily(
         domain=Domain1D(0.0, 1.0), evaluator=ev, range_K=(0.0, 2.0))
@@ -331,11 +320,9 @@ def test_homogeneity_triangular_false():
 
 
 def test_homogeneity_below_tolerance_perturbation():
+    # density 1 + 1e-12 x on [0, 1 / (1 + 1e-12 x)]
     def ev(x):
-        return DensityFunction(
-            support=(0.0, 1.0),
-            evaluator=lambda y, _x=x: 1.0 + 1e-12 * _x,
-        )
+        return ramp_density(1.0 / (1.0 + 1e-12 * x))
 
     fam = NonhomogeneousDensityFamily(
         domain=Domain1D(0.0, 1.0), evaluator=ev, range_K=(0.0, 1.0))

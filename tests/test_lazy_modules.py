@@ -86,6 +86,41 @@ print(rc, sorted(name for name in sys.modules
     assert loaded == "[]"
 
 
+# Set masses are differences of exact distribution functions, the
+# triangular and uniform families' included, so only `homog` (its L1
+# distance in y) and `bolza` (its functional in x) run quadrature.
+# name: (argv, whether the call integrates)
+INTEGRATES = {
+    **{name: ([name, *map(str, COMMANDS[name])], name in ("homog", "bolza"))
+       for name in ("homog", "bolza", "weak-cont", "density", "measure", "converge", "verify")},
+    "weak-cont-uniform": (["weak-cont", *map(str, COMMANDS["weak-cont"]), "--family", "uniform"],
+                          False),
+}
+
+
+@pytest.mark.parametrize("name", INTEGRATES)
+def test_only_homog_and_bolza_call_quadrature_or_load_heapq(name):
+    argv, integrates = INTEGRATES[name]
+    code = """
+import sys
+import oscym.cli
+from oscym import quadrature
+calls = []
+integrate = quadrature.integrate
+quadrature.integrate = lambda *args, **kwargs: calls.append(1) or integrate(*args, **kwargs)
+rc = oscym.cli.main(sys.argv[1:])
+print(rc, bool(calls), "heapq" in sys.modules)
+"""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src") + (os.pathsep + path if path else ""))
+    r = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                       env=env)
+    assert r.returncode == 0, r.stderr
+    rc, called, heapq = r.stdout.splitlines()[-1].split()
+    assert rc in ("0", "1"), r.stdout
+    assert (called, heapq) == (str(integrates),) * 2
+
+
 def test_every_exported_name_resolves_to_its_module_object():
     for name in oscym.__all__:
         value = getattr(oscym, name)

@@ -13,7 +13,7 @@ from oscym import (
     young_density,
     young_measure,
 )
-from oscym.errors import ConstructionError, QuadratureError
+from oscym.errors import ConstructionError
 from oscym.families import (
     amplitude_tent,
     half_plateau,
@@ -22,19 +22,17 @@ from oscym.families import (
     sine_wave,
     tent_map,
 )
-from oscym.measures import Atom, ScalarMeasureRCA
+from oscym.measures import Atom, ScalarMeasureRCA, young_density_function
 
-from conftest import constant_map, rising_sawtooth
+from conftest import constant_map, flat_density, rising_sawtooth
 
 
 def arcsine(y: float) -> float:
     return 1.0 / (math.pi * math.sqrt(1.0 - y * y))
 
 
-ARCSINE_DENSITY = DensityFunction(
-    support=(-1.0, 1.0),
-    evaluator=lambda y: arcsine(y) if abs(y) < 1 else math.inf,
-)
+ARCSINE_DENSITY = young_density_function(sine_wave(1))
+UNIFORM_DENSITY = young_density_function(identity_map())
 ARCSINE_MEASURE = ScalarMeasureRCA(range_K=(-1.0, 1.0), density=ARCSINE_DENSITY)
 
 
@@ -156,8 +154,7 @@ def test_integrate_arcsine_full():
 
 
 def test_integrate_uniform_half():
-    g = DensityFunction(support=(0.0, 1.0), evaluator=lambda y: 1.0)
-    assert integrate_density(g, (0.25, 0.75)) == pytest.approx(0.5, abs=1e-12)
+    assert integrate_density(UNIFORM_DENSITY, (0.25, 0.75)) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_integrate_arcsine_partial():
@@ -169,8 +166,7 @@ def test_integrate_arcsine_partial():
 
 
 def test_integrate_clips_to_support():
-    g = DensityFunction(support=(0.0, 1.0), evaluator=lambda y: 1.0)
-    assert integrate_density(g, (-5.0, 5.0)) == pytest.approx(1.0)
+    assert integrate_density(UNIFORM_DENSITY, (-5.0, 5.0)) == pytest.approx(1.0)
 
 
 def test_integrate_test_two_atoms():
@@ -187,18 +183,12 @@ def test_integrate_test_arcsine_second_moment():
 
 
 def test_integrate_test_uniform_mean():
-    m = ScalarMeasureRCA(
-        range_K=(0.0, 1.0),
-        density=DensityFunction(support=(0.0, 1.0), evaluator=lambda y: 1.0),
-    )
+    m = ScalarMeasureRCA(range_K=(0.0, 1.0), density=UNIFORM_DENSITY)
     assert integrate_test(m, lambda s: s) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_tv_norm_uniform():
-    m = ScalarMeasureRCA(
-        range_K=(0.0, 1.0),
-        density=DensityFunction(support=(0.0, 1.0), evaluator=lambda y: 1.0),
-    )
+    m = ScalarMeasureRCA(range_K=(0.0, 1.0), density=UNIFORM_DENSITY)
     assert tv_norm(m) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -209,7 +199,7 @@ def test_tv_norm_plateau():
 def test_tv_norm_mixed():
     m = ScalarMeasureRCA(
         range_K=(0.0, 1.0),
-        density=DensityFunction(support=(0.0, 1.0), evaluator=lambda y: 0.5),
+        density=flat_density(0.5),
         atoms=(Atom(0.0, 0.25), Atom(1.0, 0.25)),
     )
     assert tv_norm(m) == pytest.approx(1.0, abs=1e-12)
@@ -222,7 +212,7 @@ def test_is_probability_arcsine():
 def test_is_probability_rejects_double_mass():
     m = ScalarMeasureRCA(
         range_K=(0.0, 1.0),
-        density=DensityFunction(support=(0.0, 1.0), evaluator=lambda y: 2.0),
+        density=flat_density(2.0),
     )
     assert not is_probability(m)
 
@@ -230,7 +220,12 @@ def test_is_probability_rejects_double_mass():
 def test_is_probability_rejects_a_weightless_atom_and_a_negative_density():
     assert not is_probability(ScalarMeasureRCA((0.0, 1.0), atoms=(Atom(0.3, 1.0), Atom(0.5, 0.0))))
     # 2.5 below 0.5 and -0.5 above integrate to 1: only the sampled sign rejects it
-    g = DensityFunction((0.0, 1.0), lambda y: np.where(y < 0.5, 2.5, -0.5), breakpoints=(0.5,))
+    below, above = flat_density(2.5, 0.0, 0.5), flat_density(-0.5, 0.5, 1.0)
+    g = DensityFunction(
+        (0.0, 1.0), lambda y: np.where(y < 0.5, 2.5, -0.5),
+        cdf=lambda y: below.cdf(np.minimum(y, 0.5)) + above.cdf(np.maximum(y, 0.5)),
+        expectation=lambda phi: below.expectation(phi) + above.expectation(phi),
+        breakpoints=(0.5,))
     assert integrate_density(g, g.support) == pytest.approx(1.0, abs=1e-12)
     assert not is_probability(ScalarMeasureRCA((0.0, 1.0), g))
 
@@ -272,15 +267,6 @@ def test_equal_total_slopes_same_density():
         assert abs(young_density(tent, float(y)) - young_density(saw, float(y))) <= 1e-9
 
 
-def test_quadrature_error_raised_on_nonintegrable_density():
-    g = DensityFunction(
-        support=(0.0, 1.0),
-        evaluator=lambda y: 1.0 / y if y > 0 else math.inf,
-    )
-    with pytest.raises(QuadratureError):
-        integrate_density(g, (0.0, 1.0))
-
-
 def test_set_mass_of_an_empty_interval_is_zero():
     m = ScalarMeasureRCA(range_K=(0.0, 1.0), atoms=(Atom(0.5, 1.0),))
     assert m.set_mass(0.7, 0.5, closed_right=True) == 0.0
@@ -288,11 +274,10 @@ def test_set_mass_of_an_empty_interval_is_zero():
 
 
 @pytest.mark.parametrize("closed_right", [False, True])
-@pytest.mark.parametrize("density", ["exact", "quadrature"])
+@pytest.mark.parametrize("density", ["exact", "arcsine"])
 def test_set_mass_adds_the_density_then_the_atoms(density, closed_right):
     # the density mass, then each atom in [lo, hi) (or [lo, hi]) in order
-    g = (young_measure(half_plateau()).density if density == "exact"
-         else ARCSINE_DENSITY)
+    g = ARCSINE_DENSITY if density == "arcsine" else young_measure(half_plateau()).density
     m = ScalarMeasureRCA((-1.0, 1.0), g,
                          atoms=(Atom(0.1, 0.3), Atom(0.25, 0.2), Atom(0.5, 0.5)))
     for lo, hi in [(0.1, 0.5), (0.0, 0.25), (0.25, 0.25), (0.3, 0.7), (0.5, 0.5)]:

@@ -23,16 +23,12 @@ from oscym import cli, quadrature
 from oscym.convergence import NonhomogeneousDensityFamily
 from oscym.domain import DIFFEOMORPHIC, Domain1D, forward_derivative, forward_values
 from oscym.errors import QuadratureError
-from oscym.families import triangular_density
+from oscym.families import triangular_quantile
 from oscym.funcspec import build_function
-from oscym.measures import (
-    DensityFunction,
-    ScalarMeasureRCA,
-    integrate_test,
-    young_density_function,
-    young_measure,
-)
+from oscym.measures import integrate_test, young_density_function, young_measure
 from oscym.relaxation import bolza_functional
+
+from conftest import flat_density, triangular_density
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 DATA = Path(__file__).resolve().parent / "data"
@@ -145,7 +141,7 @@ def test_an_integral_that_does_not_converge_raises():
 
 
 def test_cli_exits_3_on_a_non_finite_integral(monkeypatch, capsys):
-    nan_density = DensityFunction(support=(0.0, 1.0), evaluator=lambda y: math.nan)
+    nan_density = flat_density(math.nan)
     family = NonhomogeneousDensityFamily(
         domain=Domain1D(0.0, 1.0), evaluator=lambda x: nan_density,
         range_K=(0.0, 1.0))
@@ -213,9 +209,10 @@ def test_array_calls_equal_a_call_per_node_bitwise(fn, a, b, points):
         per_node(fn), a, b, points)
 
 
-@pytest.mark.parametrize("name", ["sine", "power", "expr", "tent"])
+@pytest.mark.parametrize("name", ["sine", "power", "expr", "tent", "triangular"])
 def test_x_integrals_equal_a_call_per_node_bitwise(name):
-    f = spec_function(name)
+    # the triangular slice h_0.3 integrates in x too, over its quantile map
+    f = triangular_quantile(0.3) if name == "triangular" else spec_function(name)
     pieces = [p for p in f.pieces if p.kind == DIFFEOMORPHIC]
     for phi in (lambda y: y * y, math.cos):
         loop = math.fsum(quadrature.integrate(
@@ -229,12 +226,3 @@ def test_x_integrals_equal_a_call_per_node_bitwise(name):
                      + (forward_derivative(_p, x) ** 2 - 1.0) ** 2),
             p.sub_lower, p.sub_upper)
     assert bolza_functional(f) == loop
-
-
-def test_y_integrals_equal_a_call_per_node_bitwise():
-    tri = triangular_density(0.3)
-    m = ScalarMeasureRCA((0.0, 2.0), DensityFunction((0.0, 2.0), tri, breakpoints=(0.3, 1.0)))
-    for phi in (lambda y: y * y, math.cos):
-        loop = quadrature.integrate(per_node(lambda y: phi(y) * tri(y)), 0.0, 2.0,
-                                    points=(0.3, 1.0))
-        assert integrate_test(m, phi) == loop
