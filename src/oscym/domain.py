@@ -8,7 +8,7 @@ boundary points belong to the left-adjacent piece by convention.
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -66,17 +66,16 @@ class Domain1D(_ReadOnly):
 
 class Piece(_ReadOnly):
     """One branch of an oscillating function on the open subinterval
-    (sub_lower, sub_upper).
+    (sub_lower, sub_upper): a map given as callables, or the view of a
+    closed-form piece, whose maps are its kind's kernels at its row.
 
     Diffeomorphic pieces are strictly monotone; `inverse` and
     `inverse_derivative` are optional closed forms, taking and returning
     arrays, with bisection and finite differences as the fallback (see
     `invert` and `inverse_slopes`).  `affine_slope` is set by builders
     when the forward map is affine, enabling exact derivative pushforwards.
-    A piece with `affine_intercept` set too is affine: its three maps are
-    made from the two numbers, and a function reads it into the affine
-    columns of its `PieceTable`.  A constant piece makes its forward map
-    from `constant_value`.
+    A piece with `affine_intercept` set too is affine; a constant piece
+    makes its forward map from `constant_value`.
     """
 
     def __init__(self, sub_lower: float, sub_upper: float, kind: str = DIFFEOMORPHIC,
@@ -94,15 +93,11 @@ class Piece(_ReadOnly):
         if kind == CONSTANT:
             if constant_value is None:
                 raise ConstructionError("constant piece needs constant_value")
-            c = float(constant_value)
-            forward = (lambda x, _c=c: np.full_like(np.asarray(x, dtype=float), _c)
-                       if np.ndim(x) else _c)
+            forward = partial(_constant, float(constant_value))
             affine_slope = 0.0
         elif affine_intercept is not None:
-            s, c = float(affine_slope), float(affine_intercept)
-            forward = lambda x: s * np.asarray(x, float) + c
-            inverse = lambda y: (y - c) / s
-            inverse_derivative = lambda y: np.full(np.shape(y), 1.0 / s)
+            forward, inverse, inverse_derivative = _Affine.kernels(
+                (float(affine_slope), float(affine_intercept)))
         elif forward is None:
             raise ConstructionError("diffeomorphic piece needs a forward map")
         vars(self).update(sub_lower=sub_lower, sub_upper=sub_upper, kind=kind,
@@ -120,8 +115,7 @@ class Piece(_ReadOnly):
         """Closed image [min, max] of the piece (endpoints of a monotone map),
         computed once: every inversion reads it.  An endpoint value that is
         not a finite real number, as sqrt or log of a negative number gives,
-        raises ConstructionError.  The pieces a `PieceTable` makes carry
-        their image from its columns."""
+        raises ConstructionError."""
         if self.kind == CONSTANT:
             c = float(self.constant_value)
             return (c, c)
@@ -174,8 +168,7 @@ class Piece(_ReadOnly):
         (singular where that is below DERIVATIVE_FLOOR, or below the
         rounding noise of its finite difference)."""
         if self.inverse_derivative is not None:
-            v = np.abs(forward_values(self.inverse_derivative, ys))
-            return np.where(np.isfinite(v) & ~(v > 1.0 / DERIVATIVE_FLOOR), v, math.inf)
+            return _floored(forward_values(self.inverse_derivative, ys))
         xs = self.invert(ys)
         d = np.abs(forward_derivative(self, xs))
         # rounding noise in the finite difference is of order eps/h; below
@@ -185,6 +178,208 @@ class Piece(_ReadOnly):
         floor = np.maximum(DERIVATIVE_FLOOR, 100.0 * 2.2e-16 * scale / h)
         with np.errstate(divide="ignore"):
             return np.where(d < floor, math.inf, 1.0 / d)
+
+
+class PieceMap(NamedTuple):
+    """A piece's interval, maps (None for a closed form it lacks) and exact
+    slope (None unless affine or constant), as a Piece has them."""
+
+    sub_lower: float
+    sub_upper: float
+    forward: Callable
+    inverse: Optional[Callable]
+    inverse_derivative: Optional[Callable]
+    affine_slope: Optional[float]
+
+
+def _constant(c: float, x):
+    return np.full_like(np.asarray(x, dtype=float), c) if np.ndim(x) else c
+
+
+def _floored(v: np.ndarray) -> np.ndarray:
+    """|v|, and +inf (singular) where it is not finite or exceeds 1/DERIVATIVE_FLOOR."""
+    v = np.abs(v)
+    return np.where(np.isfinite(v) & ~(v > 1.0 / DERIVATIVE_FLOOR), v, math.inf)
+
+
+def _per_distinct(fn: Callable[[float], float], y) -> np.ndarray:
+    """`per_value`, with one call per distinct bit pattern of y."""
+    flat = np.ravel(np.asarray(y, dtype=float))
+    order = np.argsort(flat.view(np.int64))
+    bits = flat.view(np.int64)[order]
+    first = np.concatenate([bits[:1] == bits[:1], bits[1:] != bits[:-1]])
+    out = np.empty(flat.size)
+    out[order] = per_value(fn, flat[order[first]])[np.cumsum(first) - 1]
+    return out.reshape(np.shape(y))
+
+
+def _by_row(j, y, fns) -> np.ndarray:
+    """fns[r] called once on the values of y at rows j == r (j broadcast against y)."""
+    j, y = np.broadcast_arrays(j, y)
+    out = np.empty(y.shape)
+    for r, fn in enumerate(fns):
+        held = j == r
+        if held.any():
+            out[held] = fn(y[held])
+    return out
+
+
+class _Kind:
+    """The pieces of one kind in a table, in order: `at` indexes them among
+    its monotone pieces, and `cols` holds its columns.  The kernels of a
+    closed-form kind, `forward`, `inverse` and `inverse_derivative`, take
+    a tuple of column values broadcast against the values; `values` and
+    `invert` are them at rows j, an index or integer array broadcast
+    against the values, and `slope_terms` the |inverse slopes| (+inf where
+    singular) where a (rows x values) mask holds, 0 elsewhere.  `validate`
+    checks the inverses `checks` names, and flags the `turns`, the x of an
+    extremum inside a row's interval (nan if none)."""
+
+    width = 1  # parameters of a `table_of_rows` row
+    fd_checked = exact_slope = False
+
+    def __init__(self, at: np.ndarray, cols: tuple):
+        self.at, self.cols = at, cols
+
+    @classmethod
+    def of(cls, at, sl, su, params) -> "_Kind":
+        return cls(at, tuple(np.array(params, dtype=float).reshape(len(at), -1).T))
+
+    @classmethod
+    def kernels(cls, c: tuple) -> list[Callable]:
+        return [partial(k, c) for k in (cls.forward, cls.inverse, cls.inverse_derivative)]
+
+    def values(self, j, x):
+        return self.forward(tuple(c[j] for c in self.cols), x)
+
+    def invert(self, j, y):
+        return self.inverse(tuple(c[j] for c in self.cols), y)
+
+    def slope_terms(self, held, y) -> np.ndarray:
+        # the kernel sees 1.0 off the held values, where y ** e could overflow
+        c = tuple(c[:, None] for c in self.cols)
+        return np.where(held, _floored(self.inverse_derivative(c, np.where(held, y, 1.0))), 0.0)
+
+    def checks(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.ones(self.at.size, bool), np.full(self.at.size, self.fd_checked)
+
+    def turns(self, sl, su) -> np.ndarray:
+        return np.full(sl.size, math.nan)
+
+    def maps(self, sl, su) -> list[PieceMap]:
+        return [PieceMap(a, b, *self.kernels(c), c[0] if self.exact_slope else None)
+                for a, b, c in zip(sl, su, zip(*(c.tolist() for c in self.cols)))]
+
+
+class _Affine(_Kind):
+    """u -> slope u + intercept: columns slope and intercept."""
+
+    width, exact_slope = 2, True
+    forward = staticmethod(lambda c, x: c[0] * np.asarray(x, dtype=float) + c[1])
+    inverse = staticmethod(lambda c, y: (y - c[1]) / c[0])
+    inverse_derivative = staticmethod(lambda c, y: np.full(np.shape(y), 1.0 / c[0]))
+
+
+class _Sin(_Kind):
+    """u -> A sin(w u + phase) where it is monotone: columns A, w, phase,
+    and the arcsine branch k (the multiple of pi nearest w u + phase at the
+    interval's midpoint) with its sign, -1 for odd k.  The inverse is
+    (k pi + sign asin(y/A) - phase)/w, with math.asin once per distinct
+    y/A, where numpy's arcsin can differ in the last bit."""
+
+    width, fd_checked = 3, True
+    forward = staticmethod(lambda c, x: c[0] * np.sin(c[1] * np.asarray(x, dtype=float) + c[2]))
+
+    @classmethod
+    def of(cls, at, sl, su, params):
+        A, w, ph = np.array(params, dtype=float).reshape(len(at), -1).T[:3]
+        # Python's round, half to even, which refuses nan and inf
+        k = np.array([round(t / math.pi) for t in (w * 0.5 * (sl + su) + ph).tolist()], float)
+        return cls(at, (A, w, ph, k, np.where(k % 2, -1.0, 1.0)))
+
+    @staticmethod
+    def inverse(c, y):
+        r = np.clip(np.asarray(y, dtype=float) / c[0], -1.0, 1.0)
+        return (c[3] * math.pi + c[4] * _per_distinct(math.asin, r) - c[2]) / c[1]
+
+    @staticmethod
+    def inverse_derivative(c, y):
+        r = np.clip(np.asarray(y, dtype=float) / c[0], -1.0, 1.0)
+        with np.errstate(divide="ignore"):
+            v = 1.0 / (np.abs(c[0] * c[1]) * np.sqrt(np.maximum(1.0 - r * r, 0.0)))
+        return np.where(np.abs(r) < 1.0, v, math.inf)
+
+    def turns(self, sl, su):
+        # an odd multiple of pi/2 inside the range of w x + phase by more
+        # than its rounding, 16 ulps of its terms
+        w, ph = self.cols[1:3]
+        ta, tb = w * sl + ph, w * su + ph
+        slack = 16 * np.finfo(float).eps * (np.abs(w) * np.maximum(np.abs(sl), np.abs(su))
+                                            + np.abs(ph))
+        t = (np.ceil((np.minimum(ta, tb) + slack) / math.pi - 0.5) + 0.5) * math.pi
+        return np.where(t < np.maximum(ta, tb) - slack, (t - ph) / w, math.nan)
+
+
+_pow = np.frompyfunc(pow, 2, 1)  # Python's float power, where numpy's can differ in the last bit
+
+
+class _Power(_Kind):
+    """u -> u^p on an interval in [0, inf): column exponent p.  The forward
+    map is numpy's power at one exponent at a time (with an array of
+    exponents it can differ in the last bit); the inverse y^(1/p) and its
+    derivative y^(1/p - 1)/p are Python's float power, +inf at y = 0 where
+    1/p < 1 (a singular slope, as at the extrema of sin)."""
+
+    forward = staticmethod(lambda c, x: np.asarray(x, dtype=float) ** c[0])
+    inverse = staticmethod(lambda c, y: np.asarray(_pow(y, 1.0 / c[0]), dtype=float))
+
+    @staticmethod
+    def inverse_derivative(c, y):
+        e = 1.0 / c[0] - 1.0
+        y = np.where(0.0 > y, 0.0, y)  # Python's max(y, 0.0)
+        singular = (y == 0.0) & (e < 0)
+        v = np.asarray(_pow(np.where(singular, 1.0, y), e), dtype=float) / c[0]
+        return np.where(singular, math.inf, v)
+
+    def values(self, j, x):
+        return _by_row(j, x, [partial(self.forward, (p,)) for p in self.cols[0].tolist()])
+
+
+class _Callables(_Kind):
+    """Pieces of maps given as callables: `cols` holds the Piece objects,
+    and each map is one call of the Piece's own per row."""
+
+    fd_checked = True
+
+    @classmethod
+    def of(cls, at, sl, su, params):
+        return cls(at, tuple(params))
+
+    def values(self, j, x):
+        return _by_row(j, x, [partial(forward_values, p.forward) for p in self.cols])
+
+    def invert(self, j, y):
+        return _by_row(j, y, [p.invert for p in self.cols])
+
+    def slope_terms(self, held, y):
+        out = np.zeros(held.shape)
+        for i, p in enumerate(self.cols):
+            if held[i].any():
+                out[i, held[i]] = p.inverse_slopes(y[held[i]])
+        return out
+
+    def checks(self):
+        return tuple(np.array([getattr(p, name) is not None for p in self.cols], bool)
+                     for name in ("inverse", "inverse_derivative"))
+
+    def maps(self, sl, su):
+        return list(self.cols)
+
+
+# the monotone kinds of `table_of_rows`, in the order of their groups
+_KINDS = {"affine": _Affine, "sin": _Sin, "power": _Power, "piece": _Callables}
+# a Piece whose forward map is a kernel views a row of that kind
+_VIEWS = {cls.forward: name for name, cls in _KINDS.items() if cls is not _Callables}
 
 
 class Violation(NamedTuple):
@@ -204,35 +399,25 @@ class ValidationReport(NamedTuple):
 
 class PieceTable(NamedTuple):
     """A function's pieces as per-kind columns, in the order of their left
-    ends: images, total slopes, distribution functions, atoms and `validate`
-    run on them, once per kind over all the pieces of that kind.
+    ends: images, total slopes, distribution functions, atoms, evaluation
+    and `validate` run on them, in one loop over the kinds.
 
-    `sub_lower` and `sub_upper` hold every piece's interval, and the masks
-    `affine` and `constant` its kind.  An affine piece keeps its `slope` and
-    `intercept`, a constant piece its `value`, and every other piece (sine,
-    power, expr, a custom map) its Piece object in `others`; each of these
-    runs over the pieces of its kind, in order.  `lo`, `hi` and `inv_slope`
-    run over the monotone pieces, affine and other, in order: the image
-    ends, and |1/slope| of a piece with an affine slope (inf where it
-    exceeds 1/DERIVATIVE_FLOOR, where `inverse_slope` raises
-    SingularSlopeError) or nan for a piece whose inverse slope varies.
+    `sub_lower` and `sub_upper` hold every piece's interval, and the mask
+    `constant` its kind; a constant piece keeps its `value`.  `lo` and `hi`
+    are the image ends of the monotone pieces, in order.  `kinds` holds a
+    group per kind among them: the affine columns slope and intercept, the
+    sin columns amplitude, frequency, phase, branch and sign, the power
+    column exponent, and the Piece objects of maps given as callables
+    (`expr` pieces and custom maps).
     """
 
     sub_lower: np.ndarray
     sub_upper: np.ndarray
-    affine: np.ndarray
     constant: np.ndarray
-    slope: np.ndarray
-    intercept: np.ndarray
     value: np.ndarray
-    others: tuple[Piece, ...]
     lo: np.ndarray
     hi: np.ndarray
-    inv_slope: np.ndarray
-
-    def affine_rows(self) -> np.ndarray:
-        """Which monotone pieces are affine: a mask parallel to `lo`."""
-        return self.affine[~self.constant]
+    kinds: tuple[_Kind, ...]
 
     def hull(self) -> tuple[float, float]:
         """The least and the greatest image end, taken over the pieces in
@@ -242,50 +427,61 @@ class PieceTable(NamedTuple):
         lows[self.constant] = highs[self.constant] = self.value
         return min(lows.tolist()), max(highs.tolist())
 
+    def maps(self) -> list[PieceMap]:
+        """Each piece's PieceMap, in order."""
+        sl, su = self.sub_lower.tolist(), self.sub_upper.tolist()
+        out = [None] * len(sl)
+        for i, v in zip(np.flatnonzero(self.constant).tolist(), self.value.tolist()):
+            out[i] = PieceMap(sl[i], su[i], partial(_constant, v), None, None, 0.0)
+        mono = np.flatnonzero(~self.constant)
+        for g in self.kinds:
+            index = mono[g.at].tolist()
+            for i, m in zip(index, g.maps([sl[i] for i in index], [su[i] for i in index])):
+                out[i] = m
+        return out
+
     def pieces(self) -> tuple[Piece, ...]:
-        """The Piece objects of the table, in order; an affine piece carries
-        its image from the columns."""
-        params = iter(zip(self.slope.tolist(), self.intercept.tolist()))
-        values, others = iter(self.value.tolist()), iter(self.others)
-        images = iter(zip(self.lo.tolist(), self.hi.tolist()))
-        out = []
-        for a, c, lo, hi in zip(self.affine.tolist(), self.constant.tolist(),
-                                self.sub_lower.tolist(), self.sub_upper.tolist()):
-            if c:
-                out.append(Piece(lo, hi, kind=CONSTANT, constant_value=next(values)))
-                continue
-            image = next(images)
-            if a:
-                slope, intercept = next(params)
-                p = Piece(lo, hi, affine_slope=slope, affine_intercept=intercept)
-                p.__dict__["image"] = image  # the cached_property's slot
-            else:
-                p = next(others)
-            out.append(p)
-        return tuple(out)
+        """The Piece of each map, in order."""
+        return tuple(
+            Piece(m.sub_lower, m.sub_upper, CONSTANT, constant_value=m.forward.args[0]) if c
+            else m if isinstance(m, Piece)
+            else Piece(m.sub_lower, m.sub_upper, forward=m.forward, inverse=m.inverse,
+                       inverse_derivative=m.inverse_derivative, affine_slope=m.affine_slope)
+            for m, c in zip(self.maps(), self.constant.tolist()))
+
+
+def _images(g: _Kind, sl, su):
+    """The image ends of the pieces of a kind on (sl, su), as Python's min
+    and max pick them, and the first row with an end that is not finite,
+    with its end values (or [])."""
+    with np.errstate(all="ignore"):  # an end value that is not finite is the caller's error
+        ya, yb = g.values(np.arange(sl.size)[:, None], np.stack([sl, su], 1)).T
+    bad = np.flatnonzero(~(np.isfinite(ya) & np.isfinite(yb)))[:1].tolist()
+    return (np.where(yb < ya, yb, ya), np.where(yb > ya, yb, ya),
+            bad and (bad[0], ya[bad[0]], yb[bad[0]]))
 
 
 def affine_tables(sub_lower, sub_upper, slope, intercept) -> list[PieceTable]:
     """The tables of affine functions given as 2-D columns, one row per
     function with its pieces in the order of their left ends: every image
-    and inverse slope of them all in one array operation.  A zero slope is
-    a ValueError, as in `families.affine_piece`; the first piece, in order,
-    with an image end that is not finite raises ConstructionError."""
+    of them all in one array operation.  A zero slope is a ValueError, as
+    in `families.affine_piece`; the first piece, in order, with an image
+    end that is not finite raises ConstructionError."""
     sl, su, slope, intercept = (np.asarray(v, dtype=float)
                                 for v in (sub_lower, sub_upper, slope, intercept))
     if not slope.all():
         raise ValueError("use a constant piece for zero slope")
     if not sl.shape[1]:
         raise ConstructionError("need at least one piece")
-    ya, yb, lo, hi, inv_slope = _affine_images(sl, su, slope, intercept)
-    bad = np.flatnonzero(~(np.isfinite(ya) & np.isfinite(yb)))
-    if bad.size:
-        i = bad[0]
-        raise _affine_end_error(sl.flat[i], su.flat[i], ya.flat[i], yb.flat[i])
-    # every row's masks and empty columns alike, shared: no table is written to
-    affine, constant, none = np.ones(sl.shape[1], bool), np.zeros(sl.shape[1], bool), np.empty(0)
-    return [PieceTable(*cols[:2], affine, constant, *cols[2:4], none, (), *cols[4:])
-            for cols in zip(sl, su, slope, intercept, lo, hi, inv_slope)]
+    lo, hi, bad = _images(_Affine(None, (slope.ravel(), intercept.ravel())),
+                          sl.ravel(), su.ravel())
+    if bad:
+        raise _end_error(sl.flat[bad[0]], su.flat[bad[0]], *bad[1:])
+    # every row's mask, rows and empty column alike, shared: no table is written to
+    n = sl.shape[1]
+    at, constant, none = np.arange(n), np.zeros(n, bool), np.empty(0)
+    return [PieceTable(*cols[:2], constant, none, *cols[4:], (_Affine(at, cols[2:4]),))
+            for cols in zip(sl, su, slope, intercept, lo.reshape(sl.shape), hi.reshape(sl.shape))]
 
 
 def affine_table(sub_lower, sub_upper, slope, intercept) -> PieceTable:
@@ -294,82 +490,69 @@ def affine_table(sub_lower, sub_upper, slope, intercept) -> PieceTable:
                            for v in (sub_lower, sub_upper, slope, intercept)))[0]
 
 
-def _affine_images(sl, su, slope, intercept):
-    """The values ya, yb at both ends of affine pieces, arrays of any shape,
-    in numpy's IEEE arithmetic; their image ends lo, hi; and |1/slope|, inf
-    past 1/DERIVATIVE_FLOOR, where `inverse_slope` raises SingularSlopeError."""
-    with np.errstate(all="ignore"):  # an end value that is not finite is the caller's error
-        ya, yb = slope * sl + intercept, slope * su + intercept
-        inv_slope = np.abs(1.0 / slope)
-    inv_slope[inv_slope > 1.0 / DERIVATIVE_FLOOR] = math.inf
-    # the lesser and the greater end as Python's min and max pick them
-    return ya, yb, np.where(yb < ya, yb, ya), np.where(yb > ya, yb, ya), inv_slope
-
-
 def _no_finite_value(a, b, x, y) -> ConstructionError:
     return ConstructionError(f"piece on [{a}, {b}] has no finite real value at x={x}: {y}")
 
 
-def _affine_end_error(a, b, ya, yb) -> ConstructionError:
-    """The error of the affine piece on [a, b] whose end values ya, yb are
-    not both finite, naming the first end that is not."""
+def _end_error(a, b, ya, yb) -> ConstructionError:
+    """The error of the piece on [a, b] whose end values ya, yb are not
+    both finite, naming the first end that is not."""
     a, b = float(a), float(b)
     x, y = (a, ya) if not math.isfinite(ya) else (b, yb)
     return _no_finite_value(a, b, x, float(y))
 
 
 def table_of_rows(rows) -> PieceTable:
-    """The table of pieces given as (sub_lower, sub_upper, param) rows in any
-    order: param is (slope, intercept) for an affine piece, the Piece itself
-    for a piece of another map, and the value for a constant piece.  The
-    affine images come from `_affine_images`, the others from their
-    `Piece.image`; the first piece, in order, with an image end that is not
-    a finite real number raises ConstructionError."""
+    """The table of pieces given as (sub_lower, sub_upper, kind, param)
+    rows in any order: kind "constant" with the value, "affine" with
+    (slope, intercept), "sin" with (amplitude, frequency, phase), "power"
+    with (exponent,), or "piece" with the Piece of a map given as
+    callables.  The image ends of a closed-form kind are one call of its
+    forward kernel, a Piece's its `Piece.image`; the first piece, in order,
+    with an image end that is not a finite real number raises
+    ConstructionError."""
     rows = sorted(rows, key=lambda r: r[0])
     if not rows:
         raise ConstructionError("need at least one piece")
-    params = [r[2] for r in rows]
-    pairs = [q for q in params if isinstance(q, tuple)]
-    others = tuple(q for q in params if isinstance(q, Piece))
     sl, su = (np.array([r[i] for r in rows], dtype=float) for i in (0, 1))
-    affine = np.array([isinstance(q, tuple) for q in params])
-    constant = np.array([not isinstance(q, (tuple, Piece)) for q in params])
-    slope, intercept = np.array(pairs, dtype=float).reshape(-1, 2).T
-    ya, yb, affine_lo, affine_hi, affine_inv = _affine_images(sl[affine], su[affine],
-                                                               slope, intercept)
-    bad = np.flatnonzero(~(np.isfinite(ya) & np.isfinite(yb)))
-    first_bad = int(np.flatnonzero(affine)[bad[0]]) if bad.size else sl.size
-    other_at = np.flatnonzero(~affine & ~constant).tolist()
-    images = [p.image for p, i in zip(others, other_at) if i < first_bad]
-    if bad.size:
-        j = bad[0]
-        raise _affine_end_error(sl[first_bad], su[first_bad], ya[j], yb[j])
-    mono_affine = affine[~constant]  # which monotone pieces are affine
-    lo, hi, inv_slope = (np.empty(mono_affine.size) for _ in range(3))
-    lo[mono_affine], hi[mono_affine], inv_slope[mono_affine] = affine_lo, affine_hi, affine_inv
-    lo[~mono_affine], hi[~mono_affine] = np.reshape(images, (-1, 2)).T
-    with np.errstate(divide="ignore"):
-        inv_slope[~mono_affine] = np.abs(1.0 / np.array(
-            [math.nan if p.affine_slope is None else p.affine_slope for p in others]))
-    inv_slope[inv_slope > 1.0 / DERIVATIVE_FLOOR] = math.inf
-    value = np.array([q for q in params if not isinstance(q, (tuple, Piece))], dtype=float)
-    return PieceTable(sl, su, affine, constant, slope, intercept, value, others,
-                      lo, hi, inv_slope)
+    constant = np.array([r[2] == CONSTANT for r in rows])
+    mono = [r for r in rows if r[2] != CONSTANT]
+    names = np.array([r[2] for r in mono], dtype=str)
+    msl, msu = sl[~constant], su[~constant]
+    lo, hi, kinds, bad = np.empty(len(mono)), np.empty(len(mono)), [], (len(mono),)
+    for name, cls in _KINDS.items():
+        at = np.flatnonzero(names == name)
+        if at.size:
+            kinds.append(cls.of(at, msl[at], msu[at], [mono[i][3] for i in at.tolist()]))
+        if at.size and cls is not _Callables:
+            lo[at], hi[at], first = _images(kinds[-1], msl[at], msu[at])
+            if first and at[first[0]] < bad[0]:
+                bad = (at[first[0]], *first[1:])
+    # a Piece's image raises its own error: read those before the first bad end
+    for i in np.flatnonzero(names == "piece").tolist():
+        if i < bad[0]:
+            lo[i], hi[i] = mono[i][3].image
+    if bad[0] < len(mono):
+        raise _end_error(msl[bad[0]], msu[bad[0]], *bad[1:])
+    value = np.array([r[3] for r in rows if r[2] == CONSTANT], dtype=float)
+    return PieceTable(sl, su, constant, value, lo, hi, tuple(kinds))
 
 
 def _row(p: Piece) -> tuple:
-    """The `table_of_rows` row of a piece."""
+    """The `table_of_rows` row of a piece; a Piece whose forward map and
+    inverse are a closed-form kind's kernels is a row of that kind."""
     if p.kind == CONSTANT:
-        return p.sub_lower, p.sub_upper, p.constant_value
-    if p.affine_intercept is not None:
-        return p.sub_lower, p.sub_upper, (p.affine_slope, p.affine_intercept)
-    return p.sub_lower, p.sub_upper, p
+        return p.sub_lower, p.sub_upper, CONSTANT, p.constant_value
+    kind = _VIEWS.get(getattr(p.forward, "func", None))
+    if kind is None or getattr(p.inverse, "func", None) is not _KINDS[kind].inverse:
+        return p.sub_lower, p.sub_upper, "piece", p
+    return p.sub_lower, p.sub_upper, kind, p.forward.args[0][:_KINDS[kind].width]
 
 
 class MOscillatingFunction(_ReadOnly):
     """Sum of monotone/constant branches over a partition of the domain.
 
-    Its pieces are kept sorted by their left endpoint, and as the per-kind
+    Its pieces are kept sorted by their left endpoint, as the per-kind
     columns of `piece_table`, which every computation over the whole
     function reads.  A function built from Piece objects derives its table
     from them; one built by `from_table` holds only the table and makes its
@@ -422,24 +605,24 @@ def evaluate(f: MOscillatingFunction, x: float) -> float:
 
 
 def piece_runs(f: MOscillatingFunction, xs: np.ndarray):
-    """(piece, start, stop) of each piece's run in the sorted 1-D points xs,
-    all cut before the first is read, so a run may be written over.  A
-    shared endpoint and a gap point go to the piece on their left; points
-    outside the domain, and NaN, go to the first or last piece."""
+    """(start, stop) of each piece's run in the sorted 1-D points xs, in
+    piece order, all cut before the first is read, so a run may be written
+    over.  A shared endpoint and a gap point go to the piece on their left;
+    points outside the domain, and NaN, go to the first or last piece."""
     cuts = np.searchsorted(xs, f.piece_table.sub_lower[1:], side="right").tolist()
-    return zip(f.pieces, [0, *cuts], [*cuts, xs.size])
+    return zip([0, *cuts], [*cuts, xs.size])
 
 
 def evaluate_many(f: MOscillatingFunction, xs: np.ndarray) -> np.ndarray:
     """Vectorized evaluate over an array of points, of any shape and order,
-    into a fresh array.  The points are sorted, each piece is called once on
-    its run (`piece_runs`), clipped into its interval, and the values go
-    back to the points' places."""
+    into a fresh array.  The points are sorted, each piece's forward map is
+    called once on its run (`piece_runs`), clipped into its interval, and
+    the values go back to the points' places."""
     xs = np.asarray(xs, dtype=float)
     order = np.argsort(xs, axis=None)
     flat = xs.ravel()[order]
-    for p, a, b in piece_runs(f, flat):
-        flat[a:b] = forward_values(p.forward, np.clip(flat[a:b], p.sub_lower, p.sub_upper))
+    for m, (a, b) in zip(f.piece_table.maps(), piece_runs(f, flat)):
+        flat[a:b] = forward_values(m.forward, np.clip(flat[a:b], m.sub_lower, m.sub_upper))
     out = np.empty(xs.shape)
     out.reshape(-1)[order] = flat
     return out
@@ -490,15 +673,16 @@ def invert_piece(p: Piece, y: float) -> float:
     return float(p.invert(np.array([y], dtype=float))[0])
 
 
-def forward_derivative(p: Piece, x):
-    """Derivative of the forward map at x, a scalar or an array: exact for
-    affine pieces, otherwise a second-order finite difference kept inside
-    the piece interval, central or, within h of an end, one-sided."""
+def forward_derivative(p, x):
+    """Derivative of the forward map of a Piece or PieceMap p at x, a
+    scalar or an array: exact for affine pieces, otherwise a second-order
+    finite difference kept inside the piece interval, central or, within h
+    of an end, one-sided."""
     if p.affine_slope is not None:
         return p.affine_slope if np.ndim(x) == 0 else np.full(np.shape(x), p.affine_slope)
     xs = np.asarray(x, dtype=float)
     flat = xs.reshape(-1)
-    h = H_FD_SCALE * p.length
+    h = H_FD_SCALE * (p.sub_upper - p.sub_lower)
     inner = (flat - h >= p.sub_lower) & (flat + h <= p.sub_upper)
     d = np.empty(flat.shape)
     c = flat[inner]
@@ -535,8 +719,9 @@ def validate(f: MOscillatingFunction) -> ValidationReport:
 
     All problems are reported, never thrown.  Monotonicity is checked by the
     sign of forward differences over VALIDATE_SAMPLES points per piece, so
-    the answer is only as good as that resolution.  The affine pieces are
-    checked together, from the columns of the piece table.
+    the answer is only as good as that resolution, and for a sin piece also
+    exactly, from its columns.  The pieces of each kind are checked
+    together, from the columns of the piece table.
     """
     violations: list[Violation] = []
     t = f.piece_table
@@ -585,10 +770,12 @@ def validate(f: MOscillatingFunction) -> ValidationReport:
         )
 
     # the pieces' own checks, in piece order
-    found = _affine_violations(t)
-    for i, p in zip(np.flatnonzero(~t.affine & ~t.constant).tolist(), t.others):
-        found += [(i, v) for v in _piece_violations(i, p)]
-    violations += [v for _, v in sorted(found, key=lambda iv: iv[0])]
+    found, mono = [], np.flatnonzero(~t.constant)
+    for g in t.kinds:
+        index = mono[g.at]
+        found += _kind_violations(g, index, t.sub_lower[index], t.sub_upper[index],
+                                  t.lo[g.at], t.hi[g.at])
+    violations += sorted(found, key=lambda v: v.piece_index)
     return ValidationReport(valid=not violations, violations=tuple(violations))
 
 
@@ -601,15 +788,6 @@ def _non_monotone(i: int, d: np.ndarray) -> Optional[Violation]:
                          f"non-monotone piece {i}: forward differences "
                          + ("are all zero" if flat else "change sign"),
                          float(np.min(d) if d[0] > 0 else np.max(d)))
-    return None
-
-
-def _inverse_mismatch(i: int, miss: np.ndarray, lo: float, hi: float) -> Optional[Violation]:
-    """The violation of piece i if |forward(inverse(y)) - y| at its probes
-    exceeds the tolerance scaled to its image."""
-    worst = float(np.fmax.reduce(miss, initial=0.0))  # fmax skips nan
-    if worst > VALIDATE_TOL * max(1.0, abs(lo), abs(hi)):
-        return Violation("inverse_mismatch", i, f"forward(inverse(y)) != y on piece {i}", worst)
     return None
 
 
@@ -631,52 +809,45 @@ def _linspace_rows(start: np.ndarray, stop: np.ndarray, num: int) -> np.ndarray:
     return xs
 
 
-def _affine_violations(t: PieceTable) -> list[tuple[int, Violation]]:
-    """(piece index, violation) of the affine pieces.  Each check is one
-    array operation over all of them, and a piece it flags gets its
-    violation from the per-piece code, so every value is the one that code
-    gives.  Their inverse derivative 1/slope is |1/slope| = 1/|slope|
-    exactly, so its check cannot fail and is not run."""
-    at = np.flatnonzero(t.affine)
-    rows = t.affine_rows()
-    s, c = t.slope[:, None], t.intercept[:, None]
-    d = np.diff(s * _linspace_rows(t.sub_lower[at], t.sub_upper[at], VALIDATE_SAMPLES) + c,
-                axis=1)
-    non_monotone = ~(d != 0).any(axis=1) | ((d > 0).any(axis=1) & (d < 0).any(axis=1))
-    lo, hi = t.lo[rows], t.hi[rows]
-    probes = _probes(lo[:, None], hi[:, None])
-    miss = np.abs(s * ((np.clip(probes, lo[:, None], hi[:, None]) - c) / s) + c - probes)
-    tol = VALIDATE_TOL * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
-    flagged = non_monotone | (np.fmax.reduce(miss, axis=1, initial=0.0) > tol)
-    return [(int(at[j]), _non_monotone(int(at[j]), d[j])
-             or _inverse_mismatch(int(at[j]), miss[j], float(lo[j]), float(hi[j])))
-            for j in np.flatnonzero(flagged).tolist()]
-
-
-def _piece_violations(i: int, p: Piece) -> list[Violation]:
-    """The violations of one monotone piece, its own maps called on arrays."""
-    xs = np.linspace(p.sub_lower, p.sub_upper, VALIDATE_SAMPLES)
-    v = _non_monotone(i, np.diff(forward_values(p.forward, xs)))
-    if v is not None:
-        return [v]
+def _kind_violations(g: _Kind, index, sl, su, lo, hi) -> list[Violation]:
+    """The violations of the pieces of one kind, at `index` among all
+    pieces, each check one call of the kind's maps on all of them.  A piece
+    whose forward differences are all zero or change sign, or with an
+    extremum inside (`turns`), gets only that violation; otherwise its
+    inverse and its inverse derivative are checked where `checks` says so.
+    An affine or power inverse derivative is exact, and is not checked."""
+    d = np.diff(g.values(np.arange(index.size)[:, None],
+                         _linspace_rows(sl, su, VALIDATE_SAMPLES)), axis=1)
+    turns = g.turns(sl, su)
+    bad = ~(d != 0).any(axis=1) | ((d > 0).any(axis=1) & (d < 0).any(axis=1)) | ~np.isnan(turns)
+    round_trip, fd = g.checks()
+    rows = np.flatnonzero(~bad & (round_trip | fd))
+    k = rows[:, None]
+    probes = _probes(lo[k], hi[k])
+    xs = g.invert(k, np.clip(probes, lo[k], hi[k]))
+    miss = np.abs(g.values(k, xs) - probes)
+    # |forward(inverse(y)) - y| at the probes, within the tolerance scaled to the image
+    tol = VALIDATE_TOL * np.maximum(1.0, np.maximum(np.abs(lo[rows]), np.abs(hi[rows])))
+    missed = round_trip[rows] & (np.fmax.reduce(miss, axis=1, initial=0.0) > tol)  # fmax skips nan
     found = []
-    lo, hi = p.image
-    probes = _probes(lo, hi)
-    if p.inverse is not None:
-        v = _inverse_mismatch(
-            i, np.abs(forward_values(p.forward, p.invert(probes)) - probes), lo, hi)
-        if v is not None:
-            found.append(v)
-    if p.inverse_derivative is not None:
-        d_fd = np.abs(forward_derivative(p, p.invert(probes)))
-        keep = ~(d_fd < DERIVATIVE_FLOOR)
-        claimed = np.abs(forward_values(p.inverse_derivative, probes[keep]))
-        rel = np.abs(claimed - 1.0 / d_fd[keep]) / (1.0 / d_fd[keep])
-        worst = float(np.fmax.reduce(rel, initial=0.0))
-        if worst > VALIDATE_TOL:
-            found.append(
-                Violation("inverse_derivative_mismatch", i,
-                          f"inverse_derivative inconsistent with 1/|forward'| on piece {i}",
-                          worst)
-            )
+    for r in np.flatnonzero(bad).tolist():
+        i, x = int(index[r]), float(turns[r])
+        found.append(_non_monotone(i, d[r]) or Violation(
+            "non_monotone", i, f"non-monotone piece {i}: an extremum at x={x} lies inside", x))
+    maps = g.maps(sl.tolist(), su.tolist()) if fd[rows].any() else ()
+    for n in np.flatnonzero(missed | fd[rows]).tolist():
+        r, i = int(rows[n]), int(index[rows[n]])
+        if missed[n]:
+            found.append(Violation("inverse_mismatch", i, f"forward(inverse(y)) != y on piece {i}",
+                                   float(np.fmax.reduce(miss[n], initial=0.0))))
+        if fd[r]:  # the claimed inverse derivative against one over a finite difference
+            d_fd = np.abs(forward_derivative(maps[r], xs[n]))
+            keep = ~(d_fd < DERIVATIVE_FLOOR)
+            claimed = np.abs(forward_values(maps[r].inverse_derivative, probes[n][keep]))
+            rel = np.abs(claimed - 1.0 / d_fd[keep]) / (1.0 / d_fd[keep])
+            worst = float(np.fmax.reduce(rel, initial=0.0))
+            if worst > VALIDATE_TOL:
+                found.append(Violation(
+                    "inverse_derivative_mismatch", i,
+                    f"inverse_derivative inconsistent with 1/|forward'| on piece {i}", worst))
     return found

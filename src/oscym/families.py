@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 import numpy as np
 
-from .domain import (CONSTANT, DIFFEOMORPHIC, Domain1D, MOscillatingFunction, Piece,
-                     affine_table, affine_tables, per_value, table_of_rows)
+from .domain import (CONSTANT, Domain1D, MOscillatingFunction, Piece, affine_table,
+                     affine_tables, table_of_rows)
 
 TWO_PI = 2.0 * math.pi
 
@@ -30,41 +30,12 @@ def constant_piece(lo: float, hi: float, value: float) -> Piece:
     return Piece(sub_lower=lo, sub_upper=hi, kind=CONSTANT, constant_value=float(value))
 
 
-def sine_piece(
-    lo: float,
-    hi: float,
-    amplitude: float = 1.0,
-    frequency: float = TWO_PI,
-    phase: float = 0.0,
-) -> Piece:
-    """Branch of A*sin(w*x + phase), monotone on (lo, hi).
-
-    The closed-form inverse picks the arcsine branch containing the
-    subinterval's midpoint.  The closed forms take arrays; the arcsine is
-    math.asin at each value and the rest is IEEE arithmetic and sqrt, so
-    each value is bitwise that of the same formula in Python floats.
-    """
-    A, w, ph = float(amplitude), float(frequency), float(phase)
-
-    def fwd(x):
-        return A * np.sin(w * np.asarray(x, dtype=float) + ph)
-
-    t_mid = w * 0.5 * (lo + hi) + ph
-    k = round(t_mid / math.pi)
-    sign = -1.0 if k % 2 else 1.0
-
-    def inv(y):
-        r = np.clip(np.asarray(y, dtype=float) / A, -1.0, 1.0)
-        return (k * math.pi + sign * per_value(math.asin, r) - ph) / w
-
-    def inv_d(y):
-        r = np.clip(np.asarray(y, dtype=float) / A, -1.0, 1.0)
-        with np.errstate(divide="ignore"):
-            v = 1.0 / (abs(A * w) * np.sqrt(np.maximum(1.0 - r * r, 0.0)))
-        return np.where(np.abs(r) < 1.0, v, math.inf)
-
-    return Piece(sub_lower=lo, sub_upper=hi, kind=DIFFEOMORPHIC,
-                 forward=fwd, inverse=inv, inverse_derivative=inv_d)
+def sine_piece(lo: float, hi: float, amplitude: float = 1.0, frequency: float = TWO_PI,
+               phase: float = 0.0) -> Piece:
+    """Branch of A*sin(w*x + phase), monotone on (lo, hi): the sin kind's
+    kernels at its columns, whose inverse picks the arcsine branch holding
+    the subinterval's midpoint."""
+    return table_of_rows([(lo, hi, "sin", (amplitude, frequency, phase))]).pieces()[0]
 
 
 def identity_map() -> MOscillatingFunction:
@@ -94,12 +65,10 @@ def sine_wave(n: int = 1) -> MOscillatingFunction:
     """
     w = TWO_PI * n
     cuts = [0.0] + [(2 * k + 1) / (4.0 * n) for k in range(2 * n)] + [1.0]
-    pieces = tuple(
-        sine_piece(lo, hi, amplitude=1.0, frequency=w, phase=0.0)
-        for lo, hi in zip(cuts[:-1], cuts[1:])
-    )
-    return MOscillatingFunction(domain=Domain1D(0.0, 1.0), pieces=pieces,
-                                range_K=(-1.0, 1.0))
+    return MOscillatingFunction.from_table(
+        Domain1D(0.0, 1.0),
+        table_of_rows((lo, hi, "sin", (1.0, w, 0.0)) for lo, hi in zip(cuts[:-1], cuts[1:])),
+        range_K=(-1.0, 1.0))
 
 
 def roubicek(n: int, teeth: int = 64) -> MOscillatingFunction:
@@ -142,7 +111,8 @@ def half_plateau() -> MOscillatingFunction:
     """2x on (0, 1/2) followed by the constant 1/2: a Young measure with a
     uniform density part of mass 1/2 and an atom of weight 1/2 at 1/2."""
     return MOscillatingFunction.from_table(
-        Domain1D(0.0, 1.0), table_of_rows([(0.0, 0.5, (2.0, 0.0)), (0.5, 1.0, 0.5)]),
+        Domain1D(0.0, 1.0),
+        table_of_rows([(0.0, 0.5, "affine", (2.0, 0.0)), (0.5, 1.0, CONSTANT, 0.5)]),
         range_K=(0.0, 1.0))
 
 

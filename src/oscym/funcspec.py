@@ -10,6 +10,10 @@ kinds and their params, numbers but expr (strict - unknown or missing keys fail)
     power    {"exponent" (nonzero)}
     constant {"value"}
     expr     {"expr"}
+A function's pieces become the columns of its piece table: the params of
+an affine, sin, power or constant piece are its kind's columns, and an
+expr piece, a map given by its forward expression alone, is a Piece
+inverted by bisection.
 
 Sequence schema:
     { "family": "sin"|"roubicek"|"amplitude_tent"|"custom",
@@ -19,13 +23,10 @@ Sequence schema:
 from __future__ import annotations
 
 import json
-import math
 from typing import Callable, NamedTuple, Sequence, Union
 
-import numpy as np
-
 from . import families
-from .domain import Domain1D, MOscillatingFunction, Piece, per_value, table_of_rows
+from .domain import Domain1D, MOscillatingFunction, Piece, table_of_rows
 from .errors import SpecError
 from .exprparse import parse_expression
 
@@ -79,61 +80,37 @@ def _interval(raw, context: str) -> tuple[float, float]:
     return lo, hi
 
 
-def _power_inverse_slope(y: float, p: float) -> float:
-    """Derivative of y -> y^(1/p); +inf at y = 0 when 1/p < 1, where the
-    forward slope vanishes (a singular slope, as at the extrema of sin)."""
-    e = 1.0 / p - 1.0
-    y = max(y, 0.0)
-    if y == 0.0 and e < 0:
-        return math.inf
-    return y ** e / p
+# kind -> its number params, in the order of its `domain.table_of_rows` row
+_PARAMS = {"affine": ("slope", "intercept"), "sin": ("amplitude", "frequency", "phase"),
+           "power": ("exponent",), "constant": ("value",)}
 
 
 def _build_piece(raw: dict, index: int) -> tuple:
-    """The `domain.table_of_rows` row of a piece spec: an affine or constant
-    piece is read into its columns, any other kind becomes a Piece."""
+    """The `domain.table_of_rows` row of a piece spec: the kind and its
+    params, or for an expr piece a Piece of the parsed expression."""
     ctx = f"piece {index}"
     _require_keys(raw, {"interval", "kind", "params"}, ctx)
     lo, hi = _interval(raw["interval"], ctx)
-    kind = raw["kind"]
-    params = raw["params"]
+    kind, params = raw["kind"], raw["params"]
     if not isinstance(params, dict):
         raise SpecError(f"params of {ctx} must be an object")
-    if kind == "affine":
-        slope, intercept = _number_params(params, ("slope", "intercept"), ctx)
-        if slope == 0:
-            raise SpecError(f"affine piece needs a nonzero slope in {ctx}")
-        return lo, hi, (slope, intercept)
-    if kind == "sin":
-        amplitude, frequency, phase = _number_params(
-            params, ("amplitude", "frequency", "phase"), ctx)
-        if amplitude == 0 or frequency == 0:
-            raise SpecError(f"sin piece needs a nonzero amplitude and frequency in {ctx}")
-        return lo, hi, families.sine_piece(lo, hi, amplitude, frequency, phase)
-    if kind == "power":
-        (p,) = _number_params(params, ("exponent",), ctx)
-        if p == 0:
-            raise SpecError(f"power piece needs a nonzero exponent in {ctx}")
-        if lo < 0:
-            raise SpecError(f"power piece needs a nonnegative interval in {ctx}")
-        if p < 0 and lo == 0:
-            raise SpecError(
-                f"power piece with a negative exponent is infinite at 0 in {ctx}")
-        return lo, hi, Piece(
-            sub_lower=lo, sub_upper=hi,
-            forward=lambda x, _p=p: np.asarray(x, dtype=float) ** _p,
-            inverse=lambda y, _e=1.0 / p: per_value(lambda v: v ** _e, y),
-            inverse_derivative=lambda y, _p=p: per_value(
-                lambda v: _power_inverse_slope(v, _p), y),
-        )
-    if kind == "constant":
-        (value,) = _number_params(params, ("value",), ctx)
-        return lo, hi, value
     if kind == "expr":
         _require_keys(params, {"expr"}, ctx)
-        fwd = parse_expression(str(params["expr"]))
-        return lo, hi, Piece(sub_lower=lo, sub_upper=hi, forward=fwd)
-    raise SpecError(f"unknown piece kind {kind!r} in {ctx}")
+        return lo, hi, "piece", Piece(lo, hi, forward=parse_expression(str(params["expr"])))
+    if kind not in list(_PARAMS):
+        raise SpecError(f"unknown piece kind {kind!r} in {ctx}")
+    values = _number_params(params, _PARAMS[kind], ctx)
+    if kind == "affine" and values[0] == 0:
+        raise SpecError(f"affine piece needs a nonzero slope in {ctx}")
+    if kind == "sin" and (values[0] == 0 or values[1] == 0):
+        raise SpecError(f"sin piece needs a nonzero amplitude and frequency in {ctx}")
+    if kind == "power" and values[0] == 0:
+        raise SpecError(f"power piece needs a nonzero exponent in {ctx}")
+    if kind == "power" and lo < 0:
+        raise SpecError(f"power piece needs a nonnegative interval in {ctx}")
+    if kind == "power" and values[0] < 0 and lo == 0:
+        raise SpecError(f"power piece with a negative exponent is infinite at 0 in {ctx}")
+    return lo, hi, kind, values[0] if kind == "constant" else tuple(values)
 
 
 def build_function(obj: dict) -> MOscillatingFunction:

@@ -26,14 +26,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import quadrature
-from .domain import (
-    DIFFEOMORPHIC,
-    MOscillatingFunction,
-    forward_values,
-    image_slack,
-    invert_piece,
-    validate,
-)
+from .domain import MOscillatingFunction, forward_values, image_slack, validate
 from .errors import ConstructionError
 
 PROB_TOL = 1e-6
@@ -132,10 +125,9 @@ def _slope_sum(f: MOscillatingFunction, y):
     top of range_K is closed there: the convention of `set_mass`, so a value
     on the boundary between two touching images counts once.  A value
     within rounding slack of an image end counts as on it.  The sum is +inf
-    where any contributing slope is singular.  Affine pieces read their
-    slope from the piece table; every other piece makes one call of its
-    array form `Piece.inverse_slopes` on all the values it holds.  Pieces
-    are added in order, one row at a time (`_sum_rows`).
+    where any contributing slope is singular.  Each kind of piece gives its
+    terms in one call of its array form (`slope_terms`), and pieces are
+    added in order, one row at a time (`_sum_rows`).
     """
     t = f.piece_table
     ys = np.asarray(y, dtype=float)
@@ -149,12 +141,9 @@ def _slope_sum(f: MOscillatingFunction, y):
     if near.size:
         tops = np.flatnonzero(t.hi >= top - slack)
         hit[np.ix_(tops, near)] |= np.abs(row[0, near] - t.hi[tops, None]) <= slack
-    terms = np.where(hit, t.inv_slope[:, None], 0.0)
-    if t.others:
-        for i, p in zip(np.flatnonzero(~t.affine_rows()).tolist(), t.others):
-            held = hit[i]
-            if math.isnan(t.inv_slope[i]) and held.any():
-                terms[i, held] = p.inverse_slopes(row[0, held])
+    terms = np.empty(hit.shape)
+    for g in t.kinds:
+        terms[g.at] = g.slope_terms(hit[g.at], row[0])
     total = _sum_rows(terms)
     return float(total[0]) if ys.ndim == 0 else total.reshape(ys.shape)
 
@@ -186,13 +175,12 @@ def young_density_function(f: MOscillatingFunction) -> Optional[DensityFunction]
 
     F(y) = sum over the monotone pieces of |inv(clip(y)) - inv(lo)| / M,
     with clip(y) clamped to the piece image [lo, hi]: the preimage length
-    of [lo, y] under each piece.  The affine pieces invert from the
-    columns of the piece table, all of them in one array operation; every
-    other piece makes one call of its array form `Piece.invert`; the rows
-    are added in piece order.  The expectation of phi is the sum over
-    the monotone pieces of the integral of phi(f(x)) over the piece, over
-    M: the paper's identity, integrated in x where the integrand is
-    bounded, with f and then phi called once on each panel's nodes.
+    of [lo, y] under each piece.  Each kind of piece inverts the values for
+    all its pieces in one call of its array form, and the rows are added in
+    piece order.  The expectation of phi is the sum over the monotone
+    pieces of the integral of phi(f(x)) over the piece, over M: the
+    paper's identity, integrated in x where the integrand is bounded, with
+    f and then phi called once on each panel's nodes.
     """
     t = f.piece_table
     if not t.lo.size:
@@ -200,30 +188,26 @@ def young_density_function(f: MOscillatingFunction) -> Optional[DensityFunction]
     los, his = t.lo.tolist(), t.hi.tolist()
     support = (min(los), max(his))
     breakpoints = tuple(sorted({v for v in los + his if support[0] < v < support[1]}))
-    affine = t.affine_rows()
-    others = np.flatnonzero(~affine).tolist()
-    lo, hi = t.lo[affine, None], t.hi[affine, None]
-    slope, intercept = t.slope[:, None], t.intercept[:, None]
     starts = np.empty(t.lo.size)
-    starts[affine] = (t.lo[affine] - t.intercept) / t.slope
-    starts[~affine] = [invert_piece(p, los[i]) for i, p in zip(others, t.others)]
+    for g in t.kinds:
+        starts[g.at] = g.invert(np.arange(g.at.size), t.lo[g.at])
     M = f.measure_M
 
     def expectation(phi):
         return math.fsum(
             quadrature.integrate(
-                lambda x, _p=p: forward_values(phi, forward_values(_p.forward, x)),
-                p.sub_lower, p.sub_upper)
-            for p in f.pieces if p.kind == DIFFEOMORPHIC) / M
+                lambda x, _m=m: forward_values(phi, forward_values(_m.forward, x)),
+                m.sub_lower, m.sub_upper)
+            for m, c in zip(t.maps(), t.constant.tolist()) if not c) / M
 
     def cdf(ys):
         ys = np.asarray(ys, dtype=float)
         flat = ys.reshape(-1)
         lengths = np.empty((t.lo.size, flat.size))
-        lengths[affine] = np.abs((np.clip(flat, lo, hi) - intercept) / slope
-                                 - starts[affine, None])
-        for i, p in zip(others, t.others):
-            lengths[i] = np.abs(p.invert(flat) - starts[i])
+        for g in t.kinds:
+            lo, hi = t.lo[g.at, None], t.hi[g.at, None]
+            lengths[g.at] = np.abs(g.invert(np.arange(g.at.size)[:, None], np.clip(flat, lo, hi))
+                                   - starts[g.at, None])
         return (_sum_rows(lengths) / M).reshape(ys.shape)
 
     return DensityFunction(

@@ -6,17 +6,20 @@ can do.  Equal-slope sawteeth drive the value to zero like 1/(48 n^2) while
 their derivatives oscillate between +-1 on sets of equal length, so the
 derivative pushforward is the two-atom measure (delta_{-1} + delta_{+1})/2
 for every index.  The functional is integrated piece by piece, one array
-call of W per quadrature panel, with u' exact on affine pieces and a
-finite difference elsewhere (`domain.forward_derivative`).
+call of W per quadrature panel, with u' exact on affine and constant
+pieces and a finite difference elsewhere (`domain.forward_derivative`),
+each piece's map read from the function's piece table.
 """
 from __future__ import annotations
 
 from typing import Callable, Union
 
+import numpy as np
+
 from . import quadrature
-from .domain import Domain1D, MOscillatingFunction, forward_derivative
+from .domain import (CONSTANT, Domain1D, MOscillatingFunction, affine_table, forward_derivative,
+                     table_of_rows)
 from .errors import UnsupportedError
-from .families import affine_piece, constant_piece
 from .measures import ScalarMeasureRCA, integrate_test, unvalidated_young_measure
 
 
@@ -25,23 +28,22 @@ def sawtooth(n: int) -> MOscillatingFunction:
     affine pieces with slopes +-1; max |u_n| = 1/(4n), zero at both ends."""
     if n < 1:
         raise ValueError("n must be a positive integer")
-    pieces = []
-    for j in range(n):
-        o = j / n
-        q = 1.0 / (4.0 * n)
-        # up from 0, down through 0, back up to 0
-        pieces.append(affine_piece(o, o + q, 1.0, -o))
-        pieces.append(affine_piece(o + q, o + 3 * q, -1.0, (0.5 + j) / n))
-        pieces.append(affine_piece(o + 3 * q, o + 4 * q, 1.0, -(j + 1.0) / n))
-    return MOscillatingFunction(domain=Domain1D(0.0, 1.0), pieces=tuple(pieces))
+    # tooth j from o = j/n, q = 1/(4n): up from 0, down through 0, back up to 0
+    j = np.arange(n)[:, None]
+    o, q = j / n, 1.0 / (4.0 * n)
+    cuts = np.hstack([o, o + q, o + 3 * q, o + 4 * q])
+    slopes = np.tile([1.0, -1.0, 1.0], n)
+    intercepts = np.hstack([-o, (0.5 + j) / n, -(j + 1.0) / n]).ravel()
+    return MOscillatingFunction.from_table(Domain1D(0.0, 1.0), affine_table(
+        cuts[:, :3].ravel(), cuts[:, 1:].ravel(), slopes, intercepts))
 
 
 def bolza_functional(u: MOscillatingFunction, quad_tol: float = quadrature.QUAD_TOL) -> float:
     """Value of the functional: integral of u^2 + ((u')^2 - 1)^2 over the
     domain, piece by piece, with u' from `forward_derivative`: exact on
-    affine pieces, a finite difference on the others."""
+    affine and constant pieces, a finite difference on the others."""
     total = 0.0
-    for p in u.pieces:
+    for p in u.piece_table.maps():
         total += quadrature.integrate(
             lambda x, _p=p: _p.forward(x) ** 2 + (forward_derivative(_p, x) ** 2 - 1.0) ** 2,
             p.sub_lower, p.sub_upper, tol=quad_tol,
@@ -54,10 +56,11 @@ def gradient_young_measure(u: MOscillatingFunction) -> ScalarMeasureRCA:
     measure of the function that is constant at each piece's slope, one
     atom per distinct slope weighted by the share of the domain carrying
     it."""
-    if any(p.affine_slope is None for p in u.pieces):
+    maps = u.piece_table.maps()
+    if any(p.affine_slope is None for p in maps):
         raise UnsupportedError("derivative pushforward needs piecewise-affine input")
-    du = MOscillatingFunction(domain=u.domain, pieces=tuple(
-        constant_piece(p.sub_lower, p.sub_upper, p.affine_slope) for p in u.pieces))
+    du = MOscillatingFunction.from_table(u.domain, table_of_rows(
+        (p.sub_lower, p.sub_upper, CONSTANT, p.affine_slope) for p in maps))
     return unvalidated_young_measure(du)
 
 

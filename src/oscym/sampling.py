@@ -54,9 +54,10 @@ def pushforward_empirical(
     taken one block of `_DRAW_BLOCK` draws at a time.  Each block is sorted
     and cut into each piece's run (`piece_runs`; a draw on a shared
     endpoint takes the value of the piece on its left), and each run's
-    values are written over its draws, `EVAL_BLOCK` at a time.  A falling
-    run is read reversed; a run that is still not ascending (rounding, NaN,
-    a piece that is not monotone) is sorted as a copy.  Each run's count
+    values, from its piece's forward map (`PieceTable.maps`), are written
+    over its draws, `EVAL_BLOCK` at a time.  A falling run is read
+    reversed; a run that is still not ascending (rounding, NaN, a piece
+    that is not monotone) is sorted as a copy.  Each run's count
     of values below each inner bin edge and on each atom is read off by
     binary search and added to running totals, so the call holds no array
     of the sample count, only temporaries of O(`_DRAW_BLOCK`) values.
@@ -80,9 +81,10 @@ def pushforward_empirical(
     plateau = plateau[np.diff(plateau, prepend=-np.inf) > 0]  # np.unique would import numpy.ma
     below = np.zeros(inner.size, np.intp)  # values below each inner edge
     atom_counts = np.zeros(plateau.size, np.intp)
+    maps = f.piece_table.maps()
     for values in _uniform(f.domain.lower, f.domain.upper, n_samples, seed):
         values.sort()
-        for p, a, b in piece_runs(f, values):
+        for p, (a, b) in zip(maps, piece_runs(f, values)):
             for s in range(a, b, EVAL_BLOCK):  # the sorted draws become the values
                 e = min(s + EVAL_BLOCK, b)
                 values[s:e] = forward_values(p.forward,

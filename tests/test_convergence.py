@@ -162,9 +162,11 @@ def scaled_in_x(f: MOscillatingFunction, k: int) -> MOscillatingFunction:
     """x -> f(x / 2^k) on the domain scaled by 2^k, for an affine f: powers
     of two scale exactly, so its densities are bitwise those of f."""
     t, d, a = f.piece_table, f.domain, 2.0 ** k
+    (affine,) = t.kinds
+    slope, intercept = affine.cols
     return MOscillatingFunction.from_table(
         Domain1D(d.lower * a, d.upper * a),
-        affine_table(t.sub_lower * a, t.sub_upper * a, t.slope / a, t.intercept))
+        affine_table(t.sub_lower * a, t.sub_upper * a, slope / a, intercept))
 
 
 @pytest.mark.parametrize("k", [-40, -20, 20])

@@ -1,8 +1,12 @@
+import json
 import math
+import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from oscym import cli
 from oscym import (
     Domain1D,
     MOscillatingFunction,
@@ -21,10 +25,12 @@ from oscym.errors import (
     RangeError,
     SingularSlopeError,
 )
-from oscym.families import affine_piece, constant_piece, sine_piece, tent_map
+from oscym.families import affine_piece, constant_piece, sine_piece, sine_wave, tent_map
+from oscym.funcspec import build_function
 from oscym.relaxation import sawtooth
 
 TWO_PI = 2.0 * math.pi
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def test_single_affine_piece_is_valid():
@@ -298,3 +304,58 @@ def test_forward_derivative_one_sided_at_boundary():
     p = sine_piece(0.0, 0.25)
     assert forward_derivative(p, 0.0) == pytest.approx(TWO_PI, rel=1e-6)
     assert abs(forward_derivative(p, 0.25)) < 1e-4
+
+
+def spec_of(kind, params, interval=(0.0, 1.0)):
+    return {"domain": list(interval), "pieces": [
+        {"interval": list(interval), "kind": kind, "params": params}]}
+
+
+def exit_code(tmp_path, command, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    return cli.main([command, "--input", str(path), "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("exponent", [0.3, 0.2, 0.1, 0.02, 0.005])
+def test_validate_accepts_power_pieces_with_small_exponents(exponent, tmp_path):
+    # y^(1/p) at the probes lies far below the finite-difference step, so a
+    # difference quotient there is no derivative; the closed form is exact
+    spec = spec_of("power", {"exponent": exponent})
+    assert validate(build_function(spec)).violations == ()
+    assert exit_code(tmp_path, "density", spec) == 0
+
+
+def test_validate_still_rejects_a_power_inverse_that_underflows():
+    # y^1000 underflows at the lower probes, so forward(inverse(y)) misses y
+    report = validate(build_function(spec_of("power", {"exponent": 0.001})))
+    assert report.codes() == {"inverse_mismatch"}
+
+
+def test_validate_flags_a_sin_piece_with_an_extremum_inside(tmp_path):
+    # the maximum of sin(1.5713 x) lies at x = 0.99968, inside (0, 1); no
+    # sampled forward difference changes sign
+    spec = spec_of("sin", {"amplitude": 1.0, "frequency": 1.5713, "phase": 0.0})
+    (v,) = validate(build_function(spec)).violations
+    assert (v.code, v.piece_index) == ("non_monotone", 0)
+    assert v.measured == pytest.approx(math.pi / (2 * 1.5713), rel=1e-12)
+    assert exit_code(tmp_path, "validate", spec) == 1
+    assert exit_code(tmp_path, "measure", spec) == 2
+
+
+def test_sin_pieces_cut_at_their_extrema_validate():
+    for n in range(1, 65):
+        assert validate(sine_wave(n)).valid, n
+    assert validate(build_function(json.loads((DATA / "sine.json").read_text()))).valid
+    # A sin(2 pi n x / L) over n whole periods, cut at its extrema
+    rng = random.Random(2018)
+    for _ in range(200):
+        length, amp = round(rng.uniform(0.5, 2.0), 4), round(rng.uniform(0.5, 2.0), 4)
+        n = rng.randint(1, 8)
+        freq = 2.0 * math.pi * n / length
+        xs = [0.0] + [(2 * k + 1) * length / (4.0 * n) for k in range(2 * n)] + [length]
+        f = build_function({"domain": [0.0, length], "pieces": [
+            {"interval": [a, b], "kind": "sin",
+             "params": {"amplitude": amp, "frequency": freq, "phase": 0.0}}
+            for a, b in zip(xs[:-1], xs[1:])]})
+        assert validate(f).valid, (length, amp, n)

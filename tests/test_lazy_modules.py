@@ -128,14 +128,25 @@ def test_every_exported_name_resolves_to_its_module_object():
         assert name in dir(oscym), name
 
 
-@pytest.mark.parametrize("argv", [
-    ["converge", "--input", DATA / "roubicek8.json", "--window", "8,64", "--depth", "6"],
-    ["density", "--input", DATA / "tent.json", "--grid", "101"],
-    ["validate", "--input", DATA / "tent.json"],
-], ids=["converge-roubicek", "density-affine", "validate-affine"])
-def test_a_cold_affine_call_builds_no_piece_object(argv):
-    # affine and constant pieces live in the columns of the piece table; a
-    # Piece object is made only when a caller reads `pieces`
+SIN_FAMILY = "sin-family.json"  # written by the test: the sin family at indices 1..64
+# every closed-form kind, each through every command that reads it
+CLOSED_FORM_CALLS = {
+    "converge-roubicek": ["converge", "--input", DATA / "roubicek8.json", "--window", "8,64",
+                          "--depth", "6"],
+    "density-affine": ["density", "--input", DATA / "tent.json", "--grid", "101"],
+    "validate-affine": ["validate", "--input", DATA / "tent.json"],
+    **{f"{command}-{name}": [command, "--input", DATA / f"{name}.json"]
+       + (["--grid", "101"] if command != "validate" else [])
+       for name in ("sine", "power") for command in ("density", "slope", "measure", "validate")},
+    "verify-tent": ["verify", "--input", DATA / "tent.json"],
+    "converge-sin": ["converge", "--input", SIN_FAMILY, "--window", "8,64", "--depth", "6"],
+}
+
+
+@pytest.mark.parametrize("name", CLOSED_FORM_CALLS)
+def test_a_cold_closed_form_call_builds_no_piece_object(name, tmp_path):
+    # affine, sin, power and constant pieces live in the columns of the piece
+    # table; a Piece object is made only when a caller reads `pieces`
     code = """
 import sys
 import oscym.cli
@@ -147,9 +158,12 @@ rc = oscym.cli.main(sys.argv[1:])
 print(rc, len(made), sorted(name for name in sys.modules
                             if name == "numpy.ma" or name.split(".")[0] == "scipy"))
 """
+    family = tmp_path / SIN_FAMILY
+    family.write_text('{"family": "sin", "params": {}, "indices": [1, 64]}')
+    argv = [family if a == SIN_FAMILY else a for a in CLOSED_FORM_CALLS[name]]
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src") + (os.pathsep + path if path else ""))
-    r = subprocess.run([sys.executable, "-c", code, *map(str, argv)],
-                       capture_output=True, text=True, env=env)
+    r = subprocess.run([sys.executable, "-c", code, *map(str, argv), "--out",
+                        str(tmp_path / "out")], capture_output=True, text=True, env=env)
     assert r.returncode == 0, r.stderr
     assert r.stdout.splitlines()[-1] == "0 0 []"
