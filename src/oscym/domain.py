@@ -28,7 +28,7 @@ BISECT_WIDTH = 1e-12
 BISECT_MAX_ITER = 200
 H_FD_SCALE = 1e-6          # finite-difference step, scaled by piece length
 DERIVATIVE_FLOOR = 1e-10   # below this the inverse slope counts as singular
-VALIDATE_SAMPLES = 64      # grid points per monotone piece in `validate`
+VALIDATE_SAMPLES = 64      # grid points per Piece of callables in `validate`
 VALIDATE_TOL = 1e-6        # slack of `validate`'s structural and inverse checks
 
 DIFFEOMORPHIC = "diffeomorphic"
@@ -169,15 +169,19 @@ class Piece(_ReadOnly):
         rounding noise of its finite difference)."""
         if self.inverse_derivative is not None:
             return _floored(forward_values(self.inverse_derivative, ys))
-        xs = self.invert(ys)
-        d = np.abs(forward_derivative(self, xs))
-        # rounding noise in the finite difference is of order eps/h; below
-        # that the derivative is indistinguishable from zero
-        h = H_FD_SCALE * self.length
-        scale = np.maximum(1.0, np.abs(forward_values(self.forward, xs)))
-        floor = np.maximum(DERIVATIVE_FLOOR, 100.0 * 2.2e-16 * scale / h)
+        d, noise = _fd_slopes(self, self.invert(ys))
+        # below its rounding noise the derivative is indistinguishable from zero
         with np.errstate(divide="ignore"):
-            return np.where(d < floor, math.inf, 1.0 / d)
+            return np.where(d < np.maximum(DERIVATIVE_FLOOR, noise), math.inf, 1.0 / d)
+
+
+def _fd_slopes(p: Piece, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|forward'| of a Piece at the points xs (`forward_derivative`), and
+    the rounding noise of that finite difference, of order eps/h:
+    100 eps max(1, |forward|)/h."""
+    scale = np.maximum(1.0, np.abs(forward_values(p.forward, xs)))
+    return (np.abs(forward_derivative(p, xs)),
+            100.0 * 2.2e-16 * scale / (H_FD_SCALE * p.length))
 
 
 class PieceMap(NamedTuple):
@@ -232,11 +236,12 @@ class _Kind:
     `invert` are them at rows j, an index or integer array broadcast
     against the values, and `slope_terms` the |inverse slopes| (+inf where
     singular) where a (rows x values) mask holds, 0 elsewhere.  `validate`
-    checks the inverses `checks` names, and flags the `turns`, the x of an
-    extremum inside a row's interval (nan if none)."""
+    decides a closed-form kind's monotonicity from its columns: it flags
+    the `turns`, the x of an extremum inside a row's interval (nan if
+    none), and equal image ends."""
 
     width = 1  # parameters of a `table_of_rows` row
-    fd_checked = exact_slope = False
+    exact_slope = False
 
     def __init__(self, at: np.ndarray, cols: tuple):
         self.at, self.cols = at, cols
@@ -259,9 +264,6 @@ class _Kind:
         # the kernel sees 1.0 off the held values, where y ** e could overflow
         c = tuple(c[:, None] for c in self.cols)
         return np.where(held, _floored(self.inverse_derivative(c, np.where(held, y, 1.0))), 0.0)
-
-    def checks(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.ones(self.at.size, bool), np.full(self.at.size, self.fd_checked)
 
     def turns(self, sl, su) -> np.ndarray:
         return np.full(sl.size, math.nan)
@@ -287,7 +289,7 @@ class _Sin(_Kind):
     (k pi + sign asin(y/A) - phase)/w, with math.asin once per distinct
     y/A, where numpy's arcsin can differ in the last bit."""
 
-    width, fd_checked = 3, True
+    width = 3
     forward = staticmethod(lambda c, x: c[0] * np.sin(c[1] * np.asarray(x, dtype=float) + c[2]))
 
     @classmethod
@@ -328,7 +330,8 @@ class _Power(_Kind):
     map is numpy's power at one exponent at a time (with an array of
     exponents it can differ in the last bit); the inverse y^(1/p) and its
     derivative y^(1/p - 1)/p are Python's float power, +inf at y = 0 where
-    1/p < 1 (a singular slope, as at the extrema of sin)."""
+    1/p < 1 (a singular slope, as at the extrema of sin).  A row that
+    starts below 0 raises ConstructionError."""
 
     forward = staticmethod(lambda c, x: np.asarray(x, dtype=float) ** c[0])
     inverse = staticmethod(lambda c, y: np.asarray(_pow(y, 1.0 / c[0]), dtype=float))
@@ -341,6 +344,13 @@ class _Power(_Kind):
         v = np.asarray(_pow(np.where(singular, 1.0, y), e), dtype=float) / c[0]
         return np.where(singular, math.inf, v)
 
+    @classmethod
+    def of(cls, at, sl, su, params):
+        for a, b in zip(sl.tolist(), su.tolist()):
+            if a < 0:
+                raise ConstructionError(f"power piece on [{a}, {b}] needs a nonnegative interval")
+        return super().of(at, sl, su, params)
+
     def values(self, j, x):
         return _by_row(j, x, [partial(self.forward, (p,)) for p in self.cols[0].tolist()])
 
@@ -348,8 +358,6 @@ class _Power(_Kind):
 class _Callables(_Kind):
     """Pieces of maps given as callables: `cols` holds the Piece objects,
     and each map is one call of the Piece's own per row."""
-
-    fd_checked = True
 
     @classmethod
     def of(cls, at, sl, su, params):
@@ -367,10 +375,6 @@ class _Callables(_Kind):
             if held[i].any():
                 out[i, held[i]] = p.inverse_slopes(y[held[i]])
         return out
-
-    def checks(self):
-        return tuple(np.array([getattr(p, name) is not None for p in self.cols], bool)
-                     for name in ("inverse", "inverse_derivative"))
 
     def maps(self, sl, su):
         return list(self.cols)
@@ -717,11 +721,12 @@ def inverse_slope(p: Piece, y: float) -> float:
 def validate(f: MOscillatingFunction) -> ValidationReport:
     """Check the structural invariants of an oscillating function.
 
-    All problems are reported, never thrown.  Monotonicity is checked by the
-    sign of forward differences over VALIDATE_SAMPLES points per piece, so
-    the answer is only as good as that resolution, and for a sin piece also
-    exactly, from its columns.  The pieces of each kind are checked
-    together, from the columns of the piece table.
+    All problems are reported, never thrown.  The pieces of each kind are
+    checked together, from the columns of the piece table.  The parameters
+    of an affine, sin or power piece decide its monotonicity; a Piece of
+    callables is checked by the sign of its forward differences over
+    VALIDATE_SAMPLES points, so that answer is only as good as their
+    resolution.
     """
     violations: list[Violation] = []
     t = f.piece_table
@@ -779,75 +784,60 @@ def validate(f: MOscillatingFunction) -> ValidationReport:
     return ValidationReport(valid=not violations, violations=tuple(violations))
 
 
-def _non_monotone(i: int, d: np.ndarray) -> Optional[Violation]:
-    """The violation of piece i if its forward differences d are all zero
-    or change sign."""
+def _sampled_bend(p: Piece) -> Optional[tuple[str, float]]:
+    """How the Piece p bends, and the difference that shows it, if its
+    forward differences over VALIDATE_SAMPLES points are all zero or
+    change sign."""
+    d = np.diff(forward_values(p.forward, np.linspace(p.sub_lower, p.sub_upper,
+                                                       VALIDATE_SAMPLES)))
     flat = not (d != 0).any()
     if flat or ((d > 0).any() and (d < 0).any()):
-        return Violation("non_monotone", i,
-                         f"non-monotone piece {i}: forward differences "
-                         + ("are all zero" if flat else "change sign"),
-                         float(np.min(d) if d[0] > 0 else np.max(d)))
+        return ("forward differences " + ("are all zero" if flat else "change sign"),
+                float(np.min(d) if d[0] > 0 else np.max(d)))
     return None
-
-
-def _probes(lo, hi):
-    """Values strictly inside an image; the derivative may vanish at its rim."""
-    return lo + (hi - lo) * np.linspace(0.08, 0.92, VALIDATE_SAMPLES // 8)
-
-
-def _linspace_rows(start: np.ndarray, stop: np.ndarray, num: int) -> np.ndarray:
-    """np.linspace(start[i], stop[i], num) in row i, bitwise: each row takes
-    its own step, where one call of np.linspace on arrays would switch every
-    row to its formula for a step that underflows to zero once one row
-    needs it."""
-    delta = (stop - start)[:, None]
-    step = delta / (num - 1)
-    ks = np.arange(num, dtype=float)
-    xs = np.where(step == 0, ks / (num - 1) * delta, ks * step) + start[:, None]
-    xs[:, -1] = stop
-    return xs
 
 
 def _kind_violations(g: _Kind, index, sl, su, lo, hi) -> list[Violation]:
     """The violations of the pieces of one kind, at `index` among all
-    pieces, each check one call of the kind's maps on all of them.  A piece
-    whose forward differences are all zero or change sign, or with an
-    extremum inside (`turns`), gets only that violation; otherwise its
-    inverse and its inverse derivative are checked where `checks` says so.
-    An affine or power inverse derivative is exact, and is not checked."""
-    d = np.diff(g.values(np.arange(index.size)[:, None],
-                         _linspace_rows(sl, su, VALIDATE_SAMPLES)), axis=1)
-    turns = g.turns(sl, su)
-    bad = ~(d != 0).any(axis=1) | ((d > 0).any(axis=1) & (d < 0).any(axis=1)) | ~np.isnan(turns)
-    round_trip, fd = g.checks()
-    rows = np.flatnonzero(~bad & (round_trip | fd))
+    pieces.  A closed-form piece with an extremum inside (`turns`) or equal
+    image ends, or a Piece of callables that `_sampled_bend` flags, is
+    non-monotone and gets only that violation.  Otherwise each closed-form
+    inverse is checked by a round trip at probes inside the image, one
+    call of the kind's maps on all of them, and a Piece's own inverse
+    derivative against one over a finite difference, up to that
+    difference's rounding noise."""
+    if isinstance(g, _Callables):
+        bends = [_sampled_bend(p) for p in g.cols]
+        inverse, derivative = (np.array([getattr(p, name) is not None for p in g.cols], bool)
+                               for name in ("inverse", "inverse_derivative"))
+    else:
+        bends = [(f"an extremum at x={x} lies inside", x) if not math.isnan(x)
+                 else ("forward differences are all zero", 0.0) if a == b else None
+                 for x, a, b in zip(g.turns(sl, su).tolist(), lo.tolist(), hi.tolist())]
+        inverse, derivative = np.ones(index.size, bool), np.zeros(index.size, bool)
+    found = [Violation("non_monotone", i, f"non-monotone piece {i}: {b[0]}", b[1])
+             for i, b in zip(index.tolist(), bends) if b]
+    rows = np.flatnonzero(np.array([b is None for b in bends], bool) & (inverse | derivative))
     k = rows[:, None]
-    probes = _probes(lo[k], hi[k])
+    # strictly inside each image: the derivative may vanish at its rim
+    probes = lo[k] + (hi[k] - lo[k]) * np.linspace(0.08, 0.92, VALIDATE_SAMPLES // 8)
     xs = g.invert(k, np.clip(probes, lo[k], hi[k]))
-    miss = np.abs(g.values(k, xs) - probes)
     # |forward(inverse(y)) - y| at the probes, within the tolerance scaled to the image
+    miss = np.fmax.reduce(np.abs(g.values(k, xs) - probes), axis=1, initial=0.0)  # skips nan
     tol = VALIDATE_TOL * np.maximum(1.0, np.maximum(np.abs(lo[rows]), np.abs(hi[rows])))
-    missed = round_trip[rows] & (np.fmax.reduce(miss, axis=1, initial=0.0) > tol)  # fmax skips nan
-    found = []
-    for r in np.flatnonzero(bad).tolist():
-        i, x = int(index[r]), float(turns[r])
-        found.append(_non_monotone(i, d[r]) or Violation(
-            "non_monotone", i, f"non-monotone piece {i}: an extremum at x={x} lies inside", x))
-    maps = g.maps(sl.tolist(), su.tolist()) if fd[rows].any() else ()
-    for n in np.flatnonzero(missed | fd[rows]).tolist():
-        r, i = int(rows[n]), int(index[rows[n]])
-        if missed[n]:
-            found.append(Violation("inverse_mismatch", i, f"forward(inverse(y)) != y on piece {i}",
-                                   float(np.fmax.reduce(miss[n], initial=0.0))))
-        if fd[r]:  # the claimed inverse derivative against one over a finite difference
-            d_fd = np.abs(forward_derivative(maps[r], xs[n]))
-            keep = ~(d_fd < DERIVATIVE_FLOOR)
-            claimed = np.abs(forward_values(maps[r].inverse_derivative, probes[n][keep]))
-            rel = np.abs(claimed - 1.0 / d_fd[keep]) / (1.0 / d_fd[keep])
-            worst = float(np.fmax.reduce(rel, initial=0.0))
-            if worst > VALIDATE_TOL:
-                found.append(Violation(
-                    "inverse_derivative_mismatch", i,
-                    f"inverse_derivative inconsistent with 1/|forward'| on piece {i}", worst))
+    for n in np.flatnonzero(inverse[rows] & (miss > tol)).tolist():
+        i = int(index[rows[n]])
+        found.append(Violation("inverse_mismatch", i, f"forward(inverse(y)) != y on piece {i}",
+                               float(miss[n])))
+    for n in np.flatnonzero(derivative[rows]).tolist():
+        p, i = g.cols[rows[n]], int(index[rows[n]])
+        d, noise = _fd_slopes(p, xs[n])
+        keep = ~(d < np.maximum(DERIVATIVE_FLOOR, noise))
+        # |claimed / (1/|forward'|) - 1|, less the difference's relative noise
+        claimed = np.abs(forward_values(p.inverse_derivative, probes[n][keep]))
+        off = np.fmax.reduce(np.abs(claimed * d[keep] - 1.0) - noise[keep] / d[keep], initial=0.0)
+        if off > VALIDATE_TOL:
+            found.append(Violation(
+                "inverse_derivative_mismatch", i,
+                f"inverse_derivative inconsistent with 1/|forward'| on piece {i}", float(off)))
     return found

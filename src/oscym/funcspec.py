@@ -4,7 +4,7 @@ Function schema:
     { "domain": [a, b],
       "pieces": [ { "interval": [s, t], "kind": ..., "params": {...} } ] }
 
-kinds and their params, numbers but expr (strict - unknown or missing keys fail):
+kinds and their params, finite numbers but expr (strict - unknown or missing keys fail):
     affine   {"slope" (nonzero), "intercept"}
     sin      {"amplitude" (nonzero), "frequency" (nonzero), "phase"}
     power    {"exponent" (nonzero)}
@@ -23,6 +23,7 @@ Sequence schema:
 from __future__ import annotations
 
 import json
+import math
 from typing import Callable, NamedTuple, Sequence, Union
 
 from . import families
@@ -66,9 +67,13 @@ def _number(raw, context: str, kind: type = float):
 
 
 def _number_params(params: dict, keys: tuple[str, ...], context: str) -> list[float]:
-    """The values of params, which must hold exactly `keys`, as floats."""
+    """The values of params, which must hold exactly `keys`, as finite floats."""
     _require_keys(params, set(keys), context)
-    return [_number(params[k], f"{k} in {context}") for k in keys]
+    values = [_number(params[k], f"{k} in {context}") for k in keys]
+    for k, v in zip(keys, values):
+        if not math.isfinite(v):
+            raise SpecError(f"{k} in {context} must be finite, got {v}")
+    return values
 
 
 def _interval(raw, context: str) -> tuple[float, float]:

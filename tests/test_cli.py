@@ -700,10 +700,15 @@ def one_piece(kind, **params):
     one_piece("sin", amplitude=1.0, frequency=0.0, phase=0.5),
     {"family": "roubicek", "params": {"teeth": -2}, "indices": [1, 64]},
     {"family": "roubicek", "params": {"teeth": -1}, "indices": [1, 64]},
+    one_piece("sin", amplitude=1.0, frequency=math.nan, phase=0.0),
+    one_piece("sin", amplitude=1.0, frequency=math.inf, phase=0.0),
+    one_piece("constant", value=math.nan),
+    one_piece("affine", slope=math.nan, intercept=0.0),
 ], ids=["piece-not-an-object", "function-not-an-object", "slope-null",
         "exponent-not-a-number", "teeth-not-a-number", "index-not-a-number",
         "domain-end-not-a-number", "slope-zero", "sin-amplitude-zero",
-        "sin-frequency-zero", "teeth-negative", "teeth-minus-one"])
+        "sin-frequency-zero", "teeth-negative", "teeth-minus-one",
+        "sin-frequency-nan", "sin-frequency-infinity", "constant-value-nan", "affine-slope-nan"])
 def test_malformed_spec_value_is_an_input_error(spec, tmp_path, capsys):
     from oscym.cli import main
 

@@ -243,8 +243,13 @@ def test_validate_reports_as_the_per_piece_checks(rows, domain, range_K):
     g = MOscillatingFunction(Domain1D(*domain), tuple(closure_piece(*r) for r in rows),
                              range_K)
     assert bits(f.range_K) == bits(g.range_K)
+    # the closures finite-difference a sin inverse derivative, which the
+    # rounding of w x + phase fails on a short piece of high frequency; the
+    # columns' closed form is exact, and not checked that way
+    kinds = [r[2] for r in sorted(rows, key=lambda r: r[0])]
     with np.errstate(all="ignore"):  # sine pieces probed outside their branch
-        assert report(f) == report(g)
+        assert report(f) == [v for v in report(g) if not (
+            v[0] == "inverse_derivative_mismatch" and kinds[v[1]] == "sin")]
     ys = y_grid(f, [0.25, 0.5])
     with np.errstate(all="ignore"):
         assert bits(total_slope(f, ys)) == bits(total_slope(g, ys))

@@ -64,20 +64,37 @@ def test_every_import_is_used(module):
     assert unused_imports(ROOT / "src" / "oscym" / module) == []
 
 
+def assigned_names(body) -> list[str]:
+    """The names a module or class body binds by assignment."""
+    targets = []
+    for node in body:
+        if isinstance(node, ast.Assign):
+            targets += node.targets
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets.append(node.target)
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
 def dead_helpers() -> list[str]:
-    """Private functions and classes defined in src/oscym that no module of
-    it reads, by name or as an attribute; dunder methods are called by
-    Python itself and are not counted."""
+    """Private functions, classes and module-level names, and class
+    attributes, defined in src/oscym that no module of it reads, by name or
+    as an attribute; dunder names are read by Python itself and are not
+    counted."""
     defined, read = set(), set()
     for path in (ROOT / "src" / "oscym").glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        tree = ast.parse(path.read_text(), str(path))
+        names = [n for n in assigned_names(tree.body) if n.startswith("_")]
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if node.name.startswith("_") and not node.name.endswith("__"):
-                    defined.add(f"{path.name}:{node.name}")
+                if node.name.startswith("_"):
+                    names.append(node.name)
+                if isinstance(node, ast.ClassDef):
+                    names += assigned_names(node.body)
             elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
+        defined.update(f"{path.name}:{n}" for n in names if not n.endswith("__"))
     return sorted(d for d in defined if d.split(":")[1] not in read)
 
 

@@ -82,6 +82,20 @@ def test_power_piece_negative_exponent_from_zero_rejected():
         parse_spec(spec)
 
 
+@pytest.mark.parametrize("kind, params, key", [
+    ("sin", {"amplitude": 1.0, "frequency": math.nan, "phase": 0.0}, "frequency"),
+    ("sin", {"amplitude": 1.0, "frequency": 1.0, "phase": math.inf}, "phase"),
+    ("constant", {"value": math.nan}, "value"),
+    ("affine", {"slope": 1.0, "intercept": -math.inf}, "intercept"),
+    ("power", {"exponent": math.inf}, "exponent"),
+])
+def test_a_param_that_is_not_finite_is_rejected_by_name(kind, params, key):
+    spec = make_spec([{"interval": [0.0, 1.0], "kind": kind, "params": params}])
+    with pytest.raises(SpecError) as exc:
+        parse_spec(spec)
+    assert str(exc.value).startswith(f"{key} in piece 0 must be finite, got ")
+
+
 def test_empty_interval_rejected():
     spec = make_spec(
         [{"interval": [0.5, 0.5], "kind": "constant", "params": {"value": 1.0}}]

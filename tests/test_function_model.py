@@ -17,7 +17,7 @@ from oscym import (
     invert_piece,
     validate,
 )
-from oscym.domain import CONSTANT, DIFFEOMORPHIC, forward_derivative
+from oscym.domain import CONSTANT, DIFFEOMORPHIC, forward_derivative, table_of_rows
 from oscym.errors import (
     ConstructionError,
     DomainError,
@@ -341,6 +341,31 @@ def test_validate_flags_a_sin_piece_with_an_extremum_inside(tmp_path):
     assert v.measured == pytest.approx(math.pi / (2 * 1.5713), rel=1e-12)
     assert exit_code(tmp_path, "validate", spec) == 1
     assert exit_code(tmp_path, "measure", spec) == 2
+
+
+@pytest.mark.parametrize("interval", [(0.1, 0.1000001), (6283.285, 6283.2851)])
+def test_validate_accepts_short_sin_pieces(interval, tmp_path):
+    # a finite difference over 1e-6 of the length of a piece this short is
+    # rounding noise; the closed-form inverse derivative is exact
+    spec = spec_of("sin", {"amplitude": 1.0, "frequency": 1.0, "phase": 0.0}, interval)
+    assert validate(build_function(spec)).violations == ()
+    assert exit_code(tmp_path, "validate", spec) == 0
+    assert exit_code(tmp_path, "density", spec) == 0
+
+
+def test_validate_flags_an_inverse_derivative_twice_the_true_one():
+    p = Piece(0.0, 1.0, forward=lambda u: np.asarray(u, dtype=float) ** 3, inverse=np.cbrt,
+              inverse_derivative=lambda y: 2.0 / (3.0 * np.cbrt(y) ** 2))
+    (v,) = validate(MOscillatingFunction(Domain1D(0.0, 1.0), (p,))).violations
+    assert (v.code, v.piece_index) == ("inverse_derivative_mismatch", 0)
+    assert v.measured == pytest.approx(1.0, rel=1e-6)
+
+
+@pytest.mark.parametrize("lo, hi, exponent", [(-1.0, 2.0, 2.0), (-1.0, 1.0, 3.0)])
+def test_a_power_row_below_zero_is_refused(lo, hi, exponent):
+    with pytest.raises(ConstructionError) as exc:
+        table_of_rows([(lo, hi, "power", (exponent,))])
+    assert str(exc.value) == f"power piece on [{lo}, {hi}] needs a nonnegative interval"
 
 
 def test_sin_pieces_cut_at_their_extrema_validate():

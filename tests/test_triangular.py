@@ -9,6 +9,7 @@ of the triangular law on [0, 1] with mode x.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from oscym.domain import image_slack, validate
@@ -17,14 +18,20 @@ from oscym.measures import integrate_test, unvalidated_young_measure, young_dens
 
 from conftest import triangular_density
 
-# validate's finite-difference check of the falling piece's inverse
-# derivative loses to the rounding of its values near 1 once 1 - x is
-# below about 1e-5; and the rounding slack of an image end is 1e-12,
-# absolute below 1 (`domain.image_slack`), so for an x within a few slacks
-# of 0 the falling piece's image reaches y = 0 and adds its slope there
-MODES = st.floats(1e-9, 0.9999)
+# the rounding slack of an image end is 1e-12, absolute below 1
+# (`domain.image_slack`), so for an x within a few slacks of 0 the falling
+# piece's image reaches y = 0 and adds its slope there
+MODES = st.floats(1e-9, 1.0 - 1e-10)
 # 2 ulp of 1.0: the rounding scale of a value computed as 1 minus another
 CDF_BOUND = 2 * math.ulp(1.0)
+
+
+@pytest.mark.parametrize("k", range(5, 11))
+def test_the_quantile_map_near_one_validates(k):
+    # the falling piece is 1 - x long, so the step of its finite difference
+    # is 1e-6 (1 - x), over which values near 1 round by 1e-16: noise that
+    # the inverse derivative check must allow for
+    assert validate(triangular_quantile(1.0 - 10.0 ** -k)).valid
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
