@@ -30,6 +30,7 @@ H_FD_SCALE = 1e-6          # finite-difference step, scaled by piece length
 DERIVATIVE_FLOOR = 1e-10   # below this the inverse slope counts as singular
 VALIDATE_SAMPLES = 64      # grid points per Piece of callables in `validate`
 VALIDATE_TOL = 1e-6        # slack of `validate`'s structural and inverse checks
+EVAL_BLOCK = 1 << 14       # values per forward call of `write_runs`, 128 KiB of float64
 
 DIFFEOMORPHIC = "diffeomorphic"
 CONSTANT = "constant"
@@ -67,7 +68,9 @@ class Domain1D(_ReadOnly):
 class Piece(_ReadOnly):
     """One branch of an oscillating function on the open subinterval
     (sub_lower, sub_upper): a map given as callables, or the view of a
-    closed-form piece, whose maps are its kind's kernels at its row.
+    constant or closed-form piece that `PieceTable.pieces` makes, whose
+    maps are its kind's kernels at its row.  Evaluation and sampling read
+    the kind columns, not these views (`write_runs`).
 
     Diffeomorphic pieces are strictly monotone; `inverse` and
     `inverse_derivative` are optional closed forms, taking and returning
@@ -184,18 +187,6 @@ def _fd_slopes(p: Piece, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             100.0 * 2.2e-16 * scale / (H_FD_SCALE * p.length))
 
 
-class PieceMap(NamedTuple):
-    """A piece's interval, maps (None for a closed form it lacks) and exact
-    slope (None unless affine or constant), as a Piece has them."""
-
-    sub_lower: float
-    sub_upper: float
-    forward: Callable
-    inverse: Optional[Callable]
-    inverse_derivative: Optional[Callable]
-    affine_slope: Optional[float]
-
-
 def _constant(c: float, x):
     return np.full_like(np.asarray(x, dtype=float), c) if np.ndim(x) else c
 
@@ -217,14 +208,17 @@ def _per_distinct(fn: Callable[[float], float], y) -> np.ndarray:
     return out.reshape(np.shape(y))
 
 
-def _by_row(j, y, fns) -> np.ndarray:
-    """fns[r] called once on the values of y at rows j == r (j broadcast against y)."""
+def _by_row(j, y, fn) -> np.ndarray:
+    """fn(r, values) called once on the values of y at rows j == r, j
+    broadcast against y; a scalar row j is the one call fn(j, y)."""
+    if np.ndim(j) == 0:
+        return fn(j, y)
     j, y = np.broadcast_arrays(j, y)
     out = np.empty(y.shape)
-    for r, fn in enumerate(fns):
+    for r in range(int(j.max()) + 1 if j.size else 0):
         held = j == r
         if held.any():
-            out[held] = fn(y[held])
+            out[held] = fn(r, y[held])
     return out
 
 
@@ -234,8 +228,9 @@ class _Kind:
     closed-form kind, `forward`, `inverse` and `inverse_derivative`, take
     a tuple of column values broadcast against the values; `values` and
     `invert` are them at rows j, an index or integer array broadcast
-    against the values, and `slope_terms` the |inverse slopes| (+inf where
-    singular) where a (rows x values) mask holds, 0 elsewhere.  `validate`
+    against the values (`write_runs` calls `values` at one row per piece),
+    and `slope_terms` the |inverse slopes| (+inf where singular) where a
+    (rows x values) mask holds, 0 elsewhere.  `validate`
     decides a closed-form kind's monotonicity from its columns: it flags
     the `turns`, the x of an extremum inside a row's interval (nan if
     none), and equal image ends."""
@@ -267,10 +262,6 @@ class _Kind:
 
     def turns(self, sl, su) -> np.ndarray:
         return np.full(sl.size, math.nan)
-
-    def maps(self, sl, su) -> list[PieceMap]:
-        return [PieceMap(a, b, *self.kernels(c), c[0] if self.exact_slope else None)
-                for a, b, c in zip(sl, su, zip(*(c.tolist() for c in self.cols)))]
 
 
 class _Affine(_Kind):
@@ -352,7 +343,7 @@ class _Power(_Kind):
         return super().of(at, sl, su, params)
 
     def values(self, j, x):
-        return _by_row(j, x, [partial(self.forward, (p,)) for p in self.cols[0].tolist()])
+        return _by_row(j, x, lambda r, v: self.forward((float(self.cols[0][r]),), v))
 
 
 class _Callables(_Kind):
@@ -364,10 +355,10 @@ class _Callables(_Kind):
         return cls(at, tuple(params))
 
     def values(self, j, x):
-        return _by_row(j, x, [partial(forward_values, p.forward) for p in self.cols])
+        return _by_row(j, x, lambda r, v: forward_values(self.cols[r].forward, v))
 
     def invert(self, j, y):
-        return _by_row(j, y, [p.invert for p in self.cols])
+        return _by_row(j, y, lambda r, v: self.cols[r].invert(v))
 
     def slope_terms(self, held, y):
         out = np.zeros(held.shape)
@@ -375,9 +366,6 @@ class _Callables(_Kind):
             if held[i].any():
                 out[i, held[i]] = p.inverse_slopes(y[held[i]])
         return out
-
-    def maps(self, sl, su):
-        return list(self.cols)
 
 
 # the monotone kinds of `table_of_rows`, in the order of their groups
@@ -404,7 +392,8 @@ class ValidationReport(NamedTuple):
 class PieceTable(NamedTuple):
     """A function's pieces as per-kind columns, in the order of their left
     ends: images, total slopes, distribution functions, atoms, evaluation
-    and `validate` run on them, in one loop over the kinds.
+    and sampling (`write_runs`) and `validate` run on them, in one loop
+    over the kinds; `pieces` makes the public Piece views from them.
 
     `sub_lower` and `sub_upper` hold every piece's interval, and the mask
     `constant` its kind; a constant piece keeps its `value`.  `lo` and `hi`
@@ -431,27 +420,24 @@ class PieceTable(NamedTuple):
         lows[self.constant] = highs[self.constant] = self.value
         return min(lows.tolist()), max(highs.tolist())
 
-    def maps(self) -> list[PieceMap]:
-        """Each piece's PieceMap, in order."""
+    def pieces(self) -> tuple[Piece, ...]:
+        """The Piece of each piece, in order: a constant piece's, the view
+        of a closed-form row, whose maps are its kind's kernels at the row,
+        or the Piece of callables itself."""
         sl, su = self.sub_lower.tolist(), self.sub_upper.tolist()
         out = [None] * len(sl)
         for i, v in zip(np.flatnonzero(self.constant).tolist(), self.value.tolist()):
-            out[i] = PieceMap(sl[i], su[i], partial(_constant, v), None, None, 0.0)
+            out[i] = Piece(sl[i], su[i], CONSTANT, constant_value=v)
         mono = np.flatnonzero(~self.constant)
         for g in self.kinds:
             index = mono[g.at].tolist()
-            for i, m in zip(index, g.maps([sl[i] for i in index], [su[i] for i in index])):
-                out[i] = m
-        return out
-
-    def pieces(self) -> tuple[Piece, ...]:
-        """The Piece of each map, in order."""
-        return tuple(
-            Piece(m.sub_lower, m.sub_upper, CONSTANT, constant_value=m.forward.args[0]) if c
-            else m if isinstance(m, Piece)
-            else Piece(m.sub_lower, m.sub_upper, forward=m.forward, inverse=m.inverse,
-                       inverse_derivative=m.inverse_derivative, affine_slope=m.affine_slope)
-            for m, c in zip(self.maps(), self.constant.tolist()))
+            views = g.cols if isinstance(g, _Callables) else (
+                Piece(sl[i], su[i], DIFFEOMORPHIC, *g.kernels(c),
+                      affine_slope=c[0] if g.exact_slope else None)
+                for i, c in zip(index, zip(*(c.tolist() for c in g.cols))))
+            for i, p in zip(index, views):
+                out[i] = p
+        return tuple(out)
 
 
 def _images(g: _Kind, sl, su):
@@ -608,25 +594,38 @@ def evaluate(f: MOscillatingFunction, x: float) -> float:
     return float(evaluate_many(f, np.array([x]))[0])
 
 
-def piece_runs(f: MOscillatingFunction, xs: np.ndarray):
-    """(start, stop) of each piece's run in the sorted 1-D points xs, in
-    piece order, all cut before the first is read, so a run may be written
-    over.  A shared endpoint and a gap point go to the piece on their left;
-    points outside the domain, and NaN, go to the first or last piece."""
-    cuts = np.searchsorted(xs, f.piece_table.sub_lower[1:], side="right").tolist()
-    return zip([0, *cuts], [*cuts, xs.size])
+def write_runs(f: MOscillatingFunction, xs: np.ndarray) -> list[tuple[int, int]]:
+    """Write f's values over the sorted 1-D points xs, and return (start,
+    stop) of each piece's run in them, in piece order.  The runs are all cut
+    before the first is written.  A shared endpoint and a gap point go to
+    the piece on their left; points outside the domain, and NaN, go to the
+    first or last piece.  A constant piece's run is filled with its value;
+    a monotone piece's is its kind's `values` at its row, on the points
+    clipped into its interval, at most EVAL_BLOCK points per call."""
+    t = f.piece_table
+    cuts = np.searchsorted(xs, t.sub_lower[1:], side="right").tolist()
+    runs = list(zip([0, *cuts], [*cuts, xs.size]))
+    sl, su = t.sub_lower.tolist(), t.sub_upper.tolist()
+    for i, v in zip(np.flatnonzero(t.constant).tolist(), t.value.tolist()):
+        xs[slice(*runs[i])] = v
+    mono = np.flatnonzero(~t.constant)
+    for g in t.kinds:
+        for r, i in enumerate(mono[g.at].tolist()):
+            a, b = runs[i]
+            for s in range(a, b, EVAL_BLOCK):
+                e = min(s + EVAL_BLOCK, b)
+                xs[s:e] = g.values(r, np.clip(xs[s:e], sl[i], su[i]))
+    return runs
 
 
 def evaluate_many(f: MOscillatingFunction, xs: np.ndarray) -> np.ndarray:
     """Vectorized evaluate over an array of points, of any shape and order,
-    into a fresh array.  The points are sorted, each piece's forward map is
-    called once on its run (`piece_runs`), clipped into its interval, and
-    the values go back to the points' places."""
+    into a fresh array: the points sorted, their values written over them
+    (`write_runs`), and put back in the points' places."""
     xs = np.asarray(xs, dtype=float)
     order = np.argsort(xs, axis=None)
     flat = xs.ravel()[order]
-    for m, (a, b) in zip(f.piece_table.maps(), piece_runs(f, flat)):
-        flat[a:b] = forward_values(m.forward, np.clip(flat[a:b], m.sub_lower, m.sub_upper))
+    write_runs(f, flat)
     out = np.empty(xs.shape)
     out.reshape(-1)[order] = flat
     return out
@@ -677,9 +676,9 @@ def invert_piece(p: Piece, y: float) -> float:
     return float(p.invert(np.array([y], dtype=float))[0])
 
 
-def forward_derivative(p, x):
-    """Derivative of the forward map of a Piece or PieceMap p at x, a
-    scalar or an array: exact for affine pieces, otherwise a second-order
+def forward_derivative(p: Piece, x):
+    """Derivative of the forward map of a Piece p at x, a scalar or an
+    array: exact for affine and constant pieces, otherwise a second-order
     finite difference kept inside the piece interval, central or, within h
     of an end, one-sided."""
     if p.affine_slope is not None:

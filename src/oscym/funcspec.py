@@ -4,6 +4,7 @@ Function schema:
     { "domain": [a, b],
       "pieces": [ { "interval": [s, t], "kind": ..., "params": {...} } ] }
 
+Interval ends are finite numbers.
 kinds and their params, finite numbers but expr (strict - unknown or missing keys fail):
     affine   {"slope" (nonzero), "intercept"}
     sin      {"amplitude" (nonzero), "frequency" (nonzero), "phase"}
@@ -80,6 +81,9 @@ def _interval(raw, context: str) -> tuple[float, float]:
     if not (isinstance(raw, (list, tuple)) and len(raw) == 2):
         raise SpecError(f"{context} must be a two-element interval")
     lo, hi = (_number(v, f"interval end in {context}") for v in raw)
+    for v in (lo, hi):
+        if not math.isfinite(v):
+            raise SpecError(f"interval end in {context} must be finite, got {v}")
     if not lo < hi:
         raise SpecError(f"empty interval [{lo}, {hi}] in {context}")
     return lo, hi

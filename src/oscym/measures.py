@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import quadrature
-from .domain import MOscillatingFunction, forward_values, image_slack, validate
+from .domain import CONSTANT, MOscillatingFunction, forward_values, image_slack, validate
 from .errors import ConstructionError
 
 PROB_TOL = 1e-6
@@ -196,9 +196,9 @@ def young_density_function(f: MOscillatingFunction) -> Optional[DensityFunction]
     def expectation(phi):
         return math.fsum(
             quadrature.integrate(
-                lambda x, _m=m: forward_values(phi, forward_values(_m.forward, x)),
-                m.sub_lower, m.sub_upper)
-            for m, c in zip(t.maps(), t.constant.tolist()) if not c) / M
+                lambda x, _p=p: forward_values(phi, forward_values(_p.forward, x)),
+                p.sub_lower, p.sub_upper)
+            for p in f.pieces if p.kind != CONSTANT) / M
 
     def cdf(ys):
         ys = np.asarray(ys, dtype=float)

@@ -8,7 +8,7 @@ derivative pushforward is the two-atom measure (delta_{-1} + delta_{+1})/2
 for every index.  The functional is integrated piece by piece, one array
 call of W per quadrature panel, with u' exact on affine and constant
 pieces and a finite difference elsewhere (`domain.forward_derivative`),
-each piece's map read from the function's piece table.
+each piece's map read from the function's `pieces`.
 """
 from __future__ import annotations
 
@@ -43,7 +43,7 @@ def bolza_functional(u: MOscillatingFunction, quad_tol: float = quadrature.QUAD_
     domain, piece by piece, with u' from `forward_derivative`: exact on
     affine and constant pieces, a finite difference on the others."""
     total = 0.0
-    for p in u.piece_table.maps():
+    for p in u.pieces:
         total += quadrature.integrate(
             lambda x, _p=p: _p.forward(x) ** 2 + (forward_derivative(_p, x) ** 2 - 1.0) ** 2,
             p.sub_lower, p.sub_upper, tol=quad_tol,
@@ -56,11 +56,10 @@ def gradient_young_measure(u: MOscillatingFunction) -> ScalarMeasureRCA:
     measure of the function that is constant at each piece's slope, one
     atom per distinct slope weighted by the share of the domain carrying
     it."""
-    maps = u.piece_table.maps()
-    if any(p.affine_slope is None for p in maps):
+    if any(p.affine_slope is None for p in u.pieces):
         raise UnsupportedError("derivative pushforward needs piecewise-affine input")
     du = MOscillatingFunction.from_table(u.domain, table_of_rows(
-        (p.sub_lower, p.sub_upper, CONSTANT, p.affine_slope) for p in maps))
+        (p.sub_lower, p.sub_upper, CONSTANT, p.affine_slope) for p in u.pieces))
     return unvalidated_young_measure(du)
 
 

@@ -4,11 +4,12 @@ Draws uniform samples from the domain with a counter-based SplitMix64
 stream (Steele, Lea & Flood, OOPSLA 2014), made of numpy integer
 arithmetic alone, so a fixed seed gives the same draws bit for bit on every
 numpy version.  The draws stream through one block at a time: each block
-is sorted and evaluated piece by piece, and its bin and atom counts are
-added to running totals, so memory does not grow with the sample count.
-A piece is monotone, so its values on sorted draws come out in order and
-need no second sort.  The atoms are the values of constant pieces, as in
-the model, merged by the model's rule, `measures.merge_atoms`.
+is sorted, its values are written over it piece by piece
+(`domain.write_runs`), and its bin and per-piece counts are added to
+running totals, so memory does not grow with the sample count.  A
+monotone piece's values on sorted draws come out in order and need no
+second sort.  A draw in a constant piece counts for that piece's atom, as
+in the model, and atoms merge by the model's rule, `measures.merge_atoms`.
 """
 from __future__ import annotations
 
@@ -16,11 +17,10 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .domain import MOscillatingFunction, forward_values, piece_runs
+from .domain import EVAL_BLOCK, MOscillatingFunction, write_runs
 from .errors import PreconditionError
 from .measures import MERGE_SNAP, ScalarMeasureRCA, merge_atoms
 
-EVAL_BLOCK = 1 << 14          # values per forward call, 128 KiB of float64
 _DRAW_BLOCK = 4 * EVAL_BLOCK  # draws per block of the stream, 512 KiB of float64
 
 
@@ -52,22 +52,22 @@ def pushforward_empirical(
 
     The draws are `_uniform`'s stream of seed, an integer in [0, 2**128),
     taken one block of `_DRAW_BLOCK` draws at a time.  Each block is sorted
-    and cut into each piece's run (`piece_runs`; a draw on a shared
-    endpoint takes the value of the piece on its left), and each run's
-    values, from its piece's forward map (`PieceTable.maps`), are written
-    over its draws, `EVAL_BLOCK` at a time.  A falling run is read
-    reversed; a run that is still not ascending (rounding, NaN, a piece
-    that is not monotone) is sorted as a copy.  Each run's count
-    of values below each inner bin edge and on each atom is read off by
-    binary search and added to running totals, so the call holds no array
-    of the sample count, only temporaries of O(`_DRAW_BLOCK`) values.
-    The atoms are the constant pieces' values that at least one draw
-    takes, as in the model; an atom's mass is its exact count of draws,
-    and atoms within `measures.MERGE_SNAP` merge, as the model's do.  Bin
-    k holds edges[k] <= v < edges[k+1], the last bin closed; values that
-    stray outside range_K by rounding fall into the end bins, and atom
-    values are left out.  Edges are `np.histogram_bin_edges` of range_K,
-    so a one-value range widens to +-0.5.
+    and its values are written over it, each piece's on its run
+    (`domain.write_runs`; a draw on a shared endpoint takes the value of
+    the piece on its left).  A monotone piece's run is binned: a falling
+    run is read reversed, a run that is still not ascending (rounding,
+    NaN, a piece that is not monotone) is sorted as a copy, and its count
+    of values below each inner bin edge is read off by binary search.  The
+    counts add up to running totals, so the call holds no array of the
+    sample count, only temporaries of O(`_DRAW_BLOCK`) values.  A draw in
+    a constant piece counts for that piece's atom, as in the model: the
+    atoms are the constant pieces' values that at least one draw takes,
+    an atom's mass is its exact count of draws, and atoms within
+    `measures.MERGE_SNAP` merge, as the model's do.  Bin k holds the
+    monotone pieces' values edges[k] <= v < edges[k+1], the last bin
+    closed; values that stray outside range_K by rounding fall into the
+    end bins.  Edges are `np.histogram_bin_edges` of range_K, so a
+    one-value range widens to +-0.5.
     """
     if n_samples < 1000:
         raise PreconditionError("n_samples must be at least 1000")
@@ -77,34 +77,27 @@ def pushforward_empirical(
         raise PreconditionError("seed must be an integer in [0, 2**128)")
     edges = np.histogram_bin_edges(f.range_K, n_bins, f.range_K)
     inner = edges[1:-1]
-    plateau = np.sort(f.piece_table.value)
-    plateau = plateau[np.diff(plateau, prepend=-np.inf) > 0]  # np.unique would import numpy.ma
-    below = np.zeros(inner.size, np.intp)  # values below each inner edge
-    atom_counts = np.zeros(plateau.size, np.intp)
-    maps = f.piece_table.maps()
+    t = f.piece_table
+    constant = t.constant.tolist()
+    below = np.zeros(inner.size, np.intp)  # monotone values below each inner edge
+    drawn = np.zeros(len(constant), np.intp)  # draws per piece
     for values in _uniform(f.domain.lower, f.domain.upper, n_samples, seed):
         values.sort()
-        for p, (a, b) in zip(maps, piece_runs(f, values)):
-            for s in range(a, b, EVAL_BLOCK):  # the sorted draws become the values
-                e = min(s + EVAL_BLOCK, b)
-                values[s:e] = forward_values(p.forward,
-                                             np.clip(values[s:e], p.sub_lower, p.sub_upper))
+        runs = write_runs(f, values)  # the sorted draws become the values
+        drawn += [b - a for a, b in runs]
+        for (a, b), c in zip(runs, constant):
+            if c:
+                continue
             run = values[a:b]
             if run.size and run[0] > run[-1]:  # a falling piece
                 run = run[::-1]
             if not np.all(run[1:] >= run[:-1]):  # rounding, NaN or a non-monotone piece
                 run = np.sort(run)
             below += np.searchsorted(run, inner)
-            atom_counts += np.searchsorted(run, plateau, side="right")
-            atom_counts -= np.searchsorted(run, plateau)
-    counts = np.diff(below, prepend=0, append=n_samples)
-
-    hit = atom_counts > 0
-    locations, atom_counts = plateau[hit], atom_counts[hit]
-    point_masses = tuple(
-        PointMass(*a) for a in merge_atoms(zip(locations.tolist(),
-                                               (atom_counts / n_samples).tolist())))
-    np.subtract.at(counts, np.searchsorted(inner, locations, side="right"), atom_counts)
+    counts = np.diff(below, prepend=0, append=drawn[~t.constant].sum())
+    atoms = merge_atoms([(v, k) for v, k in zip(t.value.tolist(), drawn[t.constant].tolist())
+                         if k])
+    point_masses = tuple(PointMass(v, k / n_samples) for v, k in atoms)
     return Histogram(
         range=tuple(f.range_K),
         edges=edges,

@@ -704,11 +704,20 @@ def one_piece(kind, **params):
     one_piece("sin", amplitude=1.0, frequency=math.inf, phase=0.0),
     one_piece("constant", value=math.nan),
     one_piece("affine", slope=math.nan, intercept=0.0),
+    {"domain": [0.0, math.inf], "pieces": [
+        {"interval": [0.0, math.inf], "kind": "constant", "params": {"value": 1.0}}]},
+    {"domain": [-math.inf, 1.0], "pieces": [AFFINE]},
+    {"domain": [0.0, 1.0], "pieces": [
+        {"interval": [0.0, math.inf], "kind": "constant", "params": {"value": 1.0}}]},
+    {"domain": [0.0, 1.0], "pieces": [
+        {"interval": [-math.inf, 1.0], "kind": "constant", "params": {"value": 1.0}}]},
 ], ids=["piece-not-an-object", "function-not-an-object", "slope-null",
         "exponent-not-a-number", "teeth-not-a-number", "index-not-a-number",
         "domain-end-not-a-number", "slope-zero", "sin-amplitude-zero",
         "sin-frequency-zero", "teeth-negative", "teeth-minus-one",
-        "sin-frequency-nan", "sin-frequency-infinity", "constant-value-nan", "affine-slope-nan"])
+        "sin-frequency-nan", "sin-frequency-infinity", "constant-value-nan", "affine-slope-nan",
+        "domain-end-infinity", "domain-end-minus-infinity", "piece-end-infinity",
+        "piece-end-minus-infinity"])
 def test_malformed_spec_value_is_an_input_error(spec, tmp_path, capsys):
     from oscym.cli import main
 

@@ -96,6 +96,18 @@ def test_a_param_that_is_not_finite_is_rejected_by_name(kind, params, key):
     assert str(exc.value).startswith(f"{key} in piece 0 must be finite, got ")
 
 
+@pytest.mark.parametrize("end", [math.inf, -math.inf], ids=["inf", "minus-inf"])
+@pytest.mark.parametrize("where", ["domain", "piece 0"], ids=["domain", "piece"])
+def test_an_interval_end_that_is_not_finite_is_rejected_by_name(where, end):
+    bad = [0.0, end] if end > 0 else [end, 1.0]
+    spec = make_spec([{"interval": bad if where == "piece 0" else [0.0, 1.0],
+                       "kind": "constant", "params": {"value": 1.0}}],
+                     domain=bad if where == "domain" else (0.0, 1.0))
+    with pytest.raises(SpecError) as exc:
+        parse_spec(spec)
+    assert str(exc.value) == f"interval end in {where} must be finite, got {end}"
+
+
 def test_empty_interval_rejected():
     spec = make_spec(
         [{"interval": [0.5, 0.5], "kind": "constant", "params": {"value": 1.0}}]

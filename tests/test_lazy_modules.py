@@ -138,7 +138,8 @@ CLOSED_FORM_CALLS = {
     **{f"{command}-{name}": [command, "--input", DATA / f"{name}.json"]
        + (["--grid", "101"] if command != "validate" else [])
        for name in ("sine", "power") for command in ("density", "slope", "measure", "validate")},
-    "verify-tent": ["verify", "--input", DATA / "tent.json"],
+    **{f"verify-{name}": ["verify", "--input", DATA / f"{name}.json"]
+       for name in ("tent", "sine", "power", "atoms")},
     "converge-sin": ["converge", "--input", SIN_FAMILY, "--window", "8,64", "--depth", "6"],
 }
 

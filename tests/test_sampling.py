@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from oscym import (compare_histogram, oracle_report, pushforward_empirical, sampling,
                    young_measure)
-from oscym.domain import Domain1D, MOscillatingFunction, evaluate_many
+from oscym.domain import Domain1D, MOscillatingFunction, evaluate_many, table_of_rows
 from oscym.errors import PreconditionError
 from oscym.families import (affine_piece, constant_piece, half_plateau, identity_map,
                             sine_piece, sine_wave, tent_map)
@@ -204,6 +204,23 @@ def test_a_light_atom_counts_every_draw(seed):
     [atom] = rep.atoms
     assert (atom.location, atom.empirical_mass) == (0.5, drawn / n)
     assert rep.within_threshold
+
+
+def test_a_draw_in_a_constant_piece_counts_for_its_atom():
+    # every value of the affine piece rounds to exactly 0.5, the plateau's
+    # value: the atom is the constant piece's share of the draws, as the
+    # model's weight 0.5 predicts, and the affine piece's draws go to the
+    # bin that holds 0.5
+    n, seed = 100_000, 3
+    f = MOscillatingFunction.from_table(Domain1D(0.0, 1.0), table_of_rows(
+        [(0.0, 0.5, "affine", (1e-17, 0.5)), (0.5, 1.0, "constant", 0.5)]))
+    assert (evaluate_many(f, np.linspace(0.0, 0.5, 101)) == 0.5).all()
+    on_plateau = np.count_nonzero(draws(0.0, 1.0, n, seed) > 0.5)
+    h = pushforward_empirical(f, n, seed, 16)
+    assert h.point_masses == (PointMass(0.5, on_plateau / n),)
+    bins = np.zeros(16)
+    bins[np.searchsorted(h.edges, 0.5, side="right") - 1] = (n - on_plateau) / n
+    assert_same_bits(h.masses, bins)
 
 
 def unique_histogram(f, n_samples, seed, n_bins):
