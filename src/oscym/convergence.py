@@ -262,14 +262,12 @@ def weak_continuity_check(
     x0: float,
     family: BorelTestFamily,
     tol: float = DEFAULT_TOL,
-    quad_tol: float = quadrature.QUAD_TOL,
 ) -> ConvergenceVerdict:
     """Check that the set integrals of h_{x_n} approach those of h_{x_0}.
 
     The residual per set is the gap at the last element of xs; the limit
     column reports the target integral at x_0.  Set masses are differences
-    of each density's exact `cdf`, so `quad_tol` has no effect; it stays
-    accepted, as the CLI's --quad-tol does."""
+    of each density's exact `cdf`, so no quadrature tolerance applies."""
     if len(xs) == 0:
         raise PreconditionError("xs must hold at least one point")
     for x in list(xs) + [x0]:

@@ -27,7 +27,6 @@ from .errors import (
 BISECT_WIDTH = 1e-12
 BISECT_MAX_ITER = 200
 H_FD_SCALE = 1e-6          # finite-difference step, scaled by piece length
-DERIVATIVE_FLOOR = 1e-10   # below this the inverse slope counts as singular
 VALIDATE_SAMPLES = 64      # grid points per Piece of callables in `validate`
 VALIDATE_TOL = 1e-6        # slack of `validate`'s structural and inverse checks
 EVAL_BLOCK = 1 << 14       # values per forward call of `write_runs`, 128 KiB of float64
@@ -166,16 +165,16 @@ class Piece(_ReadOnly):
     def inverse_slopes(self, ys: np.ndarray) -> np.ndarray:
         """Absolute derivative of the inverse at each value of a 1-D array,
         +inf where it is singular: the closed-form `inverse_derivative` in
-        one call (singular where not finite or above 1/DERIVATIVE_FLOOR), or
-        else one over the forward derivative at the preimages from `invert`
-        (singular where that is below DERIVATIVE_FLOOR, or below the
-        rounding noise of its finite difference)."""
+        one call (singular only where not finite: a closed form is exact),
+        or else one over the forward derivative at the preimages from
+        `invert` (singular only below its finite difference's rounding
+        noise, which scales with the piece length, free of the unit of x)."""
         if self.inverse_derivative is not None:
-            return _floored(forward_values(self.inverse_derivative, ys))
+            return _magnitude(forward_values(self.inverse_derivative, ys))
         d, noise = _fd_slopes(self, self.invert(ys))
         # below its rounding noise the derivative is indistinguishable from zero
         with np.errstate(divide="ignore"):
-            return np.where(d < np.maximum(DERIVATIVE_FLOOR, noise), math.inf, 1.0 / d)
+            return np.where(d < noise, math.inf, 1.0 / d)
 
 
 def _fd_slopes(p: Piece, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -191,10 +190,10 @@ def _constant(c: float, x):
     return np.full_like(np.asarray(x, dtype=float), c) if np.ndim(x) else c
 
 
-def _floored(v: np.ndarray) -> np.ndarray:
-    """|v|, and +inf (singular) where it is not finite or exceeds 1/DERIVATIVE_FLOOR."""
+def _magnitude(v: np.ndarray) -> np.ndarray:
+    """|v|, and +inf (singular) where it is not finite."""
     v = np.abs(v)
-    return np.where(np.isfinite(v) & ~(v > 1.0 / DERIVATIVE_FLOOR), v, math.inf)
+    return np.where(np.isfinite(v), v, math.inf)
 
 
 def _per_distinct(fn: Callable[[float], float], y) -> np.ndarray:
@@ -258,7 +257,7 @@ class _Kind:
     def slope_terms(self, held, y) -> np.ndarray:
         # the kernel sees 1.0 off the held values, where y ** e could overflow
         c = tuple(c[:, None] for c in self.cols)
-        return np.where(held, _floored(self.inverse_derivative(c, np.where(held, y, 1.0))), 0.0)
+        return np.where(held, _magnitude(self.inverse_derivative(c, np.where(held, y, 1.0))), 0.0)
 
     def turns(self, sl, su) -> np.ndarray:
         return np.full(sl.size, math.nan)
@@ -298,9 +297,8 @@ class _Sin(_Kind):
     @staticmethod
     def inverse_derivative(c, y):
         r = np.clip(np.asarray(y, dtype=float) / c[0], -1.0, 1.0)
-        with np.errstate(divide="ignore"):
-            v = 1.0 / (np.abs(c[0] * c[1]) * np.sqrt(np.maximum(1.0 - r * r, 0.0)))
-        return np.where(np.abs(r) < 1.0, v, math.inf)
+        with np.errstate(divide="ignore"):  # 1/0 = inf at |r| = 1, a singular slope
+            return 1.0 / (np.abs(c[0] * c[1]) * np.sqrt(np.maximum(1.0 - r * r, 0.0)))
 
     def turns(self, sl, su):
         # an odd multiple of pi/2 inside the range of w x + phase by more
@@ -704,9 +702,9 @@ def forward_derivative(p: Piece, x):
 def inverse_slope(p: Piece, y: float) -> float:
     """Absolute derivative of the piece inverse at y (the 1-D Jacobian of
     the inverse): `Piece.inverse_slopes` at one value.  Raises
-    SingularSlopeError where the forward derivative vanishes, e.g. at the
-    extrema of a sine branch, and RangeError for a y outside the image of
-    a piece without a closed-form inverse derivative."""
+    SingularSlopeError where that is +inf, e.g. at the extrema of a sine
+    branch, and RangeError for a y outside the image of a piece without
+    a closed-form inverse derivative."""
     if p.kind != DIFFEOMORPHIC:
         raise PieceKindError("constant pieces have no inverse slope")
     if p.inverse_derivative is None:
@@ -803,8 +801,8 @@ def _kind_violations(g: _Kind, index, sl, su, lo, hi) -> list[Violation]:
     non-monotone and gets only that violation.  Otherwise each closed-form
     inverse is checked by a round trip at probes inside the image, one
     call of the kind's maps on all of them, and a Piece's own inverse
-    derivative against one over a finite difference, up to that
-    difference's rounding noise."""
+    derivative against one over a finite difference where that exceeds
+    its rounding noise, up to that noise."""
     if isinstance(g, _Callables):
         bends = [_sampled_bend(p) for p in g.cols]
         inverse, derivative = (np.array([getattr(p, name) is not None for p in g.cols], bool)
@@ -831,7 +829,7 @@ def _kind_violations(g: _Kind, index, sl, su, lo, hi) -> list[Violation]:
     for n in np.flatnonzero(derivative[rows]).tolist():
         p, i = g.cols[rows[n]], int(index[rows[n]])
         d, noise = _fd_slopes(p, xs[n])
-        keep = ~(d < np.maximum(DERIVATIVE_FLOOR, noise))
+        keep = ~(d < noise)
         # |claimed / (1/|forward'|) - 1|, less the difference's relative noise
         claimed = np.abs(forward_values(p.inverse_derivative, probes[n][keep]))
         off = np.fmax.reduce(np.abs(claimed * d[keep] - 1.0) - noise[keep] / d[keep], initial=0.0)

@@ -18,7 +18,7 @@ class PieceKindError(OscymError, TypeError):
 
 
 class SingularSlopeError(OscymError, ArithmeticError):
-    """Forward derivative below the floor: the inverse slope diverges here."""
+    """Forward derivative zero or below its rounding noise: the inverse slope diverges."""
 
     def __init__(self, y, message=None):
         self.y = y

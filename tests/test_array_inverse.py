@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 from oscym.domain import (
     BISECT_MAX_ITER,
     BISECT_WIDTH,
-    DERIVATIVE_FLOOR,
     H_FD_SCALE,
     Domain1D,
     MOscillatingFunction,
@@ -65,13 +64,14 @@ def loop_derivative(p, x):
 
 
 def loop_inverse_slope(p, y):
-    """One over one finite difference, +inf where singular."""
+    """One over one finite difference, +inf where it is below its own
+    rounding noise."""
     x = loop_invert(p, y)
     d = loop_derivative(p, x)
     h = H_FD_SCALE * p.length
     scale = max(1.0, abs(float(p.forward(x))))
-    floor = max(DERIVATIVE_FLOOR, 100.0 * 2.2e-16 * scale / h)
-    return math.inf if abs(d) < floor else 1.0 / abs(d)
+    noise = 100.0 * 2.2e-16 * scale / h
+    return math.inf if abs(d) < noise else 1.0 / abs(d)
 
 
 def sine_formulas(A, w, ph, lo, hi):
@@ -101,7 +101,7 @@ def power_formulas(p):
 
 def closed_slope(inv_d, y):
     v = abs(inv_d(y))
-    return v if math.isfinite(v) and v <= 1.0 / DERIVATIVE_FLOOR else math.inf
+    return v if math.isfinite(v) else math.inf
 
 
 # -- pieces and values ----------------------------------------------------------

@@ -636,12 +636,18 @@ def test_converge_window_outside_indices_is_input_error(tmp_path, capsys,
     ["verify", "--input", "tent", "--seed", str(2 ** 128)],
     ["YM_SEED=abc", "verify", "--input", "tent"],
     ["YM_SEED=-5", "verify", "--input", "tent"],
+    ["homog", "--family", "triangle"],
+    ["converge", "--input", "amp", "--window", "8"],
+    ["converge", "--input", "amp", "--window", "9,8"],
+    ["weak-cont", "--x0", "0.9", "--n-start", "3"],
+    ["homog", "--x-samples", "1"],
 ], ids=["n-list-empty-item", "n-list-fraction", "n-list-zero", "gradient-n-zero",
         "n-start-zero", "n-start-past-n-stop", "weak-cont-depth-negative",
         "converge-depth-negative", "grid-negative", "tol-nan", "tol-negative",
         "tol-infinite", "quad-tol-negative", "quad-tol-zero", "quad-tol-nan",
         "seed-negative", "seed-past-128-bits", "seed-env-not-a-number",
-        "seed-env-negative"])
+        "seed-env-negative", "family-unknown", "window-one-number", "window-decreasing",
+        "x-outside-family-domain", "x-samples-one"])
 def test_out_of_range_option_is_an_input_error(argv, amp_spec, tent_spec, capsys,
                                                monkeypatch):
     from oscym.cli import main
@@ -711,13 +717,27 @@ def one_piece(kind, **params):
         {"interval": [0.0, math.inf], "kind": "constant", "params": {"value": 1.0}}]},
     {"domain": [0.0, 1.0], "pieces": [
         {"interval": [-math.inf, 1.0], "kind": "constant", "params": {"value": 1.0}}]},
+    {"domain": [0.0, 1.0], "pieces": [dict(AFFINE, interval=[0.0, 0.5, 1.0])]},
+    {"domain": [0.0, 1.0], "pieces": [dict(AFFINE, params=[1.0, 0.0])]},
+    one_piece("power", exponent=0.0),
+    {"domain": [-1.0, 1.0], "pieces": [
+        {"interval": [-1.0, 1.0], "kind": "power", "params": {"exponent": 2.0}}]},
+    {"domain": [0.0, 1.0], "pieces": []},
+    [one_piece("affine", slope=1.0, intercept=0.0)],
+    {"family": "roubicek", "params": [8], "indices": [1, 64]},
+    {"family": "roubicek", "params": {}, "indices": [1, 8, 64]},
+    {"family": "roubicek", "params": {}, "indices": [64, 1]},
+    one_piece("expr", expr="-" * 400 + "x"),
 ], ids=["piece-not-an-object", "function-not-an-object", "slope-null",
         "exponent-not-a-number", "teeth-not-a-number", "index-not-a-number",
         "domain-end-not-a-number", "slope-zero", "sin-amplitude-zero",
         "sin-frequency-zero", "teeth-negative", "teeth-minus-one",
         "sin-frequency-nan", "sin-frequency-infinity", "constant-value-nan", "affine-slope-nan",
         "domain-end-infinity", "domain-end-minus-infinity", "piece-end-infinity",
-        "piece-end-minus-infinity"])
+        "piece-end-minus-infinity", "interval-three-ends", "params-not-an-object",
+        "power-exponent-zero", "power-interval-below-zero", "pieces-empty",
+        "spec-a-list", "sequence-params-not-an-object", "indices-three-long",
+        "indices-decreasing", "expr-nested-too-deep"])
 def test_malformed_spec_value_is_an_input_error(spec, tmp_path, capsys):
     from oscym.cli import main
 
@@ -802,11 +822,30 @@ def test_converge_slope_check_is_free_of_the_scale_of_x(tmp_path, capsys, length
     assert "monotone" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec, density", [
+    (rising_halves(2.0 ** 40, 2.0 ** 39), "1"),
+    (affine_pieces((0.0, 0.5, 2e-13, 0.0), (0.5, 1.0, -2e-13, 2e-13)), "10000000000000"),
+], ids=["x-over-2**40", "tent-1e-13-high"])
+def test_density_is_finite_at_a_small_slope(tmp_path, capsys, spec, density):
+    from oscym.cli import main
+
+    # x / 2**40 on (0, 2**40) is the uniform law on [0, 1], whatever the
+    # unit of x; a tent of height 1e-13 has density 1 / 1e-13 on its range
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["density", "--input", str(path), "--grid", "5"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0] == "y,g"
+    assert [row.split(",")[1] for row in rows[1:]] == [density] * 5
+
+
 def test_converge_takes_equal_infinite_densities_as_a_flat_step(tmp_path):
-    # x / 2**40 on (0, 2**40), cut into two affine halves, twice: the inverse
-    # slope 2**40 passes 1 / DERIVATIVE_FLOOR, so both densities are inf at
-    # every grid point, and inf - inf must count as no step, not as NaN
-    halves = rising_halves(2.0 ** 40, 2.0 ** 39)
-    spec = custom_sequence(tmp_path / "halves.json", [halves, halves])
+    # x^2 on (0, 1), then 3 - 2x on (1, 2), twice: the common range is
+    # [-1, 1], and at its interior grid point y = 0 the inverse slope of x^2
+    # is inf, so inf - inf must count as no step, not as NaN
+    g = {"domain": [0.0, 2.0], "pieces": [
+        {"interval": [0.0, 1.0], "kind": "power", "params": {"exponent": 2.0}},
+        {"interval": [1.0, 2.0], "kind": "affine", "params": {"slope": -2.0, "intercept": 3.0}}]}
+    spec = custom_sequence(tmp_path / "square-and-line.json", [g, g])
     r = run_cli("converge", "--input", spec, "--window", "1,2", "--depth", "2", "--tol", "1")
     assert (r.returncode, r.stderr) == (0, "")

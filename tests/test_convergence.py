@@ -169,7 +169,7 @@ def scaled_in_x(f: MOscillatingFunction, k: int) -> MOscillatingFunction:
         affine_table(t.sub_lower * a, t.sub_upper * a, slope / a, intercept))
 
 
-@pytest.mark.parametrize("k", [-40, -20, 20])
+@pytest.mark.parametrize("k", [-40, -20, 20, 40])
 @pytest.mark.parametrize("fs, monotone", [
     ([amplitude_tent(n) for n in range(1, 9)], True),
     ([tent_map(1.0), triple_tent(2.0), tent_map(1.0), triple_tent(2.0)], False),

@@ -99,13 +99,15 @@ def test_many_pieces_add_in_piece_order():
     assert [total_slope(f, np.array([y]))[0] for y in ys] == want
 
 
-def test_flat_affine_piece_is_singular_on_both_paths():
+def test_flat_affine_piece_has_its_finite_slope_on_both_paths():
+    # a closed-form slope is exact: 1e-11 is a slope, not a singularity
     f = MOscillatingFunction(
         domain=Domain1D(0.0, 2.0),
         pieces=(affine_piece(0.0, 1.0, 1e-11, 0.0),
                 affine_piece(1.0, 2.0, 1.0, -1.0)))
+    assert inverse_slope(f.pieces[0], 5e-12) == 1e11
     ys = np.array([0.0, 5e-12, 0.5, 1.0, 2.0])
-    want = [math.inf, math.inf, 1.0, 1.0, 0.0]
+    want = [1e11 + 1.0, 1e11 + 1.0, 1.0, 1.0, 0.0]
     assert total_slope(f, ys).tolist() == want
     assert [total_slope(f, float(y)) for y in ys] == want
 

@@ -23,8 +23,11 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from oscym import total_slope, young_measure
+from oscym import pushforward_empirical, total_slope, young_density, young_measure
 from oscym.funcspec import build_function
+
+from test_columns import bits
+from test_piece_table import y_grid
 
 DEPTH = 4
 
@@ -129,3 +132,37 @@ def test_leaf_masses_and_atoms_match_the_rational_reference(spec):
         k = sum(1 for *_, v in ref.constant if v == a.location)
         exact = weights[Fraction(a.location)]
         assert abs(Fraction(a.weight) - exact) <= 2 * k * ulp(ref.X / ref.M)
+
+
+def scaled_in_x(spec, k: int) -> dict:
+    """The spec of x -> f(x / 2^k): its domain and interval ends times 2^k,
+    its slopes times 2^-k."""
+    a = 2.0 ** k
+    pieces = [dict(p, interval=[v * a for v in p["interval"]]) for p in spec["pieces"]]
+    for p in pieces:
+        if p["kind"] == "affine":
+            p["params"] = dict(p["params"], slope=p["params"]["slope"] / a)
+    return {"domain": [v * a for v in spec["domain"]], "pieces": pieces}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(spec=affine_and_constant_specs(), interior=st.lists(st.floats(0.0, 1.0), max_size=5))
+def test_scaling_x_by_a_power_of_two_leaves_the_young_measure_bitwise(spec, interior):
+    # nu_f does not change under x -> 2^k x, and powers of two scale floats
+    # exactly: every slope, length and draw scales, every value stays
+    f = build_function(spec)
+    ys = y_grid(f, interior)
+    m = young_measure(f)
+    hist = pushforward_empirical(f, n_samples=2000, seed=7, n_bins=8)
+    for k in (-40, -20, 20, 40):
+        g = build_function(scaled_in_x(spec, k))
+        assert bits(young_density(g, ys)) == bits(young_density(f, ys))
+        assert bits(total_slope(g, ys)) == bits(2.0 ** k * total_slope(f, ys))
+        mg = young_measure(g)
+        assert mg.atoms == m.atoms
+        if m.density is not None:
+            assert bits(mg.density.cdf(ys)) == bits(m.density.cdf(ys))
+        hg = pushforward_empirical(g, n_samples=2000, seed=7, n_bins=8)
+        assert bits(hg.edges) == bits(hist.edges)
+        assert bits(hg.masses) == bits(hist.masses)
+        assert hg.point_masses == hist.point_masses
