@@ -220,8 +220,7 @@ def cmd_weak_cont(args) -> int:
 
 def cmd_homog(args) -> int:
     fam = _builtin_family(args.family)
-    homogeneous = convergence.homogeneity_check(
-        fam, args.x_samples, args.tol, quad_tol=args.quad_tol)
+    homogeneous = convergence.homogeneity_check(fam, args.x_samples, args.tol)
     emit(args, {"homogeneous": homogeneous},
          csv_rows=[(args.family, homogeneous)], csv_header=("family", "homogeneous"))
     return EXIT_OK if homogeneous else EXIT_NEGATIVE
@@ -347,10 +346,9 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
         "converge": (cmd_converge, "monotone-slope convergence check",
                      "--input --out --format --tol --window --depth"),
         "weak-cont": (cmd_weak_cont, "weak continuity of x -> h_x",
-                      "--out --format --tol --quad-tol --family --x0 --n-start --n-stop "
-                      "--depth"),
+                      "--out --format --tol --family --x0 --n-start --n-stop --depth"),
         "homog": (cmd_homog, "homogeneity of a density family",
-                  "--out --format --tol --quad-tol --family --x-samples"),
+                  "--out --format --tol --family --x-samples"),
         "bolza": (cmd_bolza, "Bolza functional on the sawtooth sequence",
                   "--out --format --quad-tol --n-list --gradient-ym --n"),
     }

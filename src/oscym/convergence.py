@@ -11,7 +11,6 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from . import quadrature
 from .domain import Domain1D, MOscillatingFunction, image_slack
 from .errors import PreconditionError
 from .measures import (
@@ -95,9 +94,16 @@ def _leaf_masses(
     set_masses: Callable[[np.ndarray], np.ndarray], family: BorelTestFamily
 ) -> np.ndarray:
     """Masses of the 2^depth finest dyadic sets, from one call of
-    `set_masses` over their edges."""
+    `set_masses` over their edges.  A mass that is not finite is a
+    FloatingPointError naming the first such set: no verdict is read from it."""
     lo, hi = family.range_K
-    return set_masses(np.linspace(lo, hi, 2 ** family.depth + 1))
+    edges = np.linspace(lo, hi, 2 ** family.depth + 1)
+    masses = set_masses(edges)
+    k = int(np.argmin(np.isfinite(masses)))  # the first mass not finite, if any
+    if not np.isfinite(masses[k]):
+        raise FloatingPointError(f"mass {masses[k]} of the dyadic set "
+                                 f"[{edges[k]}, {edges[k + 1]}] is not finite")
+    return masses
 
 
 def _tail_indices(ns: Sequence[int]) -> list[int]:
@@ -205,17 +211,19 @@ def monotone_slope_check(
 ) -> bool:
     """True iff the Young densities T_n/M_n, the total slopes over the domain
     measures, are monotone in n in one common direction at every grid point:
-    all steps are >= -tol * s, or all are <= tol * s, where s is the largest
-    finite density on the grid.  Steps within that, as at a point outside
-    every image, fit either direction; a step between equal densities, inf
-    to inf included, is 0.  Densities and a tol relative to them carry no
-    unit of x, so scaling x leaves the verdict as it is."""
+    all steps are >= -tol * s, or all are <= tol * s, where s is the larger
+    finite density of the two compared at that point, so a steep density
+    elsewhere hides no step.  Steps within that, as at a point outside every
+    image, fit either direction; a step between equal densities, inf to inf
+    included, is 0.  Densities and a tol relative to them carry no unit of
+    x, so scaling x leaves the verdict as it is."""
     ys = np.asarray(y_grid, dtype=float)
     densities = np.array([total_slope(f, ys) / f.measure_M for f in fs])
-    tol *= densities[np.isfinite(densities)].max(initial=0.0)
+    finite = np.where(np.isfinite(densities), densities, 0.0)
+    tols = tol * np.maximum(finite[:-1], finite[1:])
     a, b = densities[:-1], densities[1:]
     diffs = np.subtract(b, a, out=np.zeros_like(a), where=b != a)
-    return bool((diffs >= -tol).all() or (diffs <= tol).all())
+    return bool((diffs >= -tols).all() or (diffs <= tols).all())
 
 
 def converge_young(
@@ -281,27 +289,17 @@ def homogeneity_check(
     fam: NonhomogeneousDensityFamily,
     x_samples: int = 5,
     tol: float = DEFAULT_TOL,
-    quad_tol: float = quadrature.QUAD_TOL,
 ) -> bool:
     """Finite-sample surrogate for the singleton-family characterization:
-    the family is homogeneous iff all sampled slices agree in L1.  Each L1
-    distance is integrated in y, cut at both densities' breakpoints and
-    support ends, to max(quad_tol, 1e-3 * tol), so a quad_tol below
-    1e-3 * tol changes nothing."""
+    the family is homogeneous iff all sampled slices agree in L1.  Each
+    slice is read as its exact masses on the finest dyadic sets of range_K
+    at DEFAULT_DEPTH, and two slices agree when the sum of their mass gaps
+    is at most tol.  That sum is a lower bound of the L1 distance between
+    the two densities, exact on every set where they do not cross."""
     if x_samples < 2:
         raise PreconditionError("x_samples must be at least 2")
-    dom = fam.domain
-    xs = np.linspace(dom.lower, dom.upper, x_samples + 2)[1:-1]
-    densities = [fam.evaluator(float(x)) for x in xs]
-    lo, hi = fam.range_K
-    for i in range(len(densities)):
-        for j in range(i + 1, len(densities)):
-            gi, gj = densities[i], densities[j]
-            dist = quadrature.integrate(
-                lambda y: np.abs(gi.evaluator(y) - gj.evaluator(y)),
-                lo, hi, points=gi.breakpoints + gj.breakpoints + gi.support + gj.support,
-                tol=max(quad_tol, tol * 1e-3),
-            )
-            if dist > tol:
-                return False
-    return True
+    test = BorelTestFamily(fam.range_K)
+    xs = np.linspace(fam.domain.lower, fam.domain.upper, x_samples + 2)[1:-1]
+    leaves = np.array([_leaf_masses(fam.evaluator(float(x)).masses, test) for x in xs])
+    return all((np.abs(leaves[i + 1:] - leaves[i]).sum(axis=1) <= tol).all()
+               for i in range(len(leaves) - 1))

@@ -9,10 +9,12 @@ mass is a difference.  A test function integrates against it in x, by
 the identity integral of phi dnu_f = (1/M) integral of phi(f(x)) dx, whose
 integrand is bounded; the in-package adaptive Gauss-Kronrod rule
 (`quadrature`) runs those x-integrals piece by piece.  Every density the
-package makes is the density of a Young measure, so nothing integrates in
-y here.  Constant pieces carry no density; they appear as atoms weighted
-by their share of the domain.  Nothing is tabulated up front: a density is
-sampled only when output asks for it.
+package makes is the density of a Young measure, so nothing in the package
+integrates in y: set masses, and the L1 gaps `homog` sums from them, are
+differences of the distribution function.  Constant pieces carry no
+density; they appear as atoms weighted by their share of the domain.
+Nothing is tabulated up front: a density is sampled only when output asks
+for it.
 `young_density` and `total_slope` take a scalar or an array of y and
 evaluate a whole array at once, from the function's piece table.
 """
@@ -55,7 +57,8 @@ class DensityFunction(NamedTuple):
     arrays; set masses are its differences.  `expectation` maps a test
     function phi to the integral of phi against the density.
     `breakpoints` are the interior points where the density may kink,
-    jump or be +inf.  A Young density (`young_density_function`) sets them
+    jump or be +inf, the cuts of an integral in y, which nothing in the
+    package runs.  A Young density (`young_density_function`) sets them
     all: its cdf sums preimage lengths, its expectation integrates in x,
     and its breakpoints are its interior piece-image ends.
     """

@@ -16,11 +16,10 @@ per panel, on the array of its 15 nodes, and returns an array of the same
 shape.  A callable that rejects arrays, or returns another shape, is
 called once per node with a Python float instead (`domain.forward_values`).
 
-Set masses never come here: every density the package makes is a Young
-density, whose set masses are exact preimage lengths (see `measures`).  The rule serves test
-functions, integrated in x against a Young measure, the Bolza functional,
-and `convergence.homogeneity_check`'s L1 distance between two densities,
-the one integral in y.
+Nothing in the package integrates in y: every density it makes is a Young
+density, whose set masses are exact preimage lengths (see `measures`).
+The rule serves test functions, integrated in x against a Young measure,
+and the Bolza functional.
 """
 from __future__ import annotations
 

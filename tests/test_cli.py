@@ -435,9 +435,8 @@ OPTIONS = {
     "measure": {"--grid"},
     "verify": {"--seed", "--samples", "--bins"},
     "converge": {"--tol", "--window", "--depth"},
-    "weak-cont": {"--tol", "--quad-tol", "--family", "--x0", "--n-start",
-                  "--n-stop", "--depth"},
-    "homog": {"--tol", "--quad-tol", "--family", "--x-samples"},
+    "weak-cont": {"--tol", "--family", "--x0", "--n-start", "--n-stop", "--depth"},
+    "homog": {"--tol", "--family", "--x-samples"},
     "bolza": {"--quad-tol", "--n-list", "--gradient-ym", "--n"},
 }
 SPEC_FREE = {"weak-cont", "homog", "bolza"}
@@ -460,7 +459,7 @@ def test_each_subcommand_declares_only_the_options_it_reads():
         for name, opts in OPTIONS.items()
     }
     assert declared == expected
-    assert sum(len(v) for v in declared.values()) == 48
+    assert sum(len(v) for v in declared.values()) == 46
 
 
 def test_named_subcommand_alone_gets_its_options():
@@ -529,21 +528,34 @@ def test_unread_option_is_rejected(amp_spec):
     assert exc.value.code == 2
 
 
-def test_homog_passes_quad_tol(monkeypatch, tmp_path):
-    from oscym import cli, convergence
+@pytest.mark.parametrize("command", ["weak-cont", "homog"])
+def test_set_mass_commands_take_no_quad_tol(command, capsys):
+    from oscym.cli import main
 
-    seen = {}
+    # their set masses are exact: no quadrature tolerance applies
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--quad-tol", "1e-7"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --quad-tol 1e-7" in capsys.readouterr().err
 
-    def fake(fam, x_samples=5, tol=1e-6, quad_tol=None):
-        seen["quad_tol"] = quad_tol
-        return True
 
-    monkeypatch.setattr(convergence, "homogeneity_check", fake)
-    out = tmp_path / "homog.csv"
-    rc = cli.main(["homog", "--family", "uniform", "--quad-tol", "1e-7",
-                   "--out", str(out)])
-    assert rc == 0
-    assert seen["quad_tol"] == 1e-7
+@pytest.mark.parametrize("command", ["weak-cont", "homog"])
+def test_a_non_finite_set_mass_is_a_numeric_error(command, monkeypatch, capsys):
+    from oscym import cli
+    from oscym.convergence import NonhomogeneousDensityFamily
+    from oscym.domain import Domain1D
+
+    from conftest import flat_density
+
+    # every set mass of the density NaN is NaN: no verdict can be read from it
+    nan_density = flat_density(math.nan)
+    family = NonhomogeneousDensityFamily(
+        domain=Domain1D(0.0, 1.0), evaluator=lambda x: nan_density, range_K=(0.0, 1.0))
+    monkeypatch.setattr(cli, "_builtin_family", lambda name: family)
+    assert cli.main([command]) == cli.EXIT_NUMERIC
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "numeric error: mass nan of the dyadic set [0.0, 0.015625] is not finite\n"
 
 
 def custom_sequence(path, functions):
@@ -630,8 +642,8 @@ def test_converge_window_outside_indices_is_input_error(tmp_path, capsys,
     ["converge", "--input", "amp", "--tol", "-1"],
     ["weak-cont", "--tol", "inf"],
     ["bolza", "--quad-tol", "-1", "--n-list", "1"],
-    ["weak-cont", "--quad-tol", "0", "--n-stop", "8", "--depth", "2"],
-    ["homog", "--quad-tol", "nan"],
+    ["bolza", "--quad-tol", "0", "--n-list", "1"],
+    ["bolza", "--quad-tol", "nan", "--n-list", "1"],
     ["verify", "--input", "tent", "--seed", "-1"],
     ["verify", "--input", "tent", "--seed", str(2 ** 128)],
     ["YM_SEED=abc", "verify", "--input", "tent"],
@@ -817,6 +829,30 @@ def test_converge_slope_check_is_free_of_the_scale_of_x(tmp_path, capsys, length
     # it for the cut at length/4: one falls and one rises at every length
     spec = custom_sequence(tmp_path / "halves.json", [rising_halves(length, length / 2),
                                                       rising_halves(length, length / 4)])
+    assert main(["converge", "--input", spec, "--window", "1,2", "--depth", "2",
+                 "--tol", "1"]) == 2
+    assert "monotone" in capsys.readouterr().err
+
+
+def halves_and_steep_tail(cut, slope):
+    """`rising_halves(1, cut)` on (0, 1), then a rising piece of the given
+    slope on (1, 2) onto [1/4, 1/4 + slope]."""
+    spec = rising_halves(1.0, cut)
+    spec["domain"] = [0.0, 2.0]
+    spec["pieces"].append({"interval": [1.0, 2.0], "kind": "affine",
+                           "params": {"slope": slope, "intercept": 0.25 - slope}})
+    return spec
+
+
+@pytest.mark.parametrize("slope", [1e-8, 1e-9, 1e-11])
+def test_a_steep_density_hides_no_other_slope_step(tmp_path, capsys, slope):
+    from oscym.cli import main
+
+    # densities 1/2 for the cut at 1/2; 1/4 below y = 1/2 and 3/4 above it
+    # for the cut at 1/4: one falls and one rises.  Both add 1 / (2 slope) on
+    # [1/4, 1/4 + slope], a density that must not widen the tol elsewhere
+    spec = custom_sequence(tmp_path / "steep.json", [halves_and_steep_tail(0.5, slope),
+                                                     halves_and_steep_tail(0.25, slope)])
     assert main(["converge", "--input", spec, "--window", "1,2", "--depth", "2",
                  "--tol", "1"]) == 2
     assert "monotone" in capsys.readouterr().err

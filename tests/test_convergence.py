@@ -28,7 +28,7 @@ from oscym.families import (
 )
 from oscym.measures import ScalarMeasureRCA, young_density, young_density_function
 
-from conftest import ramp_density
+from conftest import flat_density, ramp_density
 
 # the arcsine law 1/(pi sqrt(1 - y^2)) on [-1, 1]
 ARCSINE = young_density_function(sine_wave(1))
@@ -103,6 +103,15 @@ def test_dieudonne_window_validation():
     fam = BorelTestFamily((0.0, 2.0), 2)
     with pytest.raises(PreconditionError):
         dieudonne_check(seq, fam, 8, 64)
+
+
+def test_dieudonne_raises_on_a_set_mass_that_is_not_finite():
+    # the density NaN at the last index: the first leaf is named, and no
+    # verdict is made
+    seq = DensitySequence(generator=lambda n: flat_density(math.nan if n == 16 else 1.0),
+                          range_K=(0.0, 1.0), max_index=16)
+    with pytest.raises(FloatingPointError, match=r"mass nan of the dyadic set \[0\.0, 0\.25\]"):
+        dieudonne_check(seq, BorelTestFamily((0.0, 1.0), 2), 8, 16)
 
 
 def test_verdict_monotone_in_depth():

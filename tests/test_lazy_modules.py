@@ -87,11 +87,11 @@ print(rc, sorted(name for name in sys.modules
 
 
 # Set masses are differences of exact distribution functions, the
-# triangular and uniform families' included, so only `homog` (its L1
-# distance in y) and `bolza` (its functional in x) run quadrature.
+# triangular and uniform families' included, so only `bolza` (its
+# functional in x) runs quadrature.
 # name: (argv, whether the call integrates)
 INTEGRATES = {
-    **{name: ([name, *map(str, COMMANDS[name])], name in ("homog", "bolza"))
+    **{name: ([name, *map(str, COMMANDS[name])], name == "bolza")
        for name in ("homog", "bolza", "weak-cont", "density", "measure", "converge", "verify")},
     "weak-cont-uniform": (["weak-cont", *map(str, COMMANDS["weak-cont"]), "--family", "uniform"],
                           False),

@@ -20,12 +20,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oscym import cli, quadrature
-from oscym.convergence import NonhomogeneousDensityFamily
+from oscym.convergence import (BorelTestFamily, NonhomogeneousDensityFamily,
+                               _leaf_masses, homogeneity_check)
 from oscym.domain import DIFFEOMORPHIC, Domain1D, forward_derivative, forward_values
 from oscym.errors import QuadratureError
 from oscym.families import triangular_quantile
 from oscym.funcspec import build_function
-from oscym.measures import integrate_test, young_density_function, young_measure
+from oscym.measures import (DEFAULT_TOL, integrate_test, young_density_function,
+                            young_measure)
 from oscym.relaxation import bolza_functional
 
 from conftest import flat_density, triangular_density
@@ -118,13 +120,51 @@ def _triangular_l1(xi, xj):
 @given(xs=st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95))
        .filter(lambda t: abs(t[0] - t[1]) > 1e-3))
 def test_homog_distance_with_a_kink_off_the_cut_points(xs):
-    # homogeneity_check's integrand: the kink where the two slices cross
-    # is no cut point, so only bisection resolves it
+    # the L1 distance of two slices, which homog's leaf sum bounds from
+    # below: the kink where the slices cross is no cut point, so only
+    # bisection resolves it
     xi, xj = sorted(xs)
     gi, gj = triangular_density(xi), triangular_density(xj)
     got = quadrature.integrate(lambda y: abs(gi(y) - gj(y)), 0.0, 2.0,
                                points=(xi, 1.0, xj, 1.0))
     assert abs(got - _triangular_l1(xi, xj)) <= 1e-9
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(xs=st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95))
+       .filter(lambda t: abs(t[0] - t[1]) > 1e-3))
+def test_homog_leaf_sum_is_a_close_lower_bound_of_the_l1_distance(xs):
+    # the gaps of exact leaf masses miss only what cancels inside the leaves
+    # where the two slices cross
+    xi, xj = sorted(xs)
+    test = BorelTestFamily((0.0, 2.0))
+    gi, gj = (_leaf_masses(young_density_function(triangular_quantile(x)).masses, test)
+              for x in (xi, xj))
+    l1 = _triangular_l1(xi, xj)
+    assert 0.9 * l1 <= float(np.abs(gi - gj).sum()) <= l1
+
+
+def _quadrature_homogeneous(fam, x_samples, tol):
+    """homog's verdict with each pair's L1 distance integrated in y, cut at
+    both slices' breakpoints and support ends, to 1e-3 tol: the reference
+    for the leaf sum."""
+    xs = np.linspace(fam.domain.lower, fam.domain.upper, x_samples + 2)[1:-1]
+    gs = [fam.evaluator(float(x)) for x in xs]
+    return all(
+        quadrature.integrate(lambda y: np.abs(gi.evaluator(y) - gj.evaluator(y)),
+                             *fam.range_K, tol=1e-3 * tol,
+                             points=gi.breakpoints + gj.breakpoints + gi.support + gj.support)
+        <= tol
+        for i, gi in enumerate(gs) for gj in gs[i + 1:])
+
+
+@pytest.mark.parametrize("family", ["triangular", "uniform"])
+@pytest.mark.parametrize("x_samples", range(2, 10))
+def test_homog_verdict_matches_the_quadrature_reference(family, x_samples):
+    fam = cli._builtin_family(family)
+    want = _quadrature_homogeneous(fam, x_samples, DEFAULT_TOL)
+    assert want is (family == "uniform")
+    assert homogeneity_check(fam, x_samples) is want
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
