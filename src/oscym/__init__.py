@@ -4,16 +4,14 @@ Core objects: MOscillatingFunction (monotone/constant branches over a 1-D
 domain), ScalarMeasureRCA (density plus atoms on a compact range), the
 empirical pushforward oracle, and set-wise weak-convergence checks.
 
-`convergence`, `relaxation` and `sampling` load on first use: each is in
+The modules behind the exported names load on first use: each is in
 sys.modules and bound here from the start, but its code runs only when one
-of its attributes (or of the names exported from it) is first read, so a
-command that does not use it does not pay for it.
+of its attributes (or of the names exported from it) is first read, so
+`import oscym` imports no numpy, and a command pays only for what it uses.
 """
 
 import importlib.util
 import sys
-
-from . import domain, funcspec, measures
 
 
 def _lazy(name: str):
@@ -27,9 +25,8 @@ def _lazy(name: str):
     return module
 
 
-convergence = _lazy("convergence")
-relaxation = _lazy("relaxation")
-sampling = _lazy("sampling")
+convergence, domain, funcspec, measures, relaxation, sampling = map(
+    _lazy, ("convergence", "domain", "funcspec", "measures", "relaxation", "sampling"))
 
 # each exported name and the module that defines it
 _HOME = {name: module for module, names in (

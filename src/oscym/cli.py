@@ -14,9 +14,15 @@ the strings "inf", "-inf" and "nan".
 """
 from __future__ import annotations
 
+import gc
+
+# what the imports below make lives as long as the process: the collector
+# stays off until the end of this module freezes it
+_collecting = gc.isenabled()
+gc.disable()
+
 import argparse
 import atexit
-import gc
 import json
 import math
 import os
@@ -46,15 +52,17 @@ def write_output(text: str, out_path):
     if out_path is None:
         sys.stdout.write(text)
         return
-    out = Path(out_path)
-    fd, tmp = tempfile.mkstemp(dir=out.parent or Path("."), prefix=out.name)
+    out, tmp = Path(out_path), None
     try:
+        fd, tmp = tempfile.mkstemp(dir=out.parent, prefix=out.name)
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, out)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):  # name the path given, not the temp file
+            exc.filename, exc.filename2 = out_path, None
         raise
 
 
@@ -88,7 +96,10 @@ def _jsonable(obj):
 
 def load_spec(path: str, wanted: type):
     """The spec in the file at path: a `wanted`, MOscillatingFunction or SequenceSpec."""
-    parsed = parse_spec(Path(path).read_text())
+    try:
+        parsed = parse_spec(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise SpecError(f"{path} is not UTF-8 text: {exc}") from None
     if not isinstance(parsed, wanted):
         kinds = ("function", "sequence") if wanted is SequenceSpec else ("sequence", "function")
         raise SpecError(f"{path} holds a {kinds[0]} spec; a {kinds[1]} spec is needed")
@@ -372,22 +383,7 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     return ap
 
 
-_freeze_registered = False
-
-
 def main(argv=None) -> int:
-    # Move every object the imports left tracked to the permanent
-    # generation, so the collections a call triggers scan only the call's
-    # own objects.  At exit, do the same with what the call left: interpreter
-    # finalization then skips a full collection and the teardown of numpy's
-    # object graph, which the OS reclaims anyway.  Both happen once per
-    # process: atexit.unregister empties a slot without freeing it (Python
-    # 3.11).
-    global _freeze_registered
-    if not _freeze_registered:
-        gc.freeze()
-        atexit.register(gc.freeze)
-        _freeze_registered = True
     argv = sys.argv[1:] if argv is None else argv
     parser = build_parser(argv)
     args = parser.parse_args(argv)
@@ -398,7 +394,7 @@ def main(argv=None) -> int:
             parser.error(f"YM_SEED: {exc}")
     try:
         return args.func(args)
-    except (SpecError, FileNotFoundError) as exc:
+    except (SpecError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ArithmeticError as exc:
@@ -408,6 +404,13 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
+
+# a call's collections scan only its own objects, and at exit finalization
+# skips a full collection and the teardown of numpy's objects
+gc.freeze()
+atexit.register(gc.freeze)
+if _collecting:
+    gc.enable()
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,19 @@ from oscym.domain import (Domain1D, MOscillatingFunction, Piece, affine_table, p
                           table_of_rows)
 from oscym.families import constant_piece, sine_piece
 from oscym.measures import DensityFunction, young_density_function
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def fresh_python(*args, env_extra=None) -> subprocess.CompletedProcess:
+    """`python *args` in a fresh interpreter that imports oscym from this
+    checkout, as the tests do, with its output captured as text."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=str(SRC) + (os.pathsep + path if path else ""))
+    env.update(env_extra or {})
+    return subprocess.run([sys.executable, *map(str, args)], capture_output=True, text=True,
+                          env=env)
 
 
 def constant_map(value: float = 0.0) -> MOscillatingFunction:

@@ -1,26 +1,15 @@
 import json
 import math
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+from conftest import SRC, fresh_python
 
 
 def run_cli(*argv, env_extra=None):
-    # the child imports oscym from this checkout, as the tests do
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(
-        [sys.executable, "-m", "oscym", *argv],
-        capture_output=True, text=True, env=env)
+    return fresh_python("-m", "oscym", *argv, env_extra=env_extra)
 
 
 @pytest.fixture(scope="module")
@@ -103,26 +92,23 @@ def test_help_text_is_pinned(columns, command, monkeypatch, capsys):
     assert capsys.readouterr().out == HELP[columns][command]
 
 
-def test_main_registers_one_exit_handler_per_process(tmp_path):
+def test_the_cli_import_registers_one_exit_handler_and_main_none(tmp_path):
     # on Python 3.11 atexit.unregister empties a slot without freeing it, so
     # unregistering and registering again at every call would leave one
     # more slot per call
     code = """
 import atexit, sys
-import oscym.cli
 before = atexit._ncallbacks()
+import oscym.cli
+imported = atexit._ncallbacks()
 for _ in range(3):
     assert oscym.cli.main(["validate", "--input", sys.argv[1], "--out", sys.argv[2]]) == 0
-print(atexit._ncallbacks() - before)
+print(imported - before, atexit._ncallbacks() - imported)
 """
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
     data = Path(__file__).resolve().parent / "data"
-    r = subprocess.run([sys.executable, "-c", code, str(data / "tent.json"),
-                        str(tmp_path / "out.csv")],
-                       capture_output=True, text=True, env=env)
+    r = fresh_python("-c", code, data / "tent.json", tmp_path / "out.csv")
     assert r.returncode == 0, r.stderr
-    assert r.stdout == "1\n"
+    assert r.stdout == "1 0\n"
 
 
 def test_missing_subcommand_is_usage_error():
@@ -266,6 +252,52 @@ def test_exit_2_on_missing_file():
     assert "input error" in r.stderr
 
 
+def one_input_error(capsys, path) -> str:
+    """The one line on stderr, an input error that names path."""
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and len(err.splitlines()) == 1, err
+    assert str(path) in err, err
+    return err
+
+
+def test_an_input_that_is_a_directory_is_an_input_error(tmp_path, capsys):
+    from oscym.cli import main
+
+    assert main(["validate", "--input", str(tmp_path)]) == 2
+    one_input_error(capsys, tmp_path)
+
+
+def test_an_input_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    from oscym.cli import main
+
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"domain": [0, 1], "pieces": [], "note": "\u00e9"}'.encode("latin-1"))
+    assert main(["validate", "--input", str(path)]) == 2
+    one_input_error(capsys, path)
+
+
+@pytest.mark.parametrize("out", ["some_dir", "./", "."])
+def test_an_out_that_is_a_directory_is_an_input_error(out, tent_spec, tmp_path, capsys,
+                                                      monkeypatch):
+    from oscym.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "some_dir").mkdir()
+    assert main(["validate", "--input", tent_spec, "--out", out]) == 2
+    one_input_error(capsys, repr(out))
+    # no temp file is left, next to the directory or in it
+    assert [p.name for p in tmp_path.rglob("*")] == ["some_dir"]
+
+
+def test_an_out_in_a_missing_directory_names_that_path(tent_spec, tmp_path, capsys):
+    from oscym.cli import main
+
+    out = tmp_path / "missing" / "x.csv"
+    assert main(["validate", "--input", tent_spec, "--out", str(out)]) == 2
+    one_input_error(capsys, repr(str(out)))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_exit_2_on_malformed_json(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -401,14 +433,11 @@ def test_verify_memory_does_not_hold_the_samples(tmp_path):
     status = Path("/proc/self/status")
     if not status.exists() or "VmHWM:" not in status.read_text():
         pytest.skip("no VmHWM in /proc/self/status")
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
     tent = Path(__file__).resolve().parent / "data" / "tent.json"
     peaks = []
-    for argv in ([], ["verify", "--input", str(tent), "--samples", "1000000",
-                      "--out", str(tmp_path / "verify.csv")]):
-        r = subprocess.run([sys.executable, "-c", HIGH_WATER, *argv],
-                           capture_output=True, text=True, env=env)
+    for argv in ([], ["verify", "--input", tent, "--samples", "1000000",
+                      "--out", tmp_path / "verify.csv"]):
+        r = fresh_python("-c", HIGH_WATER, *argv)
         assert r.returncode == 0, r.stderr
         peaks.append(int(r.stdout))  # kB
     assert peaks[1] - peaks[0] <= 6 * 1024
@@ -504,7 +533,7 @@ def test_readme_option_table_matches_the_parser():
 
     from oscym.cli import build_parser
 
-    readme = (Path(SRC).parent / "README.md").read_text()
+    readme = (SRC.parent / "README.md").read_text()
     table = readme.split("| subcommand | options |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
     documented = {}
     for row in table.splitlines():

@@ -6,10 +6,6 @@ density in y, cut at its breakpoints, is the reference.
 """
 import json
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -17,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from oscym import integrate_density, integrate_test, quadrature, tv_norm, young_measure
 from oscym.funcspec import build_function
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+from conftest import fresh_python
 
 
 @st.composite
@@ -86,8 +82,7 @@ def test_mass_commands_do_not_import_scipy(tmp_path):
         "assert rc == 0, rc\n"
         "assert 'scipy.integrate' not in sys.modules, 'loaded by converge'\n"
     )
-    r = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                       text=True, env=dict(os.environ, PYTHONPATH=str(SRC)))
+    r = fresh_python("-c", probe)
     assert r.returncode == 0, r.stderr
 
 

@@ -1,15 +1,15 @@
-"""`convergence`, `relaxation` and `sampling` load on first use: present in
-sys.modules from `import oscym`, executed only when read, and every name
-the package exports resolves to the object its module defines."""
+"""The six modules behind the package's exported names load on first use:
+each is in sys.modules from `import oscym`, which executes none of them and
+imports no numpy, and runs only when read; every exported name resolves to
+the object its module defines, and a CLI call executes only the modules its
+command reads."""
 import importlib
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
 import oscym
+from conftest import fresh_python
 
 ROOT = Path(__file__).resolve().parent.parent
 LAZY = ("oscym.convergence", "oscym.relaxation", "oscym.sampling")
@@ -24,12 +24,25 @@ assert oscym.cli.main(["density", "--input", sys.argv[1], "--grid", "5",
 for name in {LAZY!r}:
     print(name, name in sys.modules, type(sys.modules[name]) is types.ModuleType)
 """
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src") + (os.pathsep + path if path else ""))
-    r = subprocess.run([sys.executable, "-c", code, str(ROOT / "tests" / "data" / "sine.json"),
-                        str(tmp_path / "out.csv")], capture_output=True, text=True, env=env)
+    r = fresh_python("-c", code, ROOT / "tests" / "data" / "sine.json", tmp_path / "out.csv")
     assert r.returncode == 0, r.stderr
     assert r.stdout.split("\n")[:-1] == [f"{name} True False" for name in LAZY]
+
+
+def test_importing_the_package_executes_no_module_and_loads_no_numpy():
+    # every submodule is registered, none is executed: `import oscym` in a
+    # program that only reads `__version__` costs no numpy
+    code = """
+import sys, types
+import oscym
+print("numpy" in sys.modules, sorted(name for name in sys.modules if name.startswith("oscym.")),
+      [name for name, module in sys.modules.items()
+       if name.startswith("oscym.") and type(module) is types.ModuleType])
+"""
+    r = fresh_python("-c", code)
+    assert r.returncode == 0, r.stderr
+    registered = sorted(LAZY + ("oscym.domain", "oscym.funcspec", "oscym.measures"))
+    assert r.stdout.splitlines()[-1] == f"False {registered} []"
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_heapq():
@@ -40,9 +53,7 @@ import sys
 import oscym.cli
 print(sorted(name for name in ("dataclasses", "heapq") if name in sys.modules))
 """
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src") + (os.pathsep + path if path else ""))
-    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    r = fresh_python("-c", code)
     assert r.returncode == 0, r.stderr
     assert r.stdout.splitlines()[-1] == "[]"
 
@@ -76,10 +87,7 @@ print(rc, sorted(name for name in sys.modules
                  if name in ("numpy.ma", "numpy.random", "secrets", "_hashlib")
                  or name.split(".")[0] == "scipy"))
 """
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src") + (os.pathsep + path if path else ""))
-    r = subprocess.run([sys.executable, "-c", code, command, *map(str, COMMANDS[command])],
-                       capture_output=True, text=True, env=env)
+    r = fresh_python("-c", code, command, *COMMANDS[command])
     assert r.returncode == 0, r.stderr
     rc, loaded = r.stdout.splitlines()[-1].split(" ", 1)
     assert rc in ("0", "1"), r.stdout
@@ -111,10 +119,7 @@ quadrature.integrate = lambda *args, **kwargs: calls.append(1) or integrate(*arg
 rc = oscym.cli.main(sys.argv[1:])
 print(rc, bool(calls), "heapq" in sys.modules)
 """
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src") + (os.pathsep + path if path else ""))
-    r = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
-                       env=env)
+    r = fresh_python("-c", code, *argv)
     assert r.returncode == 0, r.stderr
     rc, called, heapq = r.stdout.splitlines()[-1].split()
     assert rc in ("0", "1"), r.stdout
@@ -162,9 +167,6 @@ print(rc, len(made), sorted(name for name in sys.modules
     family = tmp_path / SIN_FAMILY
     family.write_text('{"family": "sin", "params": {}, "indices": [1, 64]}')
     argv = [family if a == SIN_FAMILY else a for a in CLOSED_FORM_CALLS[name]]
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src") + (os.pathsep + path if path else ""))
-    r = subprocess.run([sys.executable, "-c", code, *map(str, argv), "--out",
-                        str(tmp_path / "out")], capture_output=True, text=True, env=env)
+    r = fresh_python("-c", code, *argv, "--out", tmp_path / "out")
     assert r.returncode == 0, r.stderr
     assert r.stdout.splitlines()[-1] == "0 0 []"

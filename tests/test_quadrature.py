@@ -9,9 +9,6 @@ that takes only scalars is called once per node with a Python float.
 """
 import json
 import math
-import os
-import subprocess
-import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,9 +27,8 @@ from oscym.measures import (DEFAULT_TOL, integrate_test, young_density_function,
                             young_measure)
 from oscym.relaxation import bolza_functional
 
-from conftest import flat_density, triangular_density
+from conftest import flat_density, fresh_python, triangular_density
 
-SRC = Path(__file__).resolve().parent.parent / "src"
 DATA = Path(__file__).resolve().parent / "data"
 
 
@@ -203,8 +199,7 @@ def test_integrating_commands_do_not_import_scipy():
         "loaded = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
         "assert not loaded, loaded\n"
     )
-    r = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                       text=True, env=dict(os.environ, PYTHONPATH=str(SRC)))
+    r = fresh_python("-c", probe)
     assert r.returncode == 0, r.stderr
 
 
