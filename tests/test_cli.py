@@ -1,5 +1,6 @@
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -363,7 +364,7 @@ def test_power_piece_from_zero(square_spec):
 
 def test_verify_keeps_atoms_apart_as_the_model_does(tmp_path):
     # two constant pieces 1e-10 apart are two atoms of weight 1/4 in the
-    # model (MERGE_SNAP is 1e-12); the oracle must not fold them into one
+    # model; the oracle must not fold them into one
     path = tmp_path / "two_plateaus.json"
     path.write_text(json.dumps({"domain": [0.0, 1.0], "pieces": [
         {"interval": [0.0, 0.5], "kind": "affine",
@@ -379,6 +380,37 @@ def test_verify_keeps_atoms_apart_as_the_model_does(tmp_path):
     assert [a["model_weight"] for a in atoms] == [0.25, 0.25]
     assert all(abs(a["empirical_mass"] - 0.25) <= a["threshold"] for a in atoms)
 
+
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir() or len(os.sched_getaffinity(0)) < 2,
+                    reason="counts threads in /proc, on a process free to use two CPUs")
+def test_importing_the_cli_starts_no_blas_thread(monkeypatch):
+    # left to itself, OpenBLAS starts a worker thread per extra CPU at
+    # numpy's import, and the worker spins; a value the user set is kept
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    code = ("import os, oscym.cli; "
+            "print(os.environ.get('OPENBLAS_NUM_THREADS'), len(os.listdir('/proc/self/task')))")
+    r = fresh_python("-c", code)
+    assert r.stdout.split() == ["1", "1"], r.stderr
+    r = fresh_python("-c", code, env_extra={"OPENBLAS_NUM_THREADS": "2"})
+    assert r.stdout.split()[0] == "2", r.stderr
+
+def test_constant_values_1e_15_apart_are_two_atoms(tmp_path):
+    # an atom is one constant value: halves at 1e-15 and 2e-15 weigh 1/2
+    # each, however close the values lie in absolute terms
+    path = tmp_path / "two_halves.json"
+    path.write_text(json.dumps({"domain": [0.0, 1.0], "pieces": [
+        {"interval": [0.0, 0.5], "kind": "constant", "params": {"value": 1e-15}},
+        {"interval": [0.5, 1.0], "kind": "constant", "params": {"value": 2e-15}},
+    ]}))
+    r = run_cli("measure", "--input", str(path), "--format", "json")
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["result"]["atoms"] == [[1e-15, 0.5], [2e-15, 0.5]]
+    r = run_cli("verify", "--input", str(path))
+    assert r.returncode == 0, r.stdout
+    atoms = [line.split(",") for line in r.stdout.splitlines() if line.startswith("atom,")]
+    assert [(float(a[1]), float(a[2])) for a in atoms] == [(1e-15, 0.5), (2e-15, 0.5)]
 
 @pytest.mark.parametrize("seed", ["2", "10"])
 def test_verify_passes_a_model_atom_too_light_to_sample(tmp_path, seed):

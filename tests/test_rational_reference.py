@@ -36,7 +36,7 @@ DEPTH = 4
 def affine_and_constant_specs(draw):
     """Specs of 1-6 affine or constant pieces over a random domain.  The
     constant values lie on a grid of 1/8, so values that coincide merge
-    into one atom and the others lie far beyond the merge snap."""
+    into one atom and the others stay apart."""
     n = draw(st.integers(1, 6))
     cuts = [draw(st.floats(-2.0, 2.0))]
     for w in draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)):
@@ -166,3 +166,38 @@ def test_scaling_x_by_a_power_of_two_leaves_the_young_measure_bitwise(spec, inte
         assert bits(hg.edges) == bits(hist.edges)
         assert bits(hg.masses) == bits(hist.masses)
         assert hg.point_masses == hist.point_masses
+
+
+def scaled_in_y(spec, k: int) -> dict:
+    """The spec of 2^k f: its slopes, intercepts and constant values times 2^k."""
+    a = 2.0 ** k
+    pieces = [dict(p, params={name: v * a for name, v in p["params"].items()})
+              for p in spec["pieces"]]
+    return dict(spec, pieces=pieces)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(spec=affine_and_constant_specs())
+def test_scaling_y_by_a_power_of_two_scales_the_atoms_and_keeps_the_set_masses(spec):
+    # nu_(2^k f) is nu_f pushed forward by y -> 2^k y, and powers of two
+    # scale floats exactly: every value and atom location scales, every
+    # preimage length, weight and count stays.  Densities are left out:
+    # they divide by 2^k and read `image_slack`, which is absolute below 1
+    f = build_function(spec)
+    m = young_measure(f)
+    edges = np.linspace(*f.range_K, 2 ** DEPTH + 1)
+    masses = m.set_masses(edges)
+    hist = pushforward_empirical(f, n_samples=2000, seed=7, n_bins=8)
+    for k in (-40, -20, 20, 40):
+        a = 2.0 ** k
+        g = build_function(scaled_in_y(spec, k))
+        mg = young_measure(g)
+        assert bits([x.location for x in mg.atoms]) == bits([x.location * a for x in m.atoms])
+        assert bits([x.weight for x in mg.atoms]) == bits([x.weight for x in m.atoms])
+        assert bits(mg.set_masses(edges * a)) == bits(masses)
+        hg = pushforward_empirical(g, n_samples=2000, seed=7, n_bins=8)
+        assert bits(hg.masses) == bits(hist.masses)
+        assert bits([p.location for p in hg.point_masses]) == bits(
+            [p.location * a for p in hist.point_masses])
+        assert bits([p.mass for p in hg.point_masses]) == bits(
+            [p.mass for p in hist.point_masses])

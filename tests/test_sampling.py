@@ -14,8 +14,8 @@ from oscym.errors import PreconditionError
 from oscym.families import (affine_piece, constant_piece, half_plateau, identity_map,
                             sine_piece, sine_wave, tent_map)
 from oscym.funcspec import build_function
-from oscym.measures import MERGE_SNAP
-from oscym.sampling import PointMass, _uniform
+from oscym.measures import MERGE_SNAP, Atom, ScalarMeasureRCA
+from oscym.sampling import Histogram, PointMass, _uniform
 from test_evaluate_many import assert_same_bits, mixed_specs
 
 SEED = 42
@@ -188,6 +188,23 @@ def test_oracle_report_atom_matching():
     assert atom.model_weight == pytest.approx(0.5)
     assert abs(atom.empirical_mass - 0.5) <= atom.threshold
 
+
+
+def test_oracle_report_pairs_atoms_at_exactly_their_location():
+    # an atom is one value: an empirical atom 1e-13 off a model atom is an
+    # atom the model lacks, a model atom no draw took keeps its row, and
+    # the atoms at 0.0 and -0.0 are one
+    m = ScalarMeasureRCA((0.0, 1.0), atoms=(
+        Atom(-0.0, 0.25), Atom(0.5, 0.5), Atom(0.75, 1e-4)))
+    h = Histogram((0.0, 1.0), np.linspace(0.0, 1.0, 9), np.zeros(8),
+                  (PointMass(0.0, 0.25), PointMass(0.5 + 1e-13, 0.5)), 1000, 0)
+    rep = oracle_report(m, h)
+    assert [(a.location, a.model_weight, a.empirical_mass) for a in rep.atoms] == [
+        (0.0, 0.25, 0.25), (0.5 + 1e-13, 0.0, 0.5), (0.5, 0.5, 0.0), (0.75, 1e-4, 0.0)]
+    fails = [abs(a.model_weight - a.empirical_mass) > a.threshold for a in rep.atoms]
+    assert fails == [False, True, True, False]
+    assert rep.atoms[1].threshold == 0.0
+    assert not rep.within_threshold
 
 @pytest.mark.parametrize("seed", [32, 77, 147])
 def test_a_light_atom_counts_every_draw(seed):
