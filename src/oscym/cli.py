@@ -31,6 +31,8 @@ import tempfile
 from functools import partial
 from pathlib import Path
 
+# OpenBLAS's workers spin, and the CLI's only BLAS calls are 15-point dot products
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from . import convergence, families, measures, quadrature, relaxation, sampling

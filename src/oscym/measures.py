@@ -12,7 +12,7 @@ integrand is bounded; the in-package adaptive Gauss-Kronrod rule
 package makes is the density of a Young measure, so nothing in the package
 integrates in y: set masses, and the L1 gaps `homog` sums from them, are
 differences of the distribution function.  Constant pieces carry no
-density; they appear as atoms weighted by their share of the domain.
+density; each of their values is an atom weighted by its share of the domain.
 Nothing is tabulated up front: a density is sampled only when output asks
 for it.
 `young_density` and `total_slope` take a scalar or an array of y and
@@ -23,7 +23,8 @@ from __future__ import annotations
 import math
 import operator
 from functools import reduce
-from typing import Callable, NamedTuple, Optional, Sequence
+from itertools import groupby
+from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -38,7 +39,6 @@ GRID_SIZE = 1024
 DEFAULT_DEPTH = 6
 DEFAULT_WINDOW = (8, 64)
 DEFAULT_TOL = 1e-2
-MERGE_SNAP = 1e-12  # atoms this close share one location
 
 
 class Atom(NamedTuple):
@@ -109,15 +109,12 @@ class ScalarMeasureRCA(NamedTuple):
         return masses
 
 
-def merge_atoms(atoms: Sequence[tuple[float, float]]) -> tuple[Atom, ...]:
-    """Sum weights of atoms whose locations coincide within MERGE_SNAP."""
-    merged: list[Atom] = []
-    for loc, w in sorted(atoms):
-        if merged and abs(loc - merged[-1].location) <= MERGE_SNAP:
-            merged[-1] = Atom(merged[-1].location, merged[-1].weight + w)
-        else:
-            merged.append(Atom(loc, w))
-    return tuple(merged)
+def merge_atoms(atoms: Iterable[tuple[float, float]]) -> tuple[Atom, ...]:
+    """One atom per value: the weights at equal locations (0.0 and -0.0
+    too) summed in sorted order, at the first of them.  Distinct values
+    stay apart, whatever the unit of y."""
+    return tuple(Atom(loc, reduce(operator.add, [w for _, w in run]))
+                 for loc, run in groupby(sorted(atoms), key=operator.itemgetter(0)))
 
 
 def _slope_sum(f: MOscillatingFunction, y):

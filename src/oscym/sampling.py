@@ -9,7 +9,7 @@ is sorted, its values are written over it piece by piece
 running totals, so memory does not grow with the sample count.  A
 monotone piece's values on sorted draws come out in order and need no
 second sort.  A draw in a constant piece counts for that piece's atom, as
-in the model, and atoms merge by the model's rule, `measures.merge_atoms`.
+in the model, and pieces of one value share one atom (`measures.merge_atoms`).
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ import numpy as np
 
 from .domain import EVAL_BLOCK, MOscillatingFunction, write_runs
 from .errors import PreconditionError
-from .measures import MERGE_SNAP, ScalarMeasureRCA, merge_atoms
+from .measures import ScalarMeasureRCA, merge_atoms
 
 _DRAW_BLOCK = 4 * EVAL_BLOCK  # draws per block of the stream, 512 KiB of float64
 
@@ -62,8 +62,8 @@ def pushforward_empirical(
     sample count, only temporaries of O(`_DRAW_BLOCK`) values.  A draw in
     a constant piece counts for that piece's atom, as in the model: the
     atoms are the constant pieces' values that at least one draw takes,
-    an atom's mass is its exact count of draws, and atoms within
-    `measures.MERGE_SNAP` merge, as the model's do.  Bin k holds the
+    an atom's mass is its exact count of draws, and the counts of pieces
+    of one value add up to one atom, as in the model.  Bin k holds the
     monotone pieces' values edges[k] <= v < edges[k+1], the last bin
     closed; values that stray outside range_K by rounding fall into the
     end bins.  Edges are `np.histogram_bin_edges` of range_K, so a
@@ -193,9 +193,10 @@ def oracle_report(
     n_sigma: float = 3.0,
 ) -> OracleReport:
     """Per-bin and per-atom comparison of a model measure against its
-    empirical histogram, with binomial standard-error thresholds.  Each atom,
-    matched or on one side only (mass 0 on the other), takes the threshold
-    of its model weight: 0 for an empirical atom that the model lacks."""
+    empirical histogram, with binomial standard-error thresholds.  Atoms
+    pair at exactly equal locations.  Each atom, paired or on one side only
+    (mass 0 on the other, as for a model atom no draw took), takes the
+    threshold of its model weight: 0 for an empirical atom the model lacks."""
     n = h.sample_count
     if m.density is not None:
         models = m.density.masses(h.edges)
@@ -211,8 +212,7 @@ def oracle_report(
     # (location, model weight, empirical mass)
     triples, matched = [], set()
     for pm in h.point_masses:
-        j = next((j for j, a in enumerate(m.atoms)
-                  if abs(a.location - pm.location) <= MERGE_SNAP), None)
+        j = next((j for j, a in enumerate(m.atoms) if a.location == pm.location), None)
         matched.add(j)
         triples.append((pm.location, 0.0 if j is None else m.atoms[j].weight, pm.mass))
     triples += [(a.location, a.weight, 0.0)

@@ -381,8 +381,6 @@ def test_verify_keeps_atoms_apart_as_the_model_does(tmp_path):
     assert all(abs(a["empirical_mass"] - 0.25) <= a["threshold"] for a in atoms)
 
 
-
-
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir() or len(os.sched_getaffinity(0)) < 2,
                     reason="counts threads in /proc, on a process free to use two CPUs")
 def test_importing_the_cli_starts_no_blas_thread(monkeypatch):
@@ -395,6 +393,7 @@ def test_importing_the_cli_starts_no_blas_thread(monkeypatch):
     assert r.stdout.split() == ["1", "1"], r.stderr
     r = fresh_python("-c", code, env_extra={"OPENBLAS_NUM_THREADS": "2"})
     assert r.stdout.split()[0] == "2", r.stderr
+
 
 def test_constant_values_1e_15_apart_are_two_atoms(tmp_path):
     # an atom is one constant value: halves at 1e-15 and 2e-15 weigh 1/2
@@ -411,6 +410,7 @@ def test_constant_values_1e_15_apart_are_two_atoms(tmp_path):
     assert r.returncode == 0, r.stdout
     atoms = [line.split(",") for line in r.stdout.splitlines() if line.startswith("atom,")]
     assert [(float(a[1]), float(a[2])) for a in atoms] == [(1e-15, 0.5), (2e-15, 0.5)]
+
 
 @pytest.mark.parametrize("seed", ["2", "10"])
 def test_verify_passes_a_model_atom_too_light_to_sample(tmp_path, seed):

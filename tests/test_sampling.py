@@ -14,7 +14,7 @@ from oscym.errors import PreconditionError
 from oscym.families import (affine_piece, constant_piece, half_plateau, identity_map,
                             sine_piece, sine_wave, tent_map)
 from oscym.funcspec import build_function
-from oscym.measures import MERGE_SNAP, Atom, ScalarMeasureRCA
+from oscym.measures import Atom, ScalarMeasureRCA
 from oscym.sampling import Histogram, PointMass, _uniform
 from test_evaluate_many import assert_same_bits, mixed_specs
 
@@ -189,7 +189,6 @@ def test_oracle_report_atom_matching():
     assert abs(atom.empirical_mass - 0.5) <= atom.threshold
 
 
-
 def test_oracle_report_pairs_atoms_at_exactly_their_location():
     # an atom is one value: an empirical atom 1e-13 off a model atom is an
     # atom the model lacks, a model atom no draw took keeps its row, and
@@ -205,6 +204,7 @@ def test_oracle_report_pairs_atoms_at_exactly_their_location():
     assert fails == [False, True, True, False]
     assert rep.atoms[1].threshold == 0.0
     assert not rep.within_threshold
+
 
 @pytest.mark.parametrize("seed", [32, 77, 147])
 def test_a_light_atom_counts_every_draw(seed):
@@ -243,20 +243,15 @@ def test_a_draw_in_a_constant_piece_counts_for_its_atom():
 def unique_histogram(f, n_samples, seed, n_bins):
     """The `np.unique` pipeline `pushforward_empirical` replaced, kept as its
     reference, over all the draws at once: atoms from `np.unique` counts of
-    the constant pieces' values merged at MERGE_SNAP, the rest of the
-    values binned by `np.histogram`, strays added to the end bins."""
+    the constant pieces' values, the rest of the values binned by
+    `np.histogram`, strays added to the end bins."""
     xs = draws(f.domain.lower, f.domain.upper, n_samples, seed)
     xs.sort()
     values = evaluate_many(f, xs)
     uniq, counts = np.unique(values, return_counts=True)
     atom_idx = np.isin(uniq, f.piece_table.value)
-    point_masses = []
-    for loc, cnt in zip(uniq[atom_idx], counts[atom_idx]):
-        if point_masses and abs(loc - point_masses[-1].location) <= MERGE_SNAP:
-            prev = point_masses[-1]
-            point_masses[-1] = PointMass(prev.location, prev.mass + cnt / n_samples)
-        else:
-            point_masses.append(PointMass(float(loc), cnt / n_samples))
+    point_masses = [PointMass(float(loc), cnt / n_samples)
+                    for loc, cnt in zip(uniq[atom_idx], counts[atom_idx])]
     rest = values[~np.isin(values, uniq[atom_idx])]
     counts_b, edges = np.histogram(rest, bins=n_bins, range=f.range_K)
     counts_b[0] += np.count_nonzero(rest < f.range_K[0])
