@@ -1,7 +1,9 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from oscym import (
     BorelTestFamily,
@@ -68,6 +70,31 @@ def test_borel_family_counts():
     assert len(sets) == 15
     level2 = [s for s in sets if s.level == 2]
     assert [s.lo for s in level2] == pytest.approx([0.0, 0.25, 0.5, 0.75])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(lo=st.floats(-1e3, 1e3), hi=st.floats(-1e3, 1e3), depth=st.integers(0, 8))
+@example(lo=-2.054223192281552, hi=2.9983681174953696, depth=0)
+def test_dyadic_sets_are_bounded_by_the_leaf_edges_their_masses_are_measured_on(lo, hi, depth):
+    # a set's mass is a sum of leaf masses, so its printed bounds must be
+    # the leaf edges those masses were measured between, bitwise
+    assume(lo < hi)
+    fam = BorelTestFamily((lo, hi), depth)
+    measured = []
+
+    def set_masses(edges):
+        measured.append(np.asarray(edges))
+        return np.full(len(edges) - 1, 1.0 / (len(edges) - 1))
+
+    verdict = dieudonne_check_measures(lambda n: SimpleNamespace(set_masses=set_masses),
+                                       fam, 1, 2)
+    edges = measured[0].tolist()
+    assert len(edges) == 2 ** depth + 1 and (edges[0], edges[-1]) == (lo, hi)
+    for sets in (fam.sets, verdict.per_set):
+        assert len(sets) == len(fam)
+        for s in sets:
+            step = 2 ** (depth - s.level)
+            assert (s.lo, s.hi) == (edges[s.index * step], edges[(s.index + 1) * step]), s
 
 
 def test_dieudonne_constant_sequence():
