@@ -4,10 +4,11 @@ Core objects: MOscillatingFunction (monotone/constant branches over a 1-D
 domain), ScalarMeasureRCA (density plus atoms on a compact range), the
 empirical pushforward oracle, and set-wise weak-convergence checks.
 
-The modules behind the exported names load on first use: each is in
-sys.modules and bound here from the start, but its code runs only when one
-of its attributes (or of the names exported from it) is first read, so
-`import oscym` imports no numpy, and a command pays only for what it uses.
+The modules behind the exported names, and `quadrature`, load on first
+use: each is in sys.modules and bound here from the start, but its code
+runs only when one of its attributes (or of the names exported from it)
+is first read, so `import oscym` imports no numpy, and a command pays only
+for what it uses.
 """
 
 import importlib.util
@@ -25,8 +26,9 @@ def _lazy(name: str):
     return module
 
 
-convergence, domain, funcspec, measures, relaxation, sampling = map(
-    _lazy, ("convergence", "domain", "funcspec", "measures", "relaxation", "sampling"))
+convergence, domain, funcspec, measures, quadrature, relaxation, sampling = map(
+    _lazy, ("convergence", "domain", "funcspec", "measures", "quadrature", "relaxation",
+            "sampling"))
 
 # each exported name and the module that defines it
 _HOME = {name: module for module, names in (

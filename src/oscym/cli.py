@@ -35,7 +35,7 @@ from pathlib import Path
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
-from . import convergence, families, measures, quadrature, relaxation, sampling
+from . import convergence, families, measures, relaxation, sampling
 from .domain import Domain1D, MOscillatingFunction, validate
 from .errors import OscymError, PreconditionError, SpecError
 from .funcspec import SequenceSpec, parse_spec
@@ -249,7 +249,7 @@ def cmd_bolza(args) -> int:
     ns = [int(v) for v in args.n_list.split(",")]
     rows = []
     for n in ns:
-        J = relaxation.bolza_functional(relaxation.sawtooth(n), quad_tol=args.quad_tol)
+        J = relaxation.bolza_functional(relaxation.sawtooth(n))
         predicted = 1.0 / (48.0 * n * n)
         rows.append((n, J, predicted, abs(J - predicted)))
     emit(args, {"values": [{"n": n, "J_value": J, "predicted": p, "abs_error": e}
@@ -287,11 +287,6 @@ def _tol(text: str) -> float:
     return _at_least(0.0, float(text), "a finite number")
 
 
-def _quad_tol(text: str) -> float:
-    """argparse type: a finite number > 0, the least being 5e-324."""
-    return _at_least(math.ulp(0.0), float(text), "a finite number")
-
-
 def _n_list(text: str) -> str:
     """argparse type: comma-separated integers >= 1, kept as written, the
     form the JSON config echoes."""
@@ -320,7 +315,6 @@ _OPTIONS = {
     "--samples": dict(type=int, default=1_000_000),
     "--bins": dict(type=int, default=16),
     "--tol": dict(type=_tol, default=measures.DEFAULT_TOL),
-    "--quad-tol": dict(type=_quad_tol, default=quadrature.QUAD_TOL),
     "--window": dict(type=_window, default=measures.DEFAULT_WINDOW),
     "--depth": dict(type=_count, default=measures.DEFAULT_DEPTH),
     "--family": dict(default="triangular"),
@@ -363,7 +357,7 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
         "homog": (cmd_homog, "homogeneity of a density family",
                   "--out --format --tol --family --x-samples"),
         "bolza": (cmd_bolza, "Bolza functional on the sawtooth sequence",
-                  "--out --format --quad-tol --n-list --gradient-ym --n"),
+                  "--out --format --n-list --gradient-ym --n"),
     }
     named = argv[0] if argv and argv[0] in commands else None
     ap = argparse.ArgumentParser(

@@ -42,14 +42,17 @@ class BorelTestFamily(NamedTuple):
     depth: int = DEFAULT_DEPTH
 
     @property
+    def edges(self) -> np.ndarray:
+        """The 2^depth + 1 edges of the finest sets, range_K's ends included."""
+        return np.linspace(*self.range_K, 2 ** self.depth + 1)
+
+    @property
     def sets(self) -> list[DyadicSet]:
-        lo, hi = self.range_K
-        out = []
+        """Every set, bounded by the `edges` between which its mass is measured."""
+        edges, out = self.edges.tolist(), []
         for level in range(self.depth + 1):
-            n = 2 ** level
-            width = (hi - lo) / n
-            for k in range(n):
-                out.append(DyadicSet(level, k, lo + k * width, lo + (k + 1) * width))
+            ends = edges[::2 ** (self.depth - level)]
+            out += [DyadicSet(level, k, *b) for k, b in enumerate(zip(ends[:-1], ends[1:]))]
         return out
 
     def __len__(self) -> int:
@@ -96,8 +99,7 @@ def _leaf_masses(
     """Masses of the 2^depth finest dyadic sets, from one call of
     `set_masses` over their edges.  A mass that is not finite is a
     FloatingPointError naming the first such set: no verdict is read from it."""
-    lo, hi = family.range_K
-    edges = np.linspace(lo, hi, 2 ** family.depth + 1)
+    edges = family.edges
     masses = set_masses(edges)
     k = int(np.argmin(np.isfinite(masses)))  # the first mass not finite, if any
     if not np.isfinite(masses[k]):

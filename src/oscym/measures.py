@@ -8,10 +8,11 @@ summed preimage lengths |inv(y) - inv(lo)| over M, from which every set
 mass is a difference.  A test function integrates against it in x, by
 the identity integral of phi dnu_f = (1/M) integral of phi(f(x)) dx, whose
 integrand is bounded; the in-package adaptive Gauss-Kronrod rule
-(`quadrature`) runs those x-integrals piece by piece.  Every density the
-package makes is the density of a Young measure, so nothing in the package
-integrates in y: set masses, and the L1 gaps `homog` sums from them, are
-differences of the distribution function.  Constant pieces carry no
+(`quadrature`, which loads on the first such integral) integrates them
+piece by piece.  Every density the package makes is the density of a
+Young measure, so nothing in the package integrates in y: set masses,
+and the L1 gaps `homog` sums from them, are differences of the
+distribution function.  Constant pieces carry no
 density; each of their values is an atom weighted by its share of the domain.
 Nothing is tabulated up front: a density is sampled only when output asks
 for it.
@@ -55,19 +56,15 @@ class DensityFunction(NamedTuple):
     called once per value with a Python float.  `cdf` is the distribution
     function y -> integral of the density below y, taking and returning
     arrays; set masses are its differences.  `expectation` maps a test
-    function phi to the integral of phi against the density.
-    `breakpoints` are the interior points where the density may kink,
-    jump or be +inf, the cuts of an integral in y, which nothing in the
-    package runs.  A Young density (`young_density_function`) sets them
-    all: its cdf sums preimage lengths, its expectation integrates in x,
-    and its breakpoints are its interior piece-image ends.
+    function phi to the integral of phi against the density.  A Young
+    density (`young_density_function`) sets them all: its cdf sums
+    preimage lengths, and its expectation integrates in x.
     """
 
     support: tuple[float, float]
     evaluator: Callable
     cdf: Callable[[np.ndarray], np.ndarray]
     expectation: Callable[[Callable[[float], float]], float]
-    breakpoints: tuple[float, ...] = ()
 
     def __call__(self, y: float) -> float:
         return float(self.evaluator(y))
@@ -185,9 +182,7 @@ def young_density_function(f: MOscillatingFunction) -> Optional[DensityFunction]
     t = f.piece_table
     if not t.lo.size:
         return None
-    los, his = t.lo.tolist(), t.hi.tolist()
-    support = (min(los), max(his))
-    breakpoints = tuple(sorted({v for v in los + his if support[0] < v < support[1]}))
+    support = (min(t.lo.tolist()), max(t.hi.tolist()))
     starts = np.empty(t.lo.size)
     for g in t.kinds:
         starts[g.at] = g.invert(np.arange(g.at.size), t.lo[g.at])
@@ -215,7 +210,6 @@ def young_density_function(f: MOscillatingFunction) -> Optional[DensityFunction]
         evaluator=lambda y: young_density(f, y),
         cdf=cdf,
         expectation=expectation,
-        breakpoints=breakpoints,
     )
 
 

@@ -19,7 +19,10 @@ called once per node with a Python float instead (`domain.forward_values`).
 Nothing in the package integrates in y: every density it makes is a Young
 density, whose set masses are exact preimage lengths (see `measures`).
 The rule serves test functions, integrated in x against a Young measure,
-and the Bolza functional.
+and the Bolza functional; `import oscym` registers this module unexecuted,
+so it runs on the first integral.  The end map and the cuts serve
+singular integrands in y, which only reference integrals outside the
+package still have.
 """
 from __future__ import annotations
 

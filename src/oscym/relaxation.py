@@ -8,7 +8,10 @@ derivative pushforward is the two-atom measure (delta_{-1} + delta_{+1})/2
 for every index.  The functional is integrated piece by piece, one array
 call of W per quadrature panel, with u' exact on affine and constant
 pieces and a finite difference elsewhere (`domain.forward_derivative`),
-each piece's map read from the function's `pieces`.
+each piece's map read from the function's `pieces`, to the quadrature's
+fixed `QUAD_TOL`.  On the sawtooth the integrand is a polynomial on each
+piece, of degree 8 after the end map, which one 15-point Kronrod panel
+integrates exactly, so no tolerance moves the value.
 """
 from __future__ import annotations
 
@@ -38,7 +41,7 @@ def sawtooth(n: int) -> MOscillatingFunction:
         cuts[:, :3].ravel(), cuts[:, 1:].ravel(), slopes, intercepts))
 
 
-def bolza_functional(u: MOscillatingFunction, quad_tol: float = quadrature.QUAD_TOL) -> float:
+def bolza_functional(u: MOscillatingFunction) -> float:
     """Value of the functional: integral of u^2 + ((u')^2 - 1)^2 over the
     domain, piece by piece, with u' from `forward_derivative`: exact on
     affine and constant pieces, a finite difference on the others."""
@@ -46,8 +49,7 @@ def bolza_functional(u: MOscillatingFunction, quad_tol: float = quadrature.QUAD_
     for p in u.pieces:
         total += quadrature.integrate(
             lambda x, _p=p: _p.forward(x) ** 2 + (forward_derivative(_p, x) ** 2 - 1.0) ** 2,
-            p.sub_lower, p.sub_upper, tol=quad_tol,
-        )
+            p.sub_lower, p.sub_upper)
     return total
 
 

@@ -498,7 +498,7 @@ OPTIONS = {
     "converge": {"--tol", "--window", "--depth"},
     "weak-cont": {"--tol", "--family", "--x0", "--n-start", "--n-stop", "--depth"},
     "homog": {"--tol", "--family", "--x-samples"},
-    "bolza": {"--quad-tol", "--n-list", "--gradient-ym", "--n"},
+    "bolza": {"--n-list", "--gradient-ym", "--n"},
 }
 SPEC_FREE = {"weak-cont", "homog", "bolza"}
 
@@ -520,7 +520,7 @@ def test_each_subcommand_declares_only_the_options_it_reads():
         for name, opts in OPTIONS.items()
     }
     assert declared == expected
-    assert sum(len(v) for v in declared.values()) == 46
+    assert sum(len(v) for v in declared.values()) == 45
 
 
 def test_named_subcommand_alone_gets_its_options():
@@ -581,6 +581,23 @@ def test_readme_option_table_matches_the_parser():
     }
 
 
+def test_readme_range_table_covers_every_option_that_takes_a_value():
+    import argparse
+    import re
+
+    from oscym.cli import build_parser
+
+    readme = (SRC.parent / "README.md").read_text()
+    table = readme.split("| option | range |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    documented = {name for row in table.splitlines()
+                  for name in re.findall(r"`(--[\w-]+)`", row.strip("|").split("|")[0])}
+    (sub,) = [a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    valued = {s for p in sub.choices.values() for a in p._actions if a.nargs != 0
+              for s in a.option_strings} - {"--input", "--out", "--format"}
+    assert documented == valued
+
+
 def test_unread_option_is_rejected(amp_spec):
     from oscym.cli import main
 
@@ -589,11 +606,12 @@ def test_unread_option_is_rejected(amp_spec):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("command", ["weak-cont", "homog"])
+@pytest.mark.parametrize("command", ["weak-cont", "homog", "bolza"])
 def test_set_mass_commands_take_no_quad_tol(command, capsys):
     from oscym.cli import main
 
-    # their set masses are exact: no quadrature tolerance applies
+    # set masses are exact, and the sawtooth's Bolza integrands are exact in
+    # one quadrature panel: no command has a tolerance of quadrature to set
     with pytest.raises(SystemExit) as exc:
         main([command, "--quad-tol", "1e-7"])
     assert exc.value.code == 2
@@ -702,9 +720,6 @@ def test_converge_window_outside_indices_is_input_error(tmp_path, capsys,
     ["homog", "--tol", "nan"],
     ["converge", "--input", "amp", "--tol", "-1"],
     ["weak-cont", "--tol", "inf"],
-    ["bolza", "--quad-tol", "-1", "--n-list", "1"],
-    ["bolza", "--quad-tol", "0", "--n-list", "1"],
-    ["bolza", "--quad-tol", "nan", "--n-list", "1"],
     ["verify", "--input", "tent", "--seed", "-1"],
     ["verify", "--input", "tent", "--seed", str(2 ** 128)],
     ["YM_SEED=abc", "verify", "--input", "tent"],
@@ -717,8 +732,7 @@ def test_converge_window_outside_indices_is_input_error(tmp_path, capsys,
 ], ids=["n-list-empty-item", "n-list-fraction", "n-list-zero", "gradient-n-zero",
         "n-start-zero", "n-start-past-n-stop", "weak-cont-depth-negative",
         "converge-depth-negative", "grid-negative", "tol-nan", "tol-negative",
-        "tol-infinite", "quad-tol-negative", "quad-tol-zero", "quad-tol-nan",
-        "seed-negative", "seed-past-128-bits", "seed-env-not-a-number",
+        "tol-infinite", "seed-negative", "seed-past-128-bits", "seed-env-not-a-number",
         "seed-env-negative", "family-unknown", "window-one-number", "window-decreasing",
         "x-outside-family-domain", "x-samples-one"])
 def test_out_of_range_option_is_an_input_error(argv, amp_spec, tent_spec, capsys,

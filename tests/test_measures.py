@@ -224,8 +224,7 @@ def test_is_probability_rejects_a_weightless_atom_and_a_negative_density():
     g = DensityFunction(
         (0.0, 1.0), lambda y: np.where(y < 0.5, 2.5, -0.5),
         cdf=lambda y: below.cdf(np.minimum(y, 0.5)) + above.cdf(np.maximum(y, 0.5)),
-        expectation=lambda phi: below.expectation(phi) + above.expectation(phi),
-        breakpoints=(0.5,))
+        expectation=lambda phi: below.expectation(phi) + above.expectation(phi))
     assert integrate_density(g, g.support) == pytest.approx(1.0, abs=1e-12)
     assert not is_probability(ScalarMeasureRCA((0.0, 1.0), g))
 
@@ -290,10 +289,10 @@ def test_set_mass_adds_the_density_then_the_atoms(density, closed_right):
 
 def test_density_and_measure_records_replace_their_fields():
     m = young_measure(tent_map(1.0))
+    assert m.density._fields == ("support", "evaluator", "cdf", "expectation")
     g = m.density._replace(cdf=None)
-    assert (g.support, g.evaluator, g.breakpoints, g.cdf, g.expectation) == (
-        m.density.support, m.density.evaluator, m.density.breakpoints, None,
-        m.density.expectation)
+    assert (g.support, g.evaluator, g.cdf, g.expectation) == (
+        m.density.support, m.density.evaluator, None, m.density.expectation)
     wider = m._replace(range_K=(-1.0, 3.0))
     assert (wider.range_K, wider.density, wider.atoms) == ((-1.0, 3.0), m.density, m.atoms)
     with pytest.raises(AttributeError):

@@ -21,7 +21,7 @@ from oscym.convergence import (BorelTestFamily, NonhomogeneousDensityFamily,
                                _leaf_masses, homogeneity_check)
 from oscym.domain import DIFFEOMORPHIC, Domain1D, forward_derivative, forward_values
 from oscym.errors import QuadratureError
-from oscym.families import triangular_quantile
+from oscym.families import identity_map, triangular_quantile
 from oscym.funcspec import build_function
 from oscym.measures import (DEFAULT_TOL, integrate_test, young_density_function,
                             young_measure)
@@ -140,25 +140,30 @@ def test_homog_leaf_sum_is_a_close_lower_bound_of_the_l1_distance(xs):
     assert 0.9 * l1 <= float(np.abs(gi - gj).sum()) <= l1
 
 
-def _quadrature_homogeneous(fam, x_samples, tol):
+# the maps whose Young densities are the slices of `homog`'s families
+SLICES = {"triangular": triangular_quantile, "uniform": lambda x: identity_map()}
+
+
+def _quadrature_homogeneous(family, x_samples, tol):
     """homog's verdict with each pair's L1 distance integrated in y, cut at
-    both slices' breakpoints and support ends, to 1e-3 tol: the reference
-    for the leaf sum."""
+    both slices' piece-image ends, to 1e-3 tol: the reference for the leaf
+    sum."""
+    fam = cli._builtin_family(family)
     xs = np.linspace(fam.domain.lower, fam.domain.upper, x_samples + 2)[1:-1]
-    gs = [fam.evaluator(float(x)) for x in xs]
+    slices = [(young_density_function(f), (*f.piece_table.lo, *f.piece_table.hi))
+              for f in (SLICES[family](float(x)) for x in xs)]
     return all(
         quadrature.integrate(lambda y: np.abs(gi.evaluator(y) - gj.evaluator(y)),
-                             *fam.range_K, tol=1e-3 * tol,
-                             points=gi.breakpoints + gj.breakpoints + gi.support + gj.support)
+                             *fam.range_K, tol=1e-3 * tol, points=ei + ej)
         <= tol
-        for i, gi in enumerate(gs) for gj in gs[i + 1:])
+        for i, (gi, ei) in enumerate(slices) for gj, ej in slices[i + 1:])
 
 
 @pytest.mark.parametrize("family", ["triangular", "uniform"])
 @pytest.mark.parametrize("x_samples", range(2, 10))
 def test_homog_verdict_matches_the_quadrature_reference(family, x_samples):
     fam = cli._builtin_family(family)
-    want = _quadrature_homogeneous(fam, x_samples, DEFAULT_TOL)
+    want = _quadrature_homogeneous(family, x_samples, DEFAULT_TOL)
     assert want is (family == "uniform")
     assert homogeneity_check(fam, x_samples) is want
 
