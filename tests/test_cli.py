@@ -815,6 +815,8 @@ def one_piece(kind, **params):
     {"family": "roubicek", "params": {}, "indices": [1, 8, 64]},
     {"family": "roubicek", "params": {}, "indices": [64, 1]},
     one_piece("expr", expr="-" * 400 + "x"),
+    {"family": "roubicek", "params": {"teeth": 10 ** 15}, "indices": [1, 64]},
+    {"family": "roubicek", "params": {"teeth": 10 ** 20}, "indices": [1, 64]},
 ], ids=["piece-not-an-object", "function-not-an-object", "slope-null",
         "exponent-not-a-number", "teeth-not-a-number", "index-not-a-number",
         "domain-end-not-a-number", "slope-zero", "sin-amplitude-zero",
@@ -824,7 +826,8 @@ def one_piece(kind, **params):
         "piece-end-minus-infinity", "interval-three-ends", "params-not-an-object",
         "power-exponent-zero", "power-interval-below-zero", "pieces-empty",
         "spec-a-list", "sequence-params-not-an-object", "indices-three-long",
-        "indices-decreasing", "expr-nested-too-deep"])
+        "indices-decreasing", "expr-nested-too-deep", "teeth-past-exact-quotients",
+        "teeth-past-array-size"])
 def test_malformed_spec_value_is_an_input_error(spec, tmp_path, capsys):
     from oscym.cli import main
 

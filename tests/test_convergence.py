@@ -10,6 +10,7 @@ from oscym import (
     DensitySequence,
     NonhomogeneousDensityFamily,
     converge_young,
+    convergence,
     dieudonne_check,
     dieudonne_check_measures,
     homogeneity_check,
@@ -18,7 +19,7 @@ from oscym import (
     weak_continuity_check,
     weak_limit_estimate,
 )
-from oscym.domain import Domain1D, MOscillatingFunction, affine_table
+from oscym.domain import Domain1D, MOscillatingFunction, affine_table, image_slack
 from oscym.errors import PreconditionError
 from oscym.families import (
     affine_piece,
@@ -263,6 +264,61 @@ def test_converge_young_window_past_the_functions_is_precondition_error():
     fs = [amplitude_tent(n) for n in range(1, 17)]
     with pytest.raises(PreconditionError):
         converge_young(fs, BorelTestFamily((0.0, 2.0), 3))
+
+
+@st.composite
+def affine_sequences(draw):
+    """Two to five affine functions whose image ends repeat: each piece on
+    [j, j + 1] runs between two ends drawn from -3..3, and a zero end at
+    x = 0 takes the sign of a zero intercept, either one.  One function,
+    at a drawn place, has both zeros as ends: -x - 0.0 is -0.0 at 0, and
+    x - 1 is 0.0 at 1."""
+    fs = []
+    for _ in range(draw(st.integers(1, 4))):
+        rows = []
+        for j in range(draw(st.integers(1, 4))):
+            y0, y1 = draw(st.lists(st.integers(-3, 3), min_size=2, max_size=2, unique=True))
+            slope = float(y1 - y0)
+            intercept = y0 - slope * j
+            if intercept == 0 and draw(st.booleans()):
+                intercept = -0.0
+            rows.append((float(j), j + 1.0, slope, intercept))
+        fs.append(MOscillatingFunction.from_table(Domain1D(0.0, float(len(rows))),
+                                                  affine_table(*zip(*rows))))
+    both_zeros = MOscillatingFunction.from_table(
+        Domain1D(0.0, 2.0), affine_table([0.0, 1.0], [1.0, 2.0], [-1.0, 1.0], [-0.0, -1.0]))
+    fs.insert(draw(st.integers(0, len(fs))), both_zeros)
+    return fs
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(fs=affine_sequences())
+def test_converge_young_checks_slopes_inside_each_cell_between_distinct_ends(fs):
+    # equal ends, 0.0 and -0.0 among them, bound no cell of their own: the
+    # points are the even grid and the midpoints of np.unique's cells
+    seen = []
+
+    def recorder(fs, y_grid, tol=1e-9):
+        seen.append(np.array(y_grid))
+        return real(fs, y_grid, tol)
+
+    real = convergence.monotone_slope_check
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(convergence, "monotone_slope_check", recorder)
+        try:
+            converge_young(fs, BorelTestFamily((-3.0, 3.0), 1), n_min=1, n_max=len(fs))
+        except PreconditionError:
+            pass
+    lo = max(f.range_K[0] for f in fs)
+    hi = min(f.range_K[1] for f in fs)
+    ends = np.concatenate([[lo, hi], *(e for f in fs
+                                       for e in (f.piece_table.lo, f.piece_table.hi))])
+    ends = np.unique(np.clip(ends, lo, hi))
+    slack = image_slack(*(v for f in fs for v in f.range_K))
+    mids = ((ends[:-1] + ends[1:]) / 2)[np.diff(ends) > 2 * slack]
+    grid = np.linspace(lo, hi, convergence.SLOPE_GRID_POINTS + 2)[1:-1]
+    assert len(seen) == 1
+    assert seen[0].tobytes() == np.r_[grid, mids].tobytes()
 
 
 def test_monotone_bound_property():

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -133,6 +134,22 @@ def test_young_measure_evaluates_no_density_point(monkeypatch):
     m = young_measure(sine_wave(2))
     assert calls == []
     assert m.set_mass(-1.0, 1.0, closed_right=True) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_young_measure_inverts_nothing_until_a_set_mass(monkeypatch):
+    from oscym.domain import Piece
+    from oscym.funcspec import parse_spec
+
+    f = parse_spec((Path(__file__).resolve().parent / "data" / "expr.json").read_text())
+    calls = []
+    invert = Piece.invert
+    monkeypatch.setattr(Piece, "invert", lambda p, ys: calls.append(p) or invert(p, ys))
+    m = young_measure(f)
+    assert calls == []
+    # the distribution function inverts each piece once per call, its
+    # preimage start with the values
+    m.set_masses(np.linspace(*m.range_K, 9))
+    assert calls == list(f.pieces)
 
 
 def test_young_measure_requires_valid_function():
