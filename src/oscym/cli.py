@@ -26,6 +26,7 @@ import atexit
 import json
 import math
 import os
+import shutil
 import sys
 import tempfile
 from functools import partial
@@ -332,8 +333,6 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     """The `oscym` parser.  When argv[0] names a subcommand, only that
     subcommand's parser is built, the only one parse_args(argv) can reach;
     otherwise (no argv, --help, an unknown name) every subcommand's is."""
-    import shutil  # as argparse does; tempfile has loaded it already
-
     # argparse reads the terminal size for every formatter it makes, one per
     # argument; the width argparse would read (columns less 2), read once
     formatter = partial(argparse.HelpFormatter,

@@ -199,13 +199,6 @@ def weak_limit_estimate(
     return seq.generator(n_ref)
 
 
-def _distinct_sorted(values: np.ndarray) -> np.ndarray:
-    """np.unique of a nonempty float array without NaN, bitwise: the same
-    sort, keeping each value unequal to the one before it."""
-    values = np.sort(values)
-    return values[np.r_[True, values[1:] != values[:-1]]]
-
-
 def monotone_slope_check(
     fs: Sequence[MOscillatingFunction],
     y_grid: Sequence[float],
@@ -247,10 +240,11 @@ def converge_young(
     lo = max(f.range_K[0] for f in fs)
     hi = min(f.range_K[1] for f in fs)
     # affine total slopes change only at image ends: besides the even grid, test
-    # inside each cell between them wider than twice the slack of an image end
+    # inside each cell between them wider than twice the slack of an image end,
+    # which drops the empty cells between equal ends
     ends = np.concatenate([[lo, hi], *(e for f in fs
                                        for e in (f.piece_table.lo, f.piece_table.hi))])
-    ends = _distinct_sorted(np.clip(ends, lo, hi))  # np.unique would import numpy.ma
+    ends = np.sort(np.clip(ends, lo, hi))
     slack = image_slack(*(v for f in fs for v in f.range_K))
     mids = ((ends[:-1] + ends[1:]) / 2)[np.diff(ends) > 2 * slack]
     if not monotone_slope_check(fs, np.r_[np.linspace(lo, hi, SLOPE_GRID_POINTS + 2)[1:-1], mids]):

@@ -232,10 +232,9 @@ class _Kind:
     (rows x values) mask holds, 0 elsewhere.  `validate`
     decides a closed-form kind's monotonicity from its columns: it flags
     the `turns`, the x of an extremum inside a row's interval (nan if
-    none), and equal image ends."""
-
-    width = 1  # parameters of a `table_of_rows` row
-    exact_slope = False
+    none), and equal image ends.  `of` makes the columns from the
+    `table_of_rows` params; a view's row (`_row`) passes every column
+    value its kernels hold, of which `sin` reads the first three."""
 
     def __init__(self, at: np.ndarray, cols: tuple):
         self.at, self.cols = at, cols
@@ -266,7 +265,6 @@ class _Kind:
 class _Affine(_Kind):
     """u -> slope u + intercept: columns slope and intercept."""
 
-    width, exact_slope = 2, True
     forward = staticmethod(lambda c, x: c[0] * np.asarray(x, dtype=float) + c[1])
     inverse = staticmethod(lambda c, y: (y - c[1]) / c[0])
     inverse_derivative = staticmethod(lambda c, y: np.full(np.shape(y), 1.0 / c[0]))
@@ -279,7 +277,6 @@ class _Sin(_Kind):
     (k pi + sign asin(y/A) - phase)/w, with math.asin once per distinct
     y/A, where numpy's arcsin can differ in the last bit."""
 
-    width = 3
     forward = staticmethod(lambda c, x: c[0] * np.sin(c[1] * np.asarray(x, dtype=float) + c[2]))
 
     @classmethod
@@ -431,7 +428,7 @@ class PieceTable(NamedTuple):
             index = mono[g.at].tolist()
             views = g.cols if isinstance(g, _Callables) else (
                 Piece(sl[i], su[i], DIFFEOMORPHIC, *g.kernels(c),
-                      affine_slope=c[0] if g.exact_slope else None)
+                      affine_slope=c[0] if isinstance(g, _Affine) else None)
                 for i, c in zip(index, zip(*(c.tolist() for c in g.cols))))
             for i, p in zip(index, views):
                 out[i] = p
@@ -534,7 +531,7 @@ def _row(p: Piece) -> tuple:
     kind = _VIEWS.get(getattr(p.forward, "func", None))
     if kind is None or getattr(p.inverse, "func", None) is not _KINDS[kind].inverse:
         return p.sub_lower, p.sub_upper, "piece", p
-    return p.sub_lower, p.sub_upper, kind, p.forward.args[0][:_KINDS[kind].width]
+    return p.sub_lower, p.sub_upper, kind, p.forward.args[0]
 
 
 class MOscillatingFunction(_ReadOnly):

@@ -19,7 +19,8 @@ inverted by bisection.
 Sequence schema:
     { "family": "sin"|"roubicek"|"amplitude_tent"|"custom",
       "params": {...}, "indices": [n_min, n_max] }
-    roubicek takes {"teeth" (>= 0, default 64)}; sin and amplitude_tent take none
+    roubicek takes {"teeth" (>= 0, default 64)}, rounded up to even, with
+    (n_max + teeth)^2 < 2^53; sin and amplitude_tent take none
 """
 from __future__ import annotations
 
@@ -174,6 +175,11 @@ def build_sequence(obj: dict) -> SequenceSpec:
         for k, v in kwargs.items():  # every family param is a count
             if v < 0:
                 raise SpecError(f"param {k!r} of family {name!r} must be at least 0, got {v}")
+        # the family rounds teeth up to even, and is exact while (n + teeth)^2 < 2^53
+        if name == "roubicek" and (n_max + kwargs["teeth"] + kwargs["teeth"] % 2) ** 2 >= 2 ** 53:
+            raise SpecError(f"param 'teeth' of family 'roubicek' must keep (n_max + teeth)^2 "
+                            f"< 2^53, teeth rounded up to even: got {kwargs['teeth']} "
+                            f"with n_max {n_max}")
         functions = lambda ns: builder(ns, **kwargs)
     else:
         raise SpecError(f"unknown family {name!r}")

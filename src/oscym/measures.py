@@ -15,7 +15,8 @@ and the L1 gaps `homog` sums from them, are differences of the
 distribution function.  Constant pieces carry no
 density; each of their values is an atom weighted by its share of the domain.
 Nothing is tabulated up front: a density is sampled only when output asks
-for it.
+for it, and the distribution function inverts each piece, its preimage
+start included, only when a set mass is asked for.
 `young_density` and `total_slope` take a scalar or an array of y and
 evaluate a whole array at once, from the function's piece table.
 """
@@ -172,20 +173,17 @@ def young_density_function(f: MOscillatingFunction) -> Optional[DensityFunction]
 
     F(y) = sum over the monotone pieces of |inv(clip(y)) - inv(lo)| / M,
     with clip(y) clamped to the piece image [lo, hi]: the preimage length
-    of [lo, y] under each piece.  Each kind of piece inverts the values for
-    all its pieces in one call of its array form, and the rows are added in
-    piece order.  The expectation of phi is the sum over the monotone
-    pieces of the integral of phi(f(x)) over the piece, over M: the
-    paper's identity, integrated in x where the integrand is bounded, with
-    f and then phi called once on each panel's nodes.
+    of [lo, y] under each piece.  Each kind of piece inverts the values and
+    each image's lo for all its pieces in one call of its array form, and
+    the rows are added in piece order.  The expectation of phi is the sum
+    over the monotone pieces of the integral of phi(f(x)) over the piece,
+    over M: the paper's identity, integrated in x where the integrand is
+    bounded, with f and then phi called once on each panel's nodes.
     """
     t = f.piece_table
     if not t.lo.size:
         return None
     support = (min(t.lo.tolist()), max(t.hi.tolist()))
-    starts = np.empty(t.lo.size)
-    for g in t.kinds:
-        starts[g.at] = g.invert(np.arange(g.at.size), t.lo[g.at])
     M = f.measure_M
 
     def expectation(phi):
@@ -197,12 +195,13 @@ def young_density_function(f: MOscillatingFunction) -> Optional[DensityFunction]
 
     def cdf(ys):
         ys = np.asarray(ys, dtype=float)
-        flat = ys.reshape(-1)
-        lengths = np.empty((t.lo.size, flat.size))
+        # column 0, -inf clipped to lo, is each piece's preimage start
+        flat = np.r_[-np.inf, ys.reshape(-1)]
+        lengths = np.empty((t.lo.size, ys.size))
         for g in t.kinds:
             lo, hi = t.lo[g.at, None], t.hi[g.at, None]
-            lengths[g.at] = np.abs(g.invert(np.arange(g.at.size)[:, None], np.clip(flat, lo, hi))
-                                   - starts[g.at, None])
+            x = g.invert(np.arange(g.at.size)[:, None], np.clip(flat, lo, hi))
+            lengths[g.at] = np.abs(x[:, 1:] - x[:, :1])
         return (_sum_rows(lengths) / M).reshape(ys.shape)
 
     return DensityFunction(

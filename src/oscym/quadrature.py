@@ -20,12 +20,13 @@ Nothing in the package integrates in y: every density it makes is a Young
 density, whose set masses are exact preimage lengths (see `measures`).
 The rule serves test functions, integrated in x against a Young measure,
 and the Bolza functional; `import oscym` registers this module unexecuted,
-so it runs on the first integral.  The end map and the cuts serve
-singular integrands in y, which only reference integrals outside the
-package still have.
+so it runs, and loads `heapq`, on the first integral.  The end map and
+the cuts serve singular integrands in y, which only reference integrals
+outside the package still have.
 """
 from __future__ import annotations
 
+import heapq
 import math
 from typing import Callable, Iterable
 
@@ -102,8 +103,6 @@ def integrate(
     when after MAX_SUBDIVISIONS panels the summed error estimate stays
     above 100 times the requested max(tol, tol |integral|).
     """
-    import heapq  # here, not at the top: only the calls that integrate load it
-
     if b <= a:
         return 0.0
     cuts = sorted({float(p) for p in points if a < p < b})

@@ -198,10 +198,7 @@ def oracle_report(
     (mass 0 on the other, as for a model atom no draw took), takes the
     threshold of its model weight: 0 for an empirical atom the model lacks."""
     n = h.sample_count
-    if m.density is not None:
-        models = m.density.masses(h.edges)
-    else:
-        models = np.zeros(len(h.masses))
+    models = ScalarMeasureRCA(m.range_K, m.density).set_masses(h.edges)
     bins = []
     for lo, hi, model, empirical in zip(h.edges[:-1], h.edges[1:], models, h.masses):
         p = min(max(model, 0.0), 1.0)

@@ -47,8 +47,8 @@ print("numpy" in sys.modules, sorted(name for name in sys.modules if name.starts
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_heapq():
     # both are start-up cost for every call: oscym defines no dataclass, and
-    # only `quadrature.integrate` needs heapq, which it imports when called;
-    # the quadrature module itself stays unexecuted
+    # only `quadrature.integrate` needs heapq, which the quadrature module
+    # imports when it is executed, and it stays unexecuted
     code = """
 import sys, types
 import oscym.cli

@@ -142,25 +142,6 @@ def test_density_command_makes_one_density_call(monkeypatch, tmp_path):
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
-@st.composite
-def image_ends(draw):
-    """Ends as `converge_young` gathers them: up to 300 drawn from a small
-    pool with both zeros, so they repeat and the sort decides which zero
-    comes first, then clipped onto a range, which repeats its ends too."""
-    pool = [0.0, -0.0, *draw(st.lists(FINITE, max_size=4))]
-    size = draw(st.integers(1, 300))
-    values = draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
-    lo, hi = sorted(draw(st.lists(st.one_of(FINITE, st.sampled_from(pool)),
-                                  min_size=2, max_size=2)))
-    return np.clip(np.array([lo, hi, *values]), lo, hi)
-
-
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(ends=image_ends())
-def test_distinct_ends_are_bitwise_np_unique(ends):
-    assert convergence._distinct_sorted(ends).tobytes() == np.unique(ends).tobytes()
-
-
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(ends=st.lists(st.one_of(FINITE, st.integers(-10 ** 6, 10 ** 6)),
                      min_size=2, max_size=2, unique=True),
