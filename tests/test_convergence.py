@@ -269,10 +269,10 @@ def test_converge_young_window_past_the_functions_is_precondition_error():
 @st.composite
 def affine_sequences(draw):
     """Two to five affine functions whose image ends repeat: each piece on
-    [j, j + 1] runs between two ends drawn from -3..3, and a zero end at
-    x = 0 takes the sign of a zero intercept, either one.  One function,
-    at a drawn place, has both zeros as ends: -x - 0.0 is -0.0 at 0, and
-    x - 1 is 0.0 at 1."""
+    [j, j + 1] runs between two ends drawn from -3..3, and a zero
+    intercept has either sign, so a falling piece can start at -0.0.  One
+    function, at a drawn place, has both zeros as ends: -x - 0.0 is -0.0
+    at 0, and x - 1 is 0.0 at 1."""
     fs = []
     for _ in range(draw(st.integers(1, 4))):
         rows = []
